@@ -4,8 +4,8 @@ The pipeline is: pick the temperature for the current step, map the raw
 losses affinely into [-alpha, alpha], apply an analytical scoring strategy,
 then push the scores through a tempered softmax. Two alternative weighting
 modes bypass the strategy step: the capped-optimal weights (entropy
-regularized, with a hard per-sample cap, solved by water filling) and the
-DRO-KL baseline (softmax on raw losses, no cap).
+regularized, with a hard per-sample cap, solved in closed form by sorting
+and thresholding) and the DRO-KL baseline (softmax on raw losses, no cap).
 
 All functions are pure and operate on 1-D numpy arrays.
 """
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Strategy",
@@ -185,11 +184,14 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     """Unique weights of the form w_i = min(C * exp(h_i/r), cap), sum w = 1.
 
     This is the minimizer of  -sum w_i h_i + r sum w_i log w_i  over the
-    capped simplex {0 <= w <= cap, sum w = 1}. Solved by water filling:
-    repeatedly pin to the cap every entry whose renormalized exponential
-    exceeds it, then renormalize the free entries. The pinned set only
-    grows, so at most b rounds are needed. All arithmetic is done in log
-    space so tiny r (exponent spreads of ~1e6) stays exact.
+    capped simplex {0 <= w <= cap, sum w = 1}. The cap binds on the largest
+    exponentials first, so the pinned set is a prefix of the logits h/r
+    sorted in descending order. With k entries pinned, the free block holds
+    mass 1 - k*cap as a softmax, and k is the first prefix length at which
+    the largest free entry no longer exceeds the cap. A suffix log-sum-exp
+    gives every candidate k's softmax denominator in one pass, so one sort
+    and one scan solve it. All arithmetic is done in log space so tiny r
+    (logit spreads of ~1e6) stays exact.
     """
     if r <= 0:
         raise ConfigError("temperature r must be positive")
@@ -198,29 +200,22 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     if cap * b < 1.0 - 1e-12:
         raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
 
-    logits = h / r
-    log_cap = np.log(cap)
-    pinned = np.zeros(b, dtype=bool)
-    for _ in range(b):
-        free = ~pinned
-        mass = 1.0 - cap * pinned.sum()
-        if not free.any() or mass <= 0:
-            break
-        log_c = np.log(mass) - logsumexp(logits[free])
-        newly = free & (log_c + logits > log_cap + 1e-15)
-        if not newly.any():
-            break
-        pinned |= newly
+    z = h / r
+    order = np.argsort(-z, kind="stable")
+    z = z[order]
+    suffix_lse = np.logaddexp.accumulate(z[::-1])[::-1]  # log sum exp(z[k:])
+    mass = 1.0 - cap * np.arange(b)
+    with np.errstate(divide="ignore"):
+        log_mass = np.log(np.maximum(mass, 0.0))
+    fits = log_mass - suffix_lse + z <= np.log(cap) + 1e-15
+    n_pin = int(fits.argmax()) if fits.any() else b
 
-    w = np.full(b, cap)
-    free = ~pinned
-    if free.any():
-        mass = 1.0 - cap * pinned.sum()
-        if mass <= 0:
-            w[free] = 0.0
-        else:
-            z = logits[free]
-            w[free] = mass * np.exp(z - logsumexp(z))
+    w_sorted = np.full(b, cap)
+    if n_pin < b:
+        e = np.exp(z[n_pin:] - z[n_pin])
+        w_sorted[n_pin:] = max(mass[n_pin], 0.0) * e / e.sum()
+    w = np.empty(b)
+    w[order] = w_sorted
     return w
 
 

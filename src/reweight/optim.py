@@ -82,15 +82,18 @@ def theory_stepsize(rule: StepSizeRule, w_max: float | None = None, batch: int |
     if rule.kind == "fixed":
         return rule.eta
     if rule.kind == "convex_theory":
-        eta = 1.0 / (8.0 * rule.L)
         if w_max is not None and batch is not None:
-            if w_max > 2.0 / batch + 1e-12:
-                raise ConfigError(
-                    f"w_max = {w_max:.6g} exceeds 2/b = {2.0 / batch:.6g}; "
-                    "the convex-theory step size requires w_max <= 2/b"
-                )
-        return eta
+            _check_theory_w_max(w_max, batch)
+        return 1.0 / (8.0 * rule.L)
     return 1.0 / (8.0 * rule.L * np.sqrt(rule.horizon_T))
+
+
+def _check_theory_w_max(w_max: float, batch: int, where: str = "") -> None:
+    if w_max > 2.0 / batch + 1e-12:
+        raise ConfigError(
+            f"{where}w_max = {w_max:.6g} exceeds 2/b = {2.0 / batch:.6g}; "
+            "the convex-theory step size requires w_max <= 2/b"
+        )
 
 
 def _weighted_grad(gradients, weights) -> np.ndarray:
@@ -170,7 +173,8 @@ def run_training(
     epoch, seeded), computes weights from the batch losses, and applies the
     (momentum-)reweighted update. Deterministic given the seed. A non-finite
     or huge loss stops the run and marks the trajectory diverged instead of
-    raising.
+    raising. Under the convex_theory step size, a step whose observed max
+    weight exceeds 2/b raises ConfigError before the update is applied.
     """
     if batch_size < 1 or batch_size > problem.n_samples:
         raise ConfigError("batch_size must be in [1, n_samples]")
@@ -252,6 +256,8 @@ def run_training(
             break
         r_value = schedule_r(t, reweight_config.schedule)
         w = compute_batch_weights(f, reweight_config, t)
+        if stepsize.kind == "convex_theory":
+            _check_theory_w_max(float(w.max()), batch_size, f"step {t}: observed ")
         g = record_step(t, idx, f, w, r_value)
         prev = state.theta
         try:

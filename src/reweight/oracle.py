@@ -2,9 +2,9 @@
 
 The capped-weights oracle minimizes the entropy-regularized linear
 objective directly by projected gradient descent over the capped simplex,
-deliberately avoiding the water-filling code path so that agreement between
-the two is evidence rather than tautology. Also provides central-difference
-gradients for checking analytic gradient code.
+deliberately avoiding the production sort-and-threshold closed form so
+that agreement between the two is evidence rather than tautology. Also
+provides central-difference gradients for checking analytic gradient code.
 """
 
 from __future__ import annotations
@@ -23,37 +23,18 @@ __all__ = [
 _W_FLOOR = 1e-10  # lower box bound; avoids log(0) and unbounded gradients
 
 
-def project_capped_simplex(v, cap: float, floor: float = 0.0) -> np.ndarray:
-    """Euclidean projection onto {w : floor <= w_i <= cap, sum w = 1}.
+def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.ndarray:
+    """Projection onto {w : floor <= w_i <= cap, sum w = 1} in the diagonal
+    metric diag(1/scale); the default scale = 1 is the Euclidean projection.
 
-    The projection is clip(v - lam, floor, cap) for the shift lam that makes
-    the coordinates sum to one; the sum is nonincreasing in lam, so
-    bisection finds it.
+    The projection is clip(v - lam * scale, floor, cap) for the shift lam
+    that makes the coordinates sum to one. The sum is nonincreasing in lam,
+    so a doubling bracket followed by bisection finds it.
     """
     v = np.asarray(v, dtype=float)
     b = v.size
     if cap * b < 1.0 - 1e-12:
         raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
-    lo = v.min() - max(1.0, cap)  # every coordinate clips to cap: sum >= 1
-    hi = v.max()  # every coordinate clips to (near) floor: sum <= 1
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, floor, cap).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), floor, cap)
-
-
-def _objective(w, gaps, r):
-    wl = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-    return float(-(w @ gaps) + r * wl.sum())
-
-
-def _project_scaled(v, scale, cap: float, floor: float) -> np.ndarray:
-    """Projection onto {floor <= w <= cap, sum w = 1} in the diagonal metric
-    diag(1/scale): clip(v - lam * scale, floor, cap) with lam found by
-    bisection (the sum is nonincreasing in lam)."""
     lo, hi = -1.0, 1.0
     while np.clip(v - lo * scale, floor, cap).sum() < 1.0:
         lo *= 2.0
@@ -70,6 +51,11 @@ def _project_scaled(v, scale, cap: float, floor: float) -> np.ndarray:
         else:
             hi = mid
     return np.clip(v - 0.5 * (lo + hi) * scale, floor, cap)
+
+
+def _objective(w, gaps, r):
+    wl = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
+    return float(-(w @ gaps) + r * wl.sum())
 
 
 def brute_force_optimal_weights(gaps, r: float, cap: float, tol: float = 1e-9) -> np.ndarray:
@@ -103,7 +89,7 @@ def brute_force_optimal_weights(gaps, r: float, cap: float, tol: float = 1e-9) -
         scale = w / r
         step = 1.0
         while step > 1e-16:
-            cand = _project_scaled(w - step * scale * grad, step * scale, cap, _W_FLOOR)
+            cand = project_capped_simplex(w - step * scale * grad, cap, _W_FLOOR, step * scale)
             cand_obj = _objective(cand, gaps, r)
             if cand_obj < obj - 1e-18:
                 improved = True

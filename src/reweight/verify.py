@@ -19,7 +19,7 @@ __all__ = ["run_all", "check_prop1_agreement", "check_gradients",
 
 
 def check_prop1_agreement(n_instances: int = 200, seed: int = 0, tol: float = 1e-6):
-    """Water-filling weights vs projected-descent oracle, max-norm."""
+    """Closed-form (sort-and-threshold) weights vs projected-descent oracle, max-norm."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):

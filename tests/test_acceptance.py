@@ -133,7 +133,7 @@ def test_criterion_3_capped_weights_match_oracle():
     report(
         3,
         ok,
-        f"water-filling vs projected-descent oracle on 200 instances: "
+        f"closed-form vs projected-descent oracle on 200 instances: "
         f"max |diff| = {worst:.2e} (tol 1e-6), {elapsed:.1f}s (budget 10s)",
     )
 

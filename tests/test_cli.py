@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,25 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, strategy="bogus"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
             == EXIT_CONFIG
+
+    def test_convex_theory_observed_w_max_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "problem": "quadratic", "strategy": "linupper", "schedule": "constant",
+            "r_initial": 0.01, "r_final": 0.01, "stepsize_rule": "convex_theory",
+            "batch_size": 8, "steps": 20,
+        })
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.search(r"step \d+: observed w_max = [0-9.e-]+ exceeds 2/b = 0\.25", err)
+
+    def test_quadratic_theory_config_passes_w_max_check(self, tmp_path):
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "quadratic_theory.json")
+        out = tmp_path / "quad.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 500
+        assert max(float(r["w_max"]) for r in rows) <= 2.0 / 64 + 1e-12
 
     def test_dro_kl_diverges_at_shared_lr(self, tmp_path):
         cfg = write_config(

@@ -1,5 +1,10 @@
 """Unit and property tests for the batch-weighting pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +23,7 @@ from reweight.core import (
     schedule_r,
     temper_weights,
 )
+from reweight.oracle import brute_force_optimal_weights
 
 
 finite_losses = st.lists(
@@ -196,6 +202,81 @@ class TestCappedOptimalWeights:
         order = np.argsort(losses)
         w = capped_optimal_weights(normalize_losses(losses), r, 2.0 / losses.size)
         assert np.all(np.diff(w[order]) >= -1e-12)
+
+    @given(
+        losses=finite_losses,
+        r=st.floats(min_value=1e-6, max_value=1e2),
+        cap_frac=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_structure(self, losses, r, cap_frac):
+        b = losses.size
+        cap = 1.0 / b + cap_frac * (1.0 - 1.0 / b)
+        h = normalize_losses(losses)
+        w = capped_optimal_weights(h, r, cap)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.all(w >= 0.0)
+        assert np.all(w <= cap + 1e-12)
+        # The pinned set is a top-k prefix of h.
+        pinned = w >= cap - 1e-12
+        if pinned.any() and not pinned.all():
+            assert h[pinned].min() >= h[~pinned].max()
+        # Free entries keep the exp(h/r) ratios: r log w_i - h_i is constant.
+        free = ~pinned & (w > 1e-300)
+        if free.sum() >= 2:
+            offset = r * np.log(w[free]) - h[free]
+            assert np.ptp(offset) <= 1e-9 * max(1.0, r)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            b = int(rng.integers(2, 17))
+            r = float(10.0 ** rng.uniform(-1, 1))
+            cap = float(rng.uniform(1.0 / b, 1.0))
+            h = rng.uniform(-1.0, 1.0, size=b)
+            np.testing.assert_allclose(
+                capped_optimal_weights(h, r, cap),
+                brute_force_optimal_weights(h, r, cap),
+                atol=1e-6,
+            )
+
+    @pytest.mark.parametrize(
+        "h, r, cap, expect",
+        [
+            # A tied pair above the threshold is pinned together.
+            ([1.0, 1.0, 0.0], 0.01, 0.45, [0.45, 0.45, 0.1]),
+            ([1.0] * 4 + [0.0] * 4, 1e-6, 0.2, [0.2] * 4 + [0.05] * 4),
+            # The top entry's free softmax weight is exactly the cap.
+            ([1.0, 0.0, 0.0], 1.0 / np.log(2.0), 0.5, [0.5, 0.25, 0.25]),
+        ],
+    )
+    def test_ties_at_threshold(self, h, r, cap, expect):
+        for perm in (np.arange(len(h)), np.arange(len(h))[::-1]):
+            w = capped_optimal_weights(np.array(h)[perm], r, cap)
+            np.testing.assert_allclose(w, np.array(expect)[perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [3, 7, 10, 64])
+    def test_cap_times_b_one_is_uniform(self, b):
+        h = np.random.default_rng(b).uniform(-1.0, 1.0, size=b)
+        w = capped_optimal_weights(h, r=0.1, cap=1.0 / b)
+        np.testing.assert_allclose(w, np.full(b, 1.0 / b), rtol=0, atol=1e-15)
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_degenerate_limit_large_batch(self):
+        b = 1024
+        h = np.random.default_rng(11).permutation(np.linspace(-1.0, 1.0, b))
+        w = capped_optimal_weights(h, r=1e-6, cap=2.0 / b)
+        np.testing.assert_array_equal(w, np.where(h >= np.median(h), 2.0 / b, 0.0))
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, reweight.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDroKlWeights:

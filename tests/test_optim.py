@@ -257,6 +257,18 @@ class TestRunTraining:
                 steps=1,
             )
 
+    def test_convex_theory_checks_observed_w_max(self, quadratic_problem):
+        # Softmax weights at low r concentrate far above 2/b, which the
+        # configured cap (none here) cannot reveal; the observed w_max does.
+        with pytest.raises(ConfigError, match=r"step \d+: observed w_max = .* exceeds 2/b = 0\.25"):
+            run_training(
+                quadratic_problem,
+                ReweightConfig(strategy=Strategy.LINUPPER, schedule=constant_schedule(0.01)),
+                StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
+                batch_size=8,
+                steps=20,
+            )
+
     def test_averaged_theta(self, quadratic_problem):
         traj = run_training(
             quadratic_problem,
