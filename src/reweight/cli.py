@@ -85,6 +85,33 @@ RUN_DEFAULTS = {
 }
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _expected_type(default):
+    """(description, predicate) for values that may replace `default`.
+
+    A config value must have its default's type: an int default admits
+    integers only (not bools or floats), a float default any non-bool
+    number, a None default a number or null, and a list default a list of
+    its first element's type.
+    """
+    if isinstance(default, list):
+        kind, check = _expected_type(default[0])
+        return (f"a list, each item {kind}",
+                lambda x: isinstance(x, list) and all(map(check, x)))
+    if isinstance(default, bool):
+        return "a boolean", lambda x: isinstance(x, bool)
+    if isinstance(default, int):
+        return "an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)
+    if isinstance(default, str):
+        return "a string", lambda x: isinstance(x, str)
+    if default is None:
+        return "a number or null", lambda x: x is None or _is_number(x)
+    return "a number", _is_number
+
+
 def _load_config(path, defaults):
     cfg = dict(defaults)
     if path:
@@ -93,6 +120,10 @@ def _load_config(path, defaults):
         unknown = set(user) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            kind, check = _expected_type(defaults[key])
+            if not check(value):
+                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
         cfg.update(user)
     return cfg
 
@@ -264,7 +295,11 @@ def cmd_sweep(args) -> int:
                              row["final_test_loss"], row["auc_test_loss"], row["status"]])
     _write_meta(summary_path, cfg)
     print(f"sweep complete: {len(rows)} cells, summary at {summary_path}")
-    return EXIT_OK
+    failed = [row for row in rows if row["status"].startswith("error")]
+    for row in failed:
+        print(f"failed cell {row['strategy']} r={row['r']} seed={row['seed']}: "
+              f"{row['status']}", file=sys.stderr)
+    return EXIT_CONFIG if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -282,11 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="strategy x r x seed sweep -> summary CSV")
     p_verify = sub.add_parser("verify", help="run the brute-force oracle suite")
 
-    for p in (p_gen, p_run, p_sweep, p_verify):
+    for p in (p_gen, p_run, p_sweep):
         p.add_argument("--config", default=None, help="flat JSON config file")
+    for p in (p_gen, p_run):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: REWEIGHT_THREADS)")
+    p_sweep.add_argument("--threads", type=int, default=None,
+                         help="worker threads (fallback: REWEIGHT_THREADS)")
     p_gen.add_argument("--out", required=True)
     p_run.add_argument("--out", required=True)
     p_sweep.add_argument("--out", required=True, help="output directory")

@@ -207,7 +207,9 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     mass = 1.0 - cap * np.arange(b)
     with np.errstate(divide="ignore"):
         log_mass = np.log(np.maximum(mass, 0.0))
-    fits = log_mass - suffix_lse + z <= np.log(cap) + 1e-15
+    # suffix_lse - z first: both are ~|h|/r, and adding them to log_mass one
+    # at a time rounds away its last digits when r is tiny.
+    fits = log_mass - (suffix_lse - z) <= np.log(cap) + 1e-15
     n_pin = int(fits.argmax()) if fits.any() else b
 
     w_sorted = np.full(b, cap)

@@ -154,9 +154,6 @@ class Trajectory:
         T = len(self.thetas) - 1 if T is None else T
         return self.thetas[:T].mean(axis=0)
 
-    def delta_series(self) -> np.ndarray:
-        return np.array([r.delta if r.delta is not None else np.nan for r in self.records])
-
 
 def run_training(
     problem,

@@ -5,6 +5,13 @@ objective directly by projected gradient descent over the capped simplex,
 deliberately avoiding the production sort-and-threshold closed form so
 that agreement between the two is evidence rather than tautology. Also
 provides central-difference gradients for checking analytic gradient code.
+
+The projection onto the capped simplex is exact rather than iterative. In
+the metric diag(1/scale) it is clip(v - lam * scale, floor, cap), and the
+clipped sum is piecewise linear in lam with 2b kinks, so bisecting over the
+sorted kinks (about log2(2b) sum evaluations) brackets the root on one
+linear piece, which is solved in closed form (the sort-based capped-simplex
+projection of Wang & Lu 2015 and Duchi et al. 2008).
 """
 
 from __future__ import annotations
@@ -26,31 +33,39 @@ _W_FLOOR = 1e-10  # lower box bound; avoids log(0) and unbounded gradients
 def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.ndarray:
     """Projection onto {w : floor <= w_i <= cap, sum w = 1} in the diagonal
     metric diag(1/scale); the default scale = 1 is the Euclidean projection.
+    Every entry of scale must be positive.
 
     The projection is clip(v - lam * scale, floor, cap) for the shift lam
-    that makes the coordinates sum to one. The sum is nonincreasing in lam,
-    so a doubling bracket followed by bisection finds it.
+    that makes the coordinates sum to one. That sum is nonincreasing and
+    piecewise linear in lam, with kinks where a coordinate leaves the cap,
+    (v - cap) / scale, and where it reaches the floor, (v - floor) / scale.
+    A bisection over the sorted kinks finds the bracketing piece, which is
+    then solved exactly.
     """
     v = np.asarray(v, dtype=float)
     b = v.size
     if cap * b < 1.0 - 1e-12:
         raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
-    lo, hi = -1.0, 1.0
-    while np.clip(v - lo * scale, floor, cap).sum() < 1.0:
-        lo *= 2.0
-        if lo < -1e18:
-            break
-    while np.clip(v - hi * scale, floor, cap).sum() > 1.0:
-        hi *= 2.0
-        if hi > 1e18:
-            break
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid * scale, floor, cap).sum() > 1.0:
-            lo = mid
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), v.shape)
+    kinks = np.sort(np.concatenate(((v - cap) / scale, (v - floor) / scale)))
+
+    def total(lam):
+        return np.clip(v - lam * scale, floor, cap).sum()
+
+    # Invariant: total(kinks[lo]) >= 1 >= total(kinks[hi]).
+    lo, hi = 0, kinks.size - 1
+    s_lo, s_hi = total(kinks[lo]), total(kinks[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s_mid = total(kinks[mid])
+        if s_mid >= 1.0:
+            lo, s_lo = mid, s_mid
         else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * scale, floor, cap)
+            hi, s_hi = mid, s_mid
+    lam = kinks[lo]
+    if s_lo > s_hi:  # on a flat piece (floor == cap) every lam is a root
+        lam += (s_lo - 1.0) / (s_lo - s_hi) * (kinks[hi] - kinks[lo])
+    return np.clip(v - lam * scale, floor, cap)
 
 
 def _objective(w, gaps, r):

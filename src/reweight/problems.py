@@ -254,9 +254,6 @@ class QuadraticProblem:
     def losses_at_opt(self, idx) -> np.ndarray:
         return np.zeros(np.size(idx))
 
-    def mean_loss(self, theta) -> float:
-        return float(np.mean(self.losses(theta, np.arange(self.n_samples))))
-
 
 class NonconvexProblem:
     """Random linear features under the bounded non-convex loss; used for
@@ -272,7 +269,6 @@ class NonconvexProblem:
         # |d^2/dr^2 (1 - exp(-r^2))| <= 2, so L_i <= 2 ||x_i||^2
         self.L = float(2.0 * (self.X**2).sum(axis=1).max())
         self.theta_star = None
-        self.nonconvex = True
 
     def theta_init(self) -> np.ndarray:
         return np.zeros(self.dim)

@@ -35,6 +35,18 @@ SMALL_RUN = {
 
 
 class TestGenData:
+    def test_bad_value_type_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", {"n": 32.0})
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "'n' must be an integer, got 32.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--out", str(tmp_path / "d.csv"), "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_default_dataset_shape(self, tmp_path):
         out = tmp_path / "data.csv"
         assert main(["gen-data", "--out", str(out)]) == EXIT_OK
@@ -102,6 +114,30 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, strategy="bogus"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
             == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "50"),          # integer key given a string
+        ("batch_size", 32.5),     # integer key given a float
+        ("steps", True),          # integer key given a bool
+        ("lr", "0.1"),            # number key given a string
+        ("alpha", False),         # number key given a bool
+        ("momentum", "no"),       # bool key given a (truthy) string
+        ("momentum", 1),          # bool key given an integer
+        ("cap", "0.5"),           # number-or-null key given a string
+        ("strategy", 3),          # string key given a number
+    ])
+    def test_bad_value_type_exits_config(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, **{key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err
+        assert not out.exists()
+
+    def test_number_keys_accept_integers(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(SMALL_RUN, lr=1, alpha=1, cap=1, momentum=True))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_OK
 
     def test_convex_theory_observed_w_max_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", {
@@ -187,6 +223,43 @@ class TestSweep:
         assert len(rows) == 5
         assert all(r[5] == "ok" for r in rows[1:])
 
+    def test_failed_cells_exit_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, strategies=["capped", "uniform"], cap=0.001,
+                                seeds=[0], steps=5))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["error: infeasible cap: cap*b = 0.008 < 1", "ok"]
+        assert (out_dir / "uniform_r1.0_seed0.csv").exists()
+        err = capsys.readouterr().err
+        assert "failed cell capped r=1.0 seed=0: error: infeasible cap" in err
+        assert "uniform" not in err
+
+    def test_diverged_cells_exit_ok(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(strategies=["dro_kl"], dro_tau=1.0, lr=0.01, seeds=[0],
+                                r_values=[1.0]))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+        rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["diverged"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("strategies", "linupper"),
+        ("r_values", 1.0),
+        ("seeds", [0, 1.5]),
+    ])
+    def test_bad_list_value_exits_config(self, tmp_path, key, value):
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, **{key: value}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+
+    def test_seed_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_threaded_sweep_matches_serial(self, tmp_path):
         payload = dict(SMALL_RUN, strategies=["uniform", "linupper"],
                        r_values=[1.0], seeds=[0])
@@ -206,6 +279,14 @@ class TestVerify:
         assert "[PASS]" in report
         assert "[FAIL]" not in report
         assert "tol" in report  # per-check tolerances are listed
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--threads", "2"],
+                                      ["--config", "cfg.json"]])
+    def test_unused_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_wrong_sign_gradient_negative_control(self):
         def broken_grad(W, b, x_i, y_i):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reweight.core import (
     ConfigError,
@@ -209,6 +209,8 @@ class TestCappedOptimalWeights:
         cap_frac=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=500, deadline=None)
+    # Logits of +-1e6 with a cap just above 1/b: the last entry is free.
+    @example(losses=np.array([0.0, 0.0, 0.0, -1.0]), r=1e-6, cap_frac=1e-12)
     def test_closed_form_structure(self, losses, r, cap_frac):
         b = losses.size
         cap = 1.0 / b + cap_frac * (1.0 - 1.0 / b)

@@ -12,6 +12,32 @@ from reweight.oracle import (
 )
 
 
+def _bisection_projection(v, cap, floor=0.0, scale=1.0):
+    """Slow reference: doubling bracket on the shift, then 100 bisection steps."""
+    v = np.asarray(v, dtype=float)
+    lo, hi = -1.0, 1.0
+    while np.clip(v - lo * scale, floor, cap).sum() < 1.0:
+        lo *= 2.0
+        if lo < -1e18:
+            break
+    while np.clip(v - hi * scale, floor, cap).sum() > 1.0:
+        hi *= 2.0
+        if hi > 1e18:
+            break
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid * scale, floor, cap).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi) * scale, floor, cap)
+
+
+def _random_scale(rng, b):
+    """Per-coordinate scales spanning 1e-12..1, like projected-Newton's w/r."""
+    return 10.0 ** rng.uniform(-12.0, 0.0, size=b)
+
+
 class TestProjection:
     def test_feasible_point_unchanged(self):
         w = np.array([0.2, 0.3, 0.5])
@@ -47,13 +73,92 @@ class TestProjection:
         with pytest.raises(ConfigError):
             project_capped_simplex([0.5, 0.5], cap=0.3)
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-10])
+    @pytest.mark.parametrize("scale_kind", ["unit", "scalar", "vector"])
+    def test_matches_bisection_reference(self, floor, scale_kind):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            b = int(rng.integers(2, 65))
+            cap = float(rng.uniform(1.0 / b, 1.0))
+            v = rng.normal(scale=3.0, size=b)
+            if scale_kind == "unit":
+                scale = 1.0
+            elif scale_kind == "scalar":
+                scale = float(10.0 ** rng.uniform(-12.0, 2.0))
+            else:
+                scale = _random_scale(rng, b)
+            w = project_capped_simplex(v, cap, floor, scale)
+            ref = _bisection_projection(v, cap, floor, scale)
+            assert np.abs(w - ref).max() <= 1e-12
+            assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_matches_reference_on_newton_steps(self):
+        # The oracle's own call pattern: w on the floored simplex, a step
+        # along the gradient scaled by w / r, projected in that metric.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            b = int(rng.integers(2, 9))
+            r = float(10.0 ** rng.uniform(-1, 1))
+            w = rng.dirichlet(np.full(b, 0.3))
+            w = np.maximum(w, 1e-10)
+            w /= w.sum()
+            grad = -rng.uniform(-1.0, 1.0, size=b) + r * (1.0 + np.log(w))
+            scale = float(2.0 ** -rng.integers(0, 40)) * w / r
+            v = w - scale * grad
+            out = project_capped_simplex(v, 2.0 / b, 1e-10, scale)
+            ref = _bisection_projection(v, 2.0 / b, 1e-10, scale)
+            assert np.abs(out - ref).max() <= 1e-12
+
+    def test_tied_kinks(self):
+        v = np.array([0.5, 0.5, 0.5, 0.1, 0.1])
+        for scale in (1.0, np.array([2.0, 2.0, 2.0, 1.0, 1.0])):
+            w = project_capped_simplex(v, 0.3, 0.0, scale)
+            ref = _bisection_projection(v, 0.3, 0.0, scale)
+            np.testing.assert_allclose(w, ref, atol=1e-12)
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert w[0] == w[1] == w[2]
+
+    def test_cap_times_b_is_one(self):
+        rng = np.random.default_rng(6)
+        for b in (2, 3, 4, 8, 64):
+            # Just below 1 (inside the feasibility tolerance) no kink reaches
+            # sum 1; every coordinate still goes to the cap.
+            for cap in (1.0 / b, (1.0 - 1e-13) / b):
+                v = rng.normal(size=b)
+                w = project_capped_simplex(v, cap, 1e-10, _random_scale(rng, b))
+                np.testing.assert_allclose(w, np.full(b, cap), atol=1e-15)
+
+    def test_flat_piece(self):
+        # floor == cap == 1/b: the clipped sum is 1 for every shift.
+        w = project_capped_simplex([0.9, -0.3, 0.1, 0.0], 0.25, 0.25)
+        np.testing.assert_array_equal(w, np.full(4, 0.25))
+
+    def test_kink_exactly_at_sum_one(self):
+        # At shift 0 the first coordinate leaves the cap and the second hits
+        # the floor, and the clipped sum there is exactly 1.
+        v = np.array([1.0, 0.0, -1.0])
+        np.testing.assert_array_equal(project_capped_simplex(v, 1.0), [1.0, 0.0, 0.0])
+        v = np.array([0.5, 0.5, 0.0, -1.0])
+        np.testing.assert_array_equal(project_capped_simplex(v, 0.5), [0.5, 0.5, 0.0, 0.0])
+
+    def test_nearly_feasible_point(self):
+        # |sum - 1| <= 1e-12 on entry: the projection moves it by no more.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            b = int(rng.integers(2, 17))
+            w = rng.dirichlet(np.ones(b)) * 0.5 + 0.5 / b
+            v = w + rng.uniform(-1e-12, 1e-12) / b
+            out = project_capped_simplex(v, 1.0, 0.0, _random_scale(rng, b))
+            assert np.abs(out - w).max() <= 2e-12
+            assert abs(out.sum() - 1.0) <= 1e-12
+
 
 class TestBruteForceWeights:
     def test_equal_gaps_uniform(self):
         w = brute_force_optimal_weights(np.zeros(6), r=1.0, cap=0.5)
         np.testing.assert_allclose(w, np.full(6, 1 / 6), atol=1e-8)
 
-    def test_matches_water_filling(self):
+    def test_matches_closed_form(self):
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(50):
