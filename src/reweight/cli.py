@@ -112,11 +112,17 @@ def _expected_type(default):
     return "a number", _is_number
 
 
+# Lower bounds checked at load time; the constructors check the rest later.
+MIN_VALUES = {"steps": 0, "batch_size": 1}
+
+
 def _load_config(path, defaults):
     cfg = dict(defaults)
     if path:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {user!r}")
         unknown = set(user) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -124,6 +130,11 @@ def _load_config(path, defaults):
             kind, check = _expected_type(defaults[key])
             if not check(value):
                 raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+            if value == []:
+                raise ConfigError(f"config key {key!r} must not be empty")
+            if key in MIN_VALUES and value < MIN_VALUES[key]:
+                raise ConfigError(
+                    f"config key {key!r} must be >= {MIN_VALUES[key]}, got {value!r}")
         cfg.update(user)
     return cfg
 
@@ -210,9 +221,12 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def run_one(cfg) -> Trajectory:
-    """Execute a single run from a resolved config dict."""
-    problem = _make_problem(cfg)
+def run_one(cfg, problem=None) -> Trajectory:
+    """Execute a single run from a resolved config dict, on `problem` when
+    given (problems are read-only, so runs can share one) or else on the
+    problem the config describes."""
+    if problem is None:
+        problem = _make_problem(cfg)
     rw = _make_reweight_config(cfg)
     rule = _make_stepsize(cfg, problem)
     return run_training(
@@ -249,7 +263,7 @@ SWEEP_DEFAULTS.update({
 })
 
 
-def _sweep_cell(cfg, out_dir, strategy, r, seed):
+def _sweep_cell(cfg, out_dir, problem, strategy, r, seed):
     cell = dict(cfg)
     cell.update({"strategy": strategy, "r_initial": r, "r_final": r,
                  "schedule": "constant", "seed": seed})
@@ -258,7 +272,9 @@ def _sweep_cell(cfg, out_dir, strategy, r, seed):
     name = f"{strategy}_r{r}_seed{seed}.csv"
     out_path = os.path.join(out_dir, name)
     try:
-        traj = run_one(cell)
+        if isinstance(problem, Exception):
+            raise problem
+        traj = run_one(cell, problem)
         _write_trajectory_csv(out_path, traj)
         _write_meta(out_path, cell)
         test_losses = [rec.test_loss for rec in traj.records if rec.test_loss is not None]
@@ -271,8 +287,20 @@ def _sweep_cell(cfg, out_dir, strategy, r, seed):
             "final_test_loss": final, "auc_test_loss": auc, "status": status}
 
 
+def _env_threads() -> int:
+    raw = os.environ.get("REWEIGHT_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"REWEIGHT_THREADS must be a positive integer, got {raw!r}")
+    return threads
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_DEFAULTS)
+    threads = args.threads or _env_threads()
     os.makedirs(args.out, exist_ok=True)
     cells = [
         (strategy, r, seed)
@@ -280,12 +308,17 @@ def cmd_sweep(args) -> int:
         for r in cfg["r_values"]
         for seed in cfg["seeds"]
     ]
-    threads = args.threads or int(os.environ.get("REWEIGHT_THREADS", "1"))
+    # Cells differ only in strategy, r and seed, so they share one problem,
+    # built before any cell starts. A build error is recorded by every cell.
+    try:
+        problem = _make_problem(cfg)
+    except Exception as exc:
+        problem = exc
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(cfg, args.out, *c), cells))
+            rows = list(pool.map(lambda c: _sweep_cell(cfg, args.out, problem, *c), cells))
     else:
-        rows = [_sweep_cell(cfg, args.out, *c) for c in cells]
+        rows = [_sweep_cell(cfg, args.out, problem, *c) for c in cells]
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")

@@ -35,13 +35,19 @@ CSV_COLUMNS = [
 ]
 
 
+def gap_sum(u: np.ndarray, values: np.ndarray) -> float:
+    """sum_i u_i * values_i for u = 1/b - w, unchecked. The arithmetic of
+    delta_t, mu_t and grad_gap_term; training calls it directly with u
+    computed once per step."""
+    return float(np.add.reduce(u * values))
+
+
 def _gap_sum(values, weights) -> float:
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape:
         raise ValueError("length mismatch between values and weights")
-    b = weights.size
-    return float(np.sum((1.0 / b - weights) * values))
+    return gap_sum(1.0 / weights.size - weights, values)
 
 
 def delta_t(losses_now, losses_at_opt, weights) -> float:

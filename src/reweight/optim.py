@@ -6,16 +6,24 @@ z' = z - eta * sum_i w_i g_i and mixes theta' = (lam/(1+lam)) theta +
 (1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2.
 run_training drives either update over a problem suite, sampling batches
 without replacement per epoch, and records full per-step diagnostics.
+
+Each step evaluates the problem once, through its fused
+loss_grad(theta, idx), plus one losses call at the previous iterate for
+mu_t. The step's diagnostics are computed from those arrays as scalars,
+the batch histories and iterates go into preallocated (T, b) and (T+1, d)
+arrays (trimmed to the recorded length on divergence), and the records are
+built once at the end. Where a problem has no optimal losses, the proxy
+delta_t comes from one losses call at the final iterate over all samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConfigError, ReweightConfig, ValidationError, compute_batch_weights, schedule_r
-from .diagnostics import StepDiagnostics, delta_t, grad_gap_term, mu_t
+from .diagnostics import StepDiagnostics, gap_sum
 
 __all__ = [
     "OptimizerState",
@@ -108,9 +116,9 @@ def gd_step(state: OptimizerState, gradients, weights) -> OptimizerState:
     """theta' = theta - eta * sum_i w_i g_i."""
     update = _weighted_grad(gradients, weights)
     theta = state.theta - state.eta * update
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise DivergenceError(state.step)
-    return replace(state, theta=theta, step=state.step + 1)
+    return OptimizerState(theta=theta, z=state.z, step=state.step + 1, eta=state.eta)
 
 
 def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float) -> OptimizerState:
@@ -126,7 +134,7 @@ def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float)
     update = _weighted_grad(gradients, weights)
     z = state.z - state.eta * update
     theta = (lambda_next / (1.0 + lambda_next)) * state.theta + z / (1.0 + lambda_next)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(z))):
+    if not (np.isfinite(theta).all() and np.isfinite(z).all()):
         raise DivergenceError(state.step)
     return OptimizerState(theta=theta, z=z, step=state.step + 1, eta=state.eta)
 
@@ -134,14 +142,14 @@ def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float)
 @dataclass
 class Trajectory:
     """Recorded run: per-step diagnostics, the iterate history (theta^0 ..
-    theta^T), the raw batch data needed to recompute theory terms, and the
-    divergence flag."""
+    theta^T), the raw batch data needed to recompute theory terms (one row
+    per recorded step), and the divergence flag."""
 
     records: list[StepDiagnostics]
     thetas: np.ndarray  # (T+1, d)
-    batch_indices: list[np.ndarray]
-    batch_losses: list[np.ndarray]
-    batch_weights: list[np.ndarray]
+    batch_indices: np.ndarray  # (T, b)
+    batch_losses: np.ndarray  # (T, b)
+    batch_weights: np.ndarray  # (T, b)
     diverged: bool = False
     divergence_step: int | None = None
 
@@ -172,14 +180,19 @@ def run_training(
     or huge loss stops the run and marks the trajectory diverged instead of
     raising. Under the convex_theory step size, a step whose observed max
     weight exceeds 2/b raises ConfigError before the update is applied.
+    With steps = 0 the run records the initial evaluation only, and neither
+    check applies because no update is taken.
     """
-    if batch_size < 1 or batch_size > problem.n_samples:
+    n = problem.n_samples
+    if batch_size < 1 or batch_size > n:
         raise ConfigError("batch_size must be in [1, n_samples]")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
 
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
+    updating = steps > 0
+    check_w_max = updating and stepsize.kind == "convex_theory"
 
     rng = np.random.default_rng(seed)
     theta0 = problem.theta_init()
@@ -187,76 +200,58 @@ def run_training(
         theta=theta0, z=theta0.copy() if momentum else None, step=0, eta=eta
     )
 
-    has_opt_losses = hasattr(problem, "losses_at_opt")
-    has_test = hasattr(problem, "test_loss")
+    losses_at_opt = getattr(problem, "losses_at_opt", None)
+    test_loss = getattr(problem, "test_loss", None)
     theta_star = getattr(problem, "theta_star", None)
+    schedule = reweight_config.schedule
+    inv_b = 1.0 / batch_size
 
-    records: list[StepDiagnostics] = []
-    thetas = [theta0.copy()]
-    batch_indices: list[np.ndarray] = []
-    batch_losses: list[np.ndarray] = []
-    batch_weights: list[np.ndarray] = []
+    order = rng.permutation(n)
+    pos = 0
+    rows = max(steps, 1)
+    thetas = np.empty((steps + 1, theta0.size))
+    thetas[0] = theta0
+    batch_indices = np.empty((rows, batch_size), dtype=order.dtype)
+    batch_losses = np.empty((rows, batch_size))
+    batch_weights = np.empty((rows, batch_size))
+    stats = []  # per step: the StepDiagnostics fields after `step`
+    prev_theta = None
     diverged = False
     divergence_step = None
 
-    order = rng.permutation(problem.n_samples)
-    pos = 0
-    prev_theta = None
-
-    def next_batch():
-        nonlocal order, pos
-        if pos + batch_size > problem.n_samples:
-            order = rng.permutation(problem.n_samples)
+    for t in range(rows):
+        if pos + batch_size > n:
+            order = rng.permutation(n)
             pos = 0
         idx = order[pos : pos + batch_size]
         pos += batch_size
-        return idx
-
-    def record_step(t, idx, f, w, r_value):
-        test = problem.test_loss(state.theta) if has_test else None
-        delta = None
-        if has_opt_losses:
-            delta = delta_t(f, problem.losses_at_opt(idx), w)
-        mu = None
-        if prev_theta is not None:
-            mu = mu_t(f, problem.losses(prev_theta, idx), w)
-        g = problem.grads(state.theta, idx)
-        gap = grad_gap_term((g**2).sum(axis=1), w)
-        dist = None
-        if theta_star is not None:
-            dist = float(np.sum((state.theta - theta_star) ** 2))
-        records.append(
-            StepDiagnostics(
-                step=t,
-                train_loss=float(f.mean()),
-                test_loss=test,
-                r=r_value,
-                w_max=float(w.max()),
-                w_min=float(w.min()),
-                delta=delta,
-                mu=mu,
-                grad_gap=gap,
-                theta_dist_sq=dist,
-            )
-        )
-        batch_indices.append(idx.copy())
-        batch_losses.append(f.copy())
-        batch_weights.append(w.copy())
-        return g
-
-    for t in range(steps):
-        idx = next_batch()
-        f = problem.losses(state.theta, idx)
-        if not np.all(np.isfinite(f)) or f.max() > DIVERGENCE_LOSS:
+        theta = state.theta
+        f, g = problem.loss_grad(theta, idx)
+        if updating and (not np.isfinite(f).all() or f.max() > DIVERGENCE_LOSS):
             diverged = True
             divergence_step = t
             break
-        r_value = schedule_r(t, reweight_config.schedule)
         w = compute_batch_weights(f, reweight_config, t)
-        if stepsize.kind == "convex_theory":
-            _check_theory_w_max(float(w.max()), batch_size, f"step {t}: observed ")
-        g = record_step(t, idx, f, w, r_value)
-        prev = state.theta
+        w_max = float(w.max())
+        if check_w_max:
+            _check_theory_w_max(w_max, batch_size, f"step {t}: observed ")
+        u = inv_b - w
+        stats.append((
+            float(f.sum() / batch_size),  # f.mean() without its overhead
+            test_loss(theta) if test_loss else None,
+            schedule_r(t, schedule),
+            w_max,
+            float(w.min()),
+            gap_sum(u, f - losses_at_opt(idx)) if losses_at_opt else None,
+            None if prev_theta is None else gap_sum(u, f - problem.losses(prev_theta, idx)),
+            gap_sum(u, (g**2).sum(axis=1)),
+            None if theta_star is None else float(np.sum((theta - theta_star) ** 2)),
+        ))
+        batch_indices[t] = idx
+        batch_losses[t] = f
+        batch_weights[t] = w
+        if not updating:
+            break
         try:
             if momentum:
                 state = momentum_step(state, g, w, lambda_next=(t + 1) / 2.0)
@@ -266,40 +261,33 @@ def run_training(
             diverged = True
             divergence_step = exc.step
             break
-        prev_theta = prev
-        thetas.append(state.theta.copy())
+        prev_theta = theta
+        thetas[t + 1] = state.theta
 
-    if steps == 0:
-        # Initial evaluation only: one record, no update applied.
-        idx = next_batch()
-        f = problem.losses(state.theta, idx)
-        r_value = schedule_r(0, reweight_config.schedule)
-        w = compute_batch_weights(f, reweight_config, 0)
-        record_step(0, idx, f, w, r_value)
-
+    recorded = len(stats)
     traj = Trajectory(
-        records=records,
-        thetas=np.array(thetas),
-        batch_indices=batch_indices,
-        batch_losses=batch_losses,
-        batch_weights=batch_weights,
+        records=[StepDiagnostics(t, *fields) for t, fields in enumerate(stats)],
+        thetas=thetas[: state.step + 1],
+        batch_indices=batch_indices[:recorded],
+        batch_losses=batch_losses[:recorded],
+        batch_weights=batch_weights[:recorded],
         diverged=diverged,
         divergence_step=divergence_step,
     )
 
-    if not has_opt_losses and not diverged:
+    if not losses_at_opt and not diverged:
         _fill_proxy_delta(problem, traj)
     return traj
 
 
 def _fill_proxy_delta(problem, traj: Trajectory) -> None:
-    """Replace missing per-step delta values with a proxy that uses the
-    final iterate's per-sample losses in place of the (unknown) optimal
-    losses. Marked as proxy on each record."""
-    theta_final = traj.final_theta
-    for rec, idx, f, w in zip(
-        traj.records, traj.batch_indices, traj.batch_losses, traj.batch_weights
-    ):
-        f_proxy = problem.losses(theta_final, idx)
-        rec.delta = delta_t(f, f_proxy, w)
+    """Fill each step's delta with a proxy that uses the final iterate's
+    per-sample losses in place of the (unknown) optimal losses. The final
+    iterate's losses over all samples come from one losses call and are
+    indexed by the batch history. Marked as proxy on each record."""
+    f_final = problem.losses(traj.final_theta, np.arange(problem.n_samples))
+    u = 1.0 / traj.batch_weights.shape[1] - traj.batch_weights
+    gaps = traj.batch_losses - f_final[traj.batch_indices]
+    for rec, delta in zip(traj.records, np.add.reduce(u * gaps, axis=1).tolist()):
+        rec.delta = delta
         rec.delta_is_proxy = True

@@ -7,8 +7,11 @@ Three families:
     loss, used to make the convergence-theory quantities exactly computable,
   * a bounded non-convex per-sample loss 1 - exp(-residual^2).
 
-Each problem exposes vectorized `losses(theta, idx)` and `grads(theta, idx)`
-plus the exact smoothness constant L.
+Each problem exposes the vectorized `loss_grad(theta, idx) -> (losses,
+grads)` that training calls once per step (it gathers the rows and computes
+the residual once), `losses(theta, idx)` with the same arithmetic for the
+losses alone, `grads(theta, idx)` as the gradient half of `loss_grad`, and
+the exact smoothness constant L.
 """
 
 from __future__ import annotations
@@ -218,12 +221,16 @@ class RegressionProblem:
         return 0.5 * r * r
 
     def grads(self, theta, idx) -> np.ndarray:
-        r = self._X1[idx] @ theta - self.data.y[idx]
-        return r[:, None] * self._X1[idx]
+        return self.loss_grad(theta, idx)[1]
+
+    def loss_grad(self, theta, idx):
+        rows = self._X1[idx]
+        r = rows @ theta - self.data.y[idx]
+        return 0.5 * r * r, r[:, None] * rows
 
     def test_loss(self, theta) -> float:
         r = self._X1_test @ theta - self.data.y_test
-        return float(0.5 * np.mean(r * r))
+        return float(0.5 * ((r * r).sum() / r.size))  # np.mean's arithmetic
 
 
 class QuadraticProblem:
@@ -248,8 +255,12 @@ class QuadraticProblem:
         return 0.5 * Adev @ dev
 
     def grads(self, theta, idx) -> np.ndarray:
+        return self.loss_grad(theta, idx)[1]
+
+    def loss_grad(self, theta, idx):
         dev = np.asarray(theta, float) - self.theta_star
-        return self.suite.A[idx] @ dev
+        Adev = self.suite.A[idx] @ dev
+        return 0.5 * Adev @ dev, Adev
 
     def losses_at_opt(self, idx) -> np.ndarray:
         return np.zeros(np.size(idx))
@@ -278,5 +289,10 @@ class NonconvexProblem:
         return 1.0 - np.exp(-r * r)
 
     def grads(self, theta, idx) -> np.ndarray:
-        r = self.X[idx] @ theta - self.y[idx]
-        return (2.0 * r * np.exp(-r * r))[:, None] * self.X[idx]
+        return self.loss_grad(theta, idx)[1]
+
+    def loss_grad(self, theta, idx):
+        rows = self.X[idx]
+        r = rows @ theta - self.y[idx]
+        e = np.exp(-r * r)
+        return 1.0 - e, (2.0 * r * e)[:, None] * rows

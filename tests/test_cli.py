@@ -134,6 +134,31 @@ class TestRun:
         assert repr(key) in err and repr(value) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("steps", -1, 0),
+        ("batch_size", 0, 1),
+    ])
+    def test_out_of_range_value_exits_config(self, tmp_path, capsys, key, value, bound):
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, **{key: value}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key {key!r} must be >= {bound}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_steps_records_initial_evaluation(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert len(rows) == 2 and rows[1][0] == "0"
+
+    def test_config_not_an_object_exits_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", [1, 2])
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_number_keys_accept_integers(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            dict(SMALL_RUN, lr=1, alpha=1, cap=1, momentum=True))
@@ -236,6 +261,17 @@ class TestSweep:
         assert "failed cell capped r=1.0 seed=0: error: infeasible cap" in err
         assert "uniform" not in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_problem_build_error_recorded_by_every_cell(self, tmp_path, threads):
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, problem="nope", strategies=["uniform"],
+                                seeds=[0, 1, 2]))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir),
+                     "--threads", threads]) == EXIT_CONFIG
+        rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["error: unknown problem 'nope'"] * 3
+
     def test_diverged_cells_exit_ok(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json",
                            dict(strategies=["dro_kl"], dro_tau=1.0, lr=0.01, seeds=[0],
@@ -254,6 +290,25 @@ class TestSweep:
         cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, **{key: value}))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) \
             == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["strategies", "r_values", "seeds"])
+    def test_empty_list_exits_config(self, tmp_path, capsys, key):
+        # An empty list would make a sweep of zero cells.
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, **{key: []}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        assert f"config key {key!r} must not be empty" in capsys.readouterr().err
+        assert not (out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", ""])
+    def test_bad_threads_variable_exits_config(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("REWEIGHT_THREADS", value)
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0]))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"REWEIGHT_THREADS must be a positive integer, got {value!r}" in err
+        assert not out_dir.exists()
 
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Tests for the reweighted gradient-descent and momentum optimizers."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,23 @@ from reweight.core import (
     Strategy,
     TemperatureSchedule,
     ValidationError,
+    compute_batch_weights,
+    schedule_r,
 )
+from reweight.diagnostics import StepDiagnostics, delta_t, grad_gap_term, mu_t
 from reweight.optim import (
+    DIVERGENCE_LOSS,
+    DivergenceError,
     OptimizerState,
     StepSizeRule,
+    Trajectory,
     gd_step,
     momentum_step,
     run_training,
     theory_stepsize,
 )
 from reweight.problems import (
+    NonconvexProblem,
     QuadraticProblem,
     RegressionProblem,
     gen_quadratic_suite,
@@ -280,3 +289,217 @@ class TestRunTraining:
         np.testing.assert_allclose(
             traj.averaged_theta(4), traj.thetas[:4].mean(axis=0)
         )
+
+
+def _reference_run_training(problem, reweight_config, stepsize, batch_size, steps,
+                            seed=0, momentum=False):
+    """The training loop before the fused step: separate losses and grads
+    calls, diagnostics through the public diagnostics functions, list
+    histories, and a proxy delta from one losses call per step. Kept as the
+    reference that run_training must reproduce exactly."""
+    cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
+    eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
+    rng = np.random.default_rng(seed)
+    theta0 = problem.theta_init()
+    state = OptimizerState(theta=theta0, z=theta0.copy() if momentum else None,
+                           step=0, eta=eta)
+    has_opt_losses = hasattr(problem, "losses_at_opt")
+    has_test = hasattr(problem, "test_loss")
+    theta_star = getattr(problem, "theta_star", None)
+    records, thetas = [], [theta0.copy()]
+    batch_indices, batch_losses, batch_weights = [], [], []
+    diverged, divergence_step = False, None
+    order = rng.permutation(problem.n_samples)
+    pos = 0
+    prev_theta = None
+
+    def next_batch():
+        nonlocal order, pos
+        if pos + batch_size > problem.n_samples:
+            order = rng.permutation(problem.n_samples)
+            pos = 0
+        idx = order[pos : pos + batch_size]
+        pos += batch_size
+        return idx
+
+    def record_step(t, idx, f, w, r_value):
+        test = problem.test_loss(state.theta) if has_test else None
+        delta = delta_t(f, problem.losses_at_opt(idx), w) if has_opt_losses else None
+        mu = None
+        if prev_theta is not None:
+            mu = mu_t(f, problem.losses(prev_theta, idx), w)
+        g = problem.grads(state.theta, idx)
+        gap = grad_gap_term((g**2).sum(axis=1), w)
+        dist = None
+        if theta_star is not None:
+            dist = float(np.sum((state.theta - theta_star) ** 2))
+        records.append(StepDiagnostics(
+            step=t, train_loss=float(f.mean()), test_loss=test, r=r_value,
+            w_max=float(w.max()), w_min=float(w.min()), delta=delta, mu=mu,
+            grad_gap=gap, theta_dist_sq=dist,
+        ))
+        batch_indices.append(idx.copy())
+        batch_losses.append(f.copy())
+        batch_weights.append(w.copy())
+        return g
+
+    for t in range(steps):
+        idx = next_batch()
+        f = problem.losses(state.theta, idx)
+        if not np.all(np.isfinite(f)) or f.max() > DIVERGENCE_LOSS:
+            diverged, divergence_step = True, t
+            break
+        r_value = schedule_r(t, reweight_config.schedule)
+        w = compute_batch_weights(f, reweight_config, t)
+        if stepsize.kind == "convex_theory" and w.max() > 2.0 / batch_size + 1e-12:
+            raise ConfigError(f"step {t}: observed w_max exceeds 2/b")
+        g = record_step(t, idx, f, w, r_value)
+        prev = state.theta
+        try:
+            if momentum:
+                state = momentum_step(state, g, w, lambda_next=(t + 1) / 2.0)
+            else:
+                state = gd_step(state, g, w)
+        except DivergenceError as exc:
+            diverged, divergence_step = True, exc.step
+            break
+        prev_theta = prev
+        thetas.append(state.theta.copy())
+
+    if steps == 0:
+        idx = next_batch()
+        f = problem.losses(state.theta, idx)
+        w = compute_batch_weights(f, reweight_config, 0)
+        record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
+
+    traj = Trajectory(records=records, thetas=np.array(thetas), batch_indices=batch_indices,
+                      batch_losses=batch_losses, batch_weights=batch_weights,
+                      diverged=diverged, divergence_step=divergence_step)
+    if not has_opt_losses and not diverged:
+        for rec, idx, f, w in zip(records, batch_indices, batch_losses, batch_weights):
+            rec.delta = delta_t(f, problem.losses(traj.final_theta, idx), w)
+            rec.delta_is_proxy = True
+    return traj
+
+
+def assert_same_run(got, want, proxy_atol=0.0):
+    """Every record field, iterate and batch history equal; reprs are
+    compared so a numpy scalar in place of a float also fails. The proxy
+    delta is compared to `proxy_atol` (see test_proxy_delta_at_any_batch_size)."""
+    assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        fields_a, fields_b = astuple(a), astuple(b)
+        if proxy_atol:
+            assert a.delta_is_proxy and b.delta_is_proxy
+            assert abs(a.delta - b.delta) <= proxy_atol
+            fields_a, fields_b = fields_a[:6] + fields_a[7:], fields_b[:6] + fields_b[7:]
+        assert [repr(v) for v in fields_a] == [repr(v) for v in fields_b]
+    np.testing.assert_array_equal(got.thetas, want.thetas)
+    for name in ("batch_indices", "batch_losses", "batch_weights"):
+        rows, ref_rows = getattr(got, name), getattr(want, name)
+        assert len(rows) == len(ref_rows) == len(got.records)
+        for row, ref in zip(rows, ref_rows):
+            np.testing.assert_array_equal(row, ref)
+
+
+@pytest.fixture(scope="module")
+def small_regression():
+    return RegressionProblem(gen_regression(p=16, n=64, m=16, seed=1, n_test=16))
+
+
+class _BlowUpProblem:
+    """Bounded losses with gradients 1e100 times the iterate: the loss check
+    never fires, and the update overflows at the fourth step."""
+
+    n_samples, dim, L, theta_star = 16, 3, 1.0, None
+
+    def __init__(self):
+        self.X = np.random.default_rng(0).standard_normal((self.n_samples, self.dim))
+
+    def theta_init(self):
+        return np.ones(self.dim)
+
+    def losses(self, theta, idx):
+        return 1.0 + np.tanh(self.X[idx] @ theta)
+
+    def grads(self, theta, idx):
+        return np.tile(-1e100 * theta, (len(idx), 1))
+
+    def loss_grad(self, theta, idx):
+        return self.losses(theta, idx), self.grads(theta, idx)
+
+
+class TestFusedRunMatchesReference:
+    """run_training evaluates the problem once per step and computes its
+    diagnostics online; it must reproduce the separate-call loop exactly."""
+
+    def check(self, problem, rw, rule, batch_size, steps, **kwargs):
+        args = (problem, rw, rule, batch_size, steps)
+        got = run_training(*args, **kwargs)
+        assert_same_run(got, _reference_run_training(*args, **kwargs))
+        return got
+
+    def test_regression_linupper_step_drop(self, small_regression):
+        schedule = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=0.5,
+                                       warmup_steps=7)
+        traj = self.check(small_regression, ReweightConfig(schedule=schedule),
+                          StepSizeRule(eta=1e-2), batch_size=8, steps=40, seed=2)
+        assert traj.records[-1].delta_is_proxy and traj.records[-1].mu is not None
+
+    def test_regression_uniform(self, small_regression):
+        self.check(small_regression, ReweightConfig(strategy=Strategy.UNIFORM),
+                   StepSizeRule(eta=1e-2), batch_size=8, steps=25, seed=4)
+
+    def test_regression_dro_kl(self, small_regression):
+        self.check(small_regression, ReweightConfig(dro_tau=2.0),
+                   StepSizeRule(eta=1e-3), batch_size=8, steps=25, seed=5)
+
+    def test_quadratic_capped_convex_theory_momentum(self, quadratic_problem):
+        rw = ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8)
+        traj = self.check(quadratic_problem, rw,
+                          StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
+                          batch_size=8, steps=30, seed=6, momentum=True)
+        assert traj.records[-1].theta_dist_sq is not None
+        assert not traj.records[-1].delta_is_proxy
+
+    def test_nonconvex_proxy_delta(self):
+        problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
+        traj = self.check(problem, ReweightConfig(schedule=constant_schedule(0.5)),
+                          StepSizeRule(eta=0.05), batch_size=8, steps=30, seed=7)
+        assert all(rec.delta_is_proxy for rec in traj.records)
+
+    def test_zero_steps(self, small_regression):
+        traj = self.check(small_regression, ReweightConfig(),
+                          StepSizeRule(eta=1e-2), batch_size=8, steps=0, seed=8)
+        assert len(traj.records) == 1 and traj.thetas.shape == (1, 17)
+
+    def test_divergence_on_loss_check(self, small_regression):
+        traj = self.check(small_regression, ReweightConfig(strategy=Strategy.UNIFORM),
+                          StepSizeRule(eta=10.0), batch_size=16, steps=200, seed=0)
+        assert traj.diverged
+        # the loss check stops the run before the step is recorded
+        assert len(traj.records) == traj.divergence_step == len(traj.thetas) - 1
+
+    def test_divergence_in_update(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = self.check(_BlowUpProblem(), ReweightConfig(),
+                              StepSizeRule(eta=1.0), batch_size=4, steps=50, seed=9)
+        assert traj.diverged and traj.divergence_step == 3
+        # the failed step is recorded, its iterate is not
+        assert len(traj.records) == 4 and len(traj.thetas) == 4
+
+    @pytest.mark.parametrize("batch_size", [3, 5, 6, 7])
+    def test_proxy_delta_at_any_batch_size(self, small_regression, batch_size):
+        # The proxy reads the final iterate's losses from one call over all
+        # samples, where the reference made one call per batch. OpenBLAS
+        # computes the last (b mod 4) rows of a GEMV with a different kernel,
+        # so at such batch sizes a proxy loss can differ from the reference
+        # in the last bit (up to 3e-16 in delta on this problem); every other
+        # field stays exact.
+        got = run_training(small_regression, ReweightConfig(), StepSizeRule(eta=1e-2),
+                           batch_size=batch_size, steps=40, seed=3)
+        want = _reference_run_training(small_regression, ReweightConfig(),
+                                       StepSizeRule(eta=1e-2), batch_size=batch_size,
+                                       steps=40, seed=3)
+        assert_same_run(got, want, proxy_atol=1e-12)

@@ -217,3 +217,23 @@ class TestProblemAdapters:
                 (problem.X**2).sum(axis=1).max()
             )
             assert dev.max() <= bound
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: RegressionProblem(gen_regression(p=6, n=40, m=10, seed=3, n_test=4)),
+    lambda: QuadraticProblem(gen_quadratic_suite(M=24, d=5, seed=3)),
+    lambda: NonconvexProblem(n_samples=48, dim=6, seed=3),
+], ids=["regression", "quadratic", "nonconvex"])
+def test_loss_grad_equals_separate_methods(make_problem):
+    # Training takes its losses from the fused path and its mu_t and proxy
+    # delta_t from `losses`; the two must agree bitwise, for every batch
+    # size (the BLAS kernels differ by row count) and for large iterates.
+    # `grads` is the gradient half of `loss_grad`, so it needs no check here.
+    problem = make_problem()
+    rng = np.random.default_rng(7)
+    for b in (1, 3, 4, 7, 8, 13, 24):
+        for scale in (1e-3, 1.0, 1e3):
+            theta = scale * rng.standard_normal(problem.dim)
+            idx = rng.choice(problem.n_samples, size=b, replace=False)
+            losses, _ = problem.loss_grad(theta, idx)
+            np.testing.assert_array_equal(losses, problem.losses(theta, idx))
