@@ -22,6 +22,7 @@ from .optim import (
     Trajectory,
     gd_step,
     momentum_step,
+    run_cells,
     run_training,
     theory_stepsize,
 )

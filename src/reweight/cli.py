@@ -6,9 +6,16 @@ Subcommands:
   sweep     -- strategy x temperature x seed grid, summary CSV per cell
   verify    -- brute-force oracle suite; nonzero exit on any failure
 
-Configs are flat key-value JSON files. Every output gets a sidecar
-<out>.meta.json with the fully resolved config so results are reproducible
-from their artifacts alone.
+Configs are flat key-value JSON files, checked at load time against
+CONFIG_KEYS (type and range per key); an unreadable file, bad JSON or a bad
+value exits with code 2 and a message naming the path or key. Every output
+gets a sidecar <out>.meta.json with the fully resolved config so results are
+reproducible from their artifacts alone.
+
+A sweep builds its problem and step-size rule once and trains its cells in
+lockstep through optim.run_cells: cells are rows of one training loop, run
+in groups whose histories fit a fixed memory budget. Each cell's CSV equals
+the one `run` writes for the same config, byte for byte.
 """
 
 from __future__ import annotations
@@ -16,15 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import ConfigError, ReweightConfig, Strategy, TemperatureSchedule
 from .diagnostics import CSV_COLUMNS
-from .optim import StepSizeRule, Trajectory, run_training
+from .optim import StepSizeRule, Trajectory, run_cells, run_training
 from .problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -89,52 +96,63 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _expected_type(default):
-    """(description, predicate) for values that may replace `default`.
+_TYPES = {
+    "bool": ("a boolean", lambda x: isinstance(x, bool)),
+    "int": ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
+    "number": ("a number", _is_number),
+    "number?": ("a number or null", lambda x: x is None or _is_number(x)),
+    "string": ("a string", lambda x: isinstance(x, str)),
+}
 
-    A config value must have its default's type: an int default admits
-    integers only (not bools or floats), a float default any non-bool
-    number, a None default a number or null, and a list default a list of
-    its first element's type.
-    """
-    if isinstance(default, list):
-        kind, check = _expected_type(default[0])
-        return (f"a list, each item {kind}",
-                lambda x: isinstance(x, list) and all(map(check, x)))
-    if isinstance(default, bool):
-        return "a boolean", lambda x: isinstance(x, bool)
-    if isinstance(default, int):
-        return "an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)
-    if isinstance(default, str):
-        return "a string", lambda x: isinstance(x, str)
-    if default is None:
-        return "a number or null", lambda x: x is None or _is_number(x)
-    return "a number", _is_number
+# Type and range of every config key: "[type]" is a nonempty list, and a
+# range applies to the value, or to each item of a list, unless it is null.
+CONFIG_KEYS = {
+    "problem": "string", "strategy": "string", "schedule": "string",
+    "stepsize_rule": "string", "momentum": "bool", "noise_c": "number",
+    "alpha": "number > 0", "r_initial": "number > 0", "r_final": "number > 0",
+    "cap": "number? > 0", "dro_tau": "number? > 0", "lr": "number > 0",
+    "warmup_steps": "int >= 0", "batch_size": "int >= 1", "steps": "int >= 0",
+    "seed": "int >= 0", "data_seed": "int >= 0", "p": "int >= 1", "n": "int >= 1",
+    "m": "int >= 0", "n_test": "int >= 0", "M": "int >= 1", "d": "int >= 1",
+    "cond_max": "number >= 1", "strategies": "[string]", "r_values": "[number] > 0",
+    "seeds": "[int] >= 0",
+}
 
 
-# Lower bounds checked at load time; the constructors check the rest later.
-MIN_VALUES = {"steps": 0, "batch_size": 1}
+def _check_value(key, value):
+    """Raise ConfigError unless value has the type and range of key."""
+    kind, *bound = CONFIG_KEYS[key].split()
+    is_list = kind.startswith("[")
+    name, check = _TYPES[kind.strip("[]")]
+    items = value if is_list and isinstance(value, list) else [value]
+    if isinstance(value, list) != is_list or not all(map(check, items)):
+        raise ConfigError(f"config key {key!r} must be {'a list, each item ' * is_list}"
+                          f"{name}, got {value!r}")
+    if value == []:
+        raise ConfigError(f"config key {key!r} must not be empty")
+    op = {">": operator.gt, ">=": operator.ge}[bound[0]] if bound else None
+    if op and not all(x is None or op(x, int(bound[1])) for x in items):
+        raise ConfigError(f"config key {key!r} must be {' '.join(bound)}, got {value!r}")
 
 
 def _load_config(path, defaults):
     cfg = dict(defaults)
     if path:
-        with open(path) as fh:
-            user = json.load(fh)
+        try:
+            with open(path) as fh:
+                user = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc.msg} "
+                              f"at line {exc.lineno} column {exc.colno}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file must hold a JSON object, got {user!r}")
         unknown = set(user) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in user.items():
-            kind, check = _expected_type(defaults[key])
-            if not check(value):
-                raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
-            if value == []:
-                raise ConfigError(f"config key {key!r} must not be empty")
-            if key in MIN_VALUES and value < MIN_VALUES[key]:
-                raise ConfigError(
-                    f"config key {key!r} must be >= {MIN_VALUES[key]}, got {value!r}")
+            _check_value(key, value)
         cfg.update(user)
     return cfg
 
@@ -221,23 +239,12 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def run_one(cfg, problem=None) -> Trajectory:
-    """Execute a single run from a resolved config dict, on `problem` when
-    given (problems are read-only, so runs can share one) or else on the
-    problem the config describes."""
-    if problem is None:
-        problem = _make_problem(cfg)
-    rw = _make_reweight_config(cfg)
-    rule = _make_stepsize(cfg, problem)
-    return run_training(
-        problem,
-        rw,
-        rule,
-        batch_size=cfg["batch_size"],
-        steps=cfg["steps"],
-        seed=cfg["seed"],
-        momentum=cfg["momentum"],
-    )
+def run_one(cfg) -> Trajectory:
+    """Execute a single run from a resolved config dict."""
+    problem = _make_problem(cfg)
+    return run_training(problem, _make_reweight_config(cfg), _make_stepsize(cfg, problem),
+                        batch_size=cfg["batch_size"], steps=cfg["steps"], seed=cfg["seed"],
+                        momentum=cfg["momentum"])
 
 
 def cmd_run(args) -> int:
@@ -263,75 +270,58 @@ SWEEP_DEFAULTS.update({
 })
 
 
-def _sweep_cell(cfg, out_dir, problem, strategy, r, seed):
-    cell = dict(cfg)
-    cell.update({"strategy": strategy, "r_initial": r, "r_final": r,
-                 "schedule": "constant", "seed": seed})
-    for key in ("strategies", "r_values", "seeds"):
-        cell.pop(key)
-    name = f"{strategy}_r{r}_seed{seed}.csv"
-    out_path = os.path.join(out_dir, name)
-    try:
-        if isinstance(problem, Exception):
-            raise problem
-        traj = run_one(cell, problem)
-        _write_trajectory_csv(out_path, traj)
-        _write_meta(out_path, cell)
-        test_losses = [rec.test_loss for rec in traj.records if rec.test_loss is not None]
-        final = test_losses[-1] if test_losses else ""
-        auc = float(np.mean(test_losses)) if test_losses else ""
-        status = "diverged" if traj.diverged else "ok"
-    except Exception as exc:  # record the failure, keep sweeping
-        final, auc, status = "", "", f"error: {exc}"
-    return {"strategy": strategy, "r": r, "seed": seed,
-            "final_test_loss": final, "auc_test_loss": auc, "status": status}
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("REWEIGHT_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"REWEIGHT_THREADS must be a positive integer, got {raw!r}")
-    return threads
+def _summary_row(cell, out_dir, outcome):
+    """Write a trained cell's CSV and sidecar and return its summary row."""
+    row = [cell["strategy"], cell["r_initial"], cell["seed"]]
+    if isinstance(outcome, Exception):
+        return row + ["", "", f"error: {outcome}"]
+    out_path = os.path.join(out_dir, f"{row[0]}_r{row[1]}_seed{row[2]}.csv")
+    _write_trajectory_csv(out_path, outcome)
+    _write_meta(out_path, cell)
+    test_losses = [rec.test_loss for rec in outcome.records if rec.test_loss is not None]
+    final = test_losses[-1] if test_losses else ""
+    auc = float(np.mean(test_losses)) if test_losses else ""
+    return row + [final, auc, "diverged" if outcome.diverged else "ok"]
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_DEFAULTS)
-    threads = args.threads or _env_threads()
     os.makedirs(args.out, exist_ok=True)
-    cells = [
-        (strategy, r, seed)
-        for strategy in cfg["strategies"]
-        for r in cfg["r_values"]
-        for seed in cfg["seeds"]
-    ]
-    # Cells differ only in strategy, r and seed, so they share one problem,
-    # built before any cell starts. A build error is recorded by every cell.
+    shared = {k: v for k, v in cfg.items() if k not in ("strategies", "r_values", "seeds")}
+    cells = [dict(shared, strategy=strategy, r_initial=r, r_final=r, schedule="constant",
+                  seed=seed)
+             for strategy in cfg["strategies"] for r in cfg["r_values"] for seed in cfg["seeds"]]
+    # Cells differ only in strategy, r and seed, so they share one problem and
+    # step-size rule and train as rows of one loop. A cell whose config fails
+    # records its error; a problem or step-size error is recorded by every cell.
+    outcomes, runnable = {}, []
+    for i, cell in enumerate(cells):
+        try:
+            runnable.append((i, _make_reweight_config(cell)))
+        except ConfigError as exc:
+            outcomes[i] = exc
     try:
         problem = _make_problem(cfg)
-    except Exception as exc:
-        problem = exc
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(cfg, args.out, problem, *c), cells))
-    else:
-        rows = [_sweep_cell(cfg, args.out, problem, *c) for c in cells]
+        trained = run_cells(problem, [(rw, cells[i]["seed"]) for i, rw in runnable],
+                            _make_stepsize(cfg, problem), cfg["batch_size"], cfg["steps"],
+                            momentum=cfg["momentum"])
+    except Exception as exc:  # record the shared failure for every cell
+        outcomes, runnable, trained = dict.fromkeys(range(len(cells)), exc), [], []
+    rows = [None] * len(cells)
+    for i, _ in runnable:  # each trajectory is dropped once its CSV is written
+        rows[i] = _summary_row(cells[i], args.out, next(trained))
+    for i, exc in outcomes.items():
+        rows[i] = _summary_row(cells[i], args.out, exc)
     summary_path = os.path.join(args.out, "summary.csv")
     with open(summary_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["strategy", "r", "seed", "final_test_loss", "auc_test_loss", "status"])
-        for row in rows:
-            writer.writerow([row["strategy"], row["r"], row["seed"],
-                             row["final_test_loss"], row["auc_test_loss"], row["status"]])
+        writer.writerows(rows)
     _write_meta(summary_path, cfg)
     print(f"sweep complete: {len(rows)} cells, summary at {summary_path}")
-    failed = [row for row in rows if row["status"].startswith("error")]
-    for row in failed:
-        print(f"failed cell {row['strategy']} r={row['r']} seed={row['seed']}: "
-              f"{row['status']}", file=sys.stderr)
+    failed = [row for row in rows if row[5].startswith("error")]
+    for strategy, r, seed, _, _, status in failed:
+        print(f"failed cell {strategy} r={r} seed={seed}: {status}", file=sys.stderr)
     return EXIT_CONFIG if failed else EXIT_OK
 
 
@@ -354,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat JSON config file")
     for p in (p_gen, p_run):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help="worker threads (fallback: REWEIGHT_THREADS)")
     p_gen.add_argument("--out", required=True)
     p_run.add_argument("--out", required=True)
     p_sweep.add_argument("--out", required=True, help="output directory")

@@ -7,11 +7,14 @@ modes bypass the strategy step: the capped-optimal weights (entropy
 regularized, with a hard per-sample cap, solved in closed form by sorting
 and thresholding) and the DRO-KL baseline (softmax on raw losses, no cap).
 
-All functions are pure and operate on 1-D numpy arrays.
+All functions are pure. They take one batch as a 1-D array or a stack of
+batches as an (S, b) array and work row by row: each row of a stacked call
+is bit for bit the 1-D call on that row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -73,8 +76,14 @@ class TemperatureSchedule:
             raise ConfigError("warmup_steps must be nonnegative")
 
 
-def schedule_r(step: int, schedule: TemperatureSchedule) -> float:
-    """Temperature for a given step."""
+def schedule_r(step, schedule: TemperatureSchedule):
+    """Temperature for a given step, or an array of temperatures for a
+    numpy array of steps."""
+    if isinstance(step, np.ndarray):
+        if (step < 0).any():
+            raise ValidationError("step must be nonnegative")
+        warmup = schedule.warmup_steps if schedule.kind == "step_drop" else np.inf
+        return np.where(step >= warmup, schedule.r_final, schedule.r_initial)
     if step < 0:
         raise ValidationError("step must be nonnegative")
     if schedule.kind == "step_drop" and step >= schedule.warmup_steps:
@@ -111,12 +120,30 @@ class ReweightConfig:
 
 def _as_loss_array(losses) -> np.ndarray:
     arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("losses must be a nonempty 1-D array")
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValidationError(f"non-finite loss at index {bad[0]}")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValidationError("losses must be a nonempty 1-D or 2-D array")
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))[0].tolist()
+        where = tuple(bad) if arr.ndim == 2 else bad[0]
+        raise ValidationError(f"non-finite loss at index {where}")
     return arr
+
+
+def _row_r(r):
+    """A per-row temperature array as a column that broadcasts over (S, b)."""
+    return r[:, None] if isinstance(r, np.ndarray) else r
+
+
+def _check_r(r) -> None:
+    if (r <= 0).any() if isinstance(r, np.ndarray) else r <= 0:
+        raise ConfigError("temperature r must be positive")
+
+
+def _normalize(f: np.ndarray, alpha: float) -> np.ndarray:
+    f_min = np.minimum.reduce(f, axis=-1, keepdims=True)
+    f_max = np.maximum.reduce(f, axis=-1, keepdims=True)
+    denom = np.maximum(f_max - f_min, RANGE_EPS)
+    return alpha * (2.0 * f - f_max - f_min) / denom
 
 
 def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
@@ -128,9 +155,7 @@ def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
     f = _as_loss_array(losses)
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
-    f_min, f_max = f.min(), f.max()
-    denom = max(f_max - f_min, RANGE_EPS)
-    return alpha * (2.0 * f - f_max - f_min) / denom
+    return _normalize(f, alpha)
 
 
 def apply_strategy(h, strategy: Strategy, alpha: float = 1.0) -> np.ndarray:
@@ -139,7 +164,8 @@ def apply_strategy(h, strategy: Strategy, alpha: float = 1.0) -> np.ndarray:
     linupper:  min(h + alpha, alpha)   -- proportional to loss, capped
     quadratic: alpha * (1 - h^2/alpha^2) -- favors moderate losses
     extremes:  |h|                     -- favors both tails
-    uniform:   h unchanged; the caller is expected to force uniform weights
+
+    uniform has no score: compute_batch_weights returns exactly 1/b for it.
     """
     h = np.asarray(h, dtype=float)
     strategy = Strategy(strategy)
@@ -149,22 +175,20 @@ def apply_strategy(h, strategy: Strategy, alpha: float = 1.0) -> np.ndarray:
         return alpha * (1.0 - h**2 / alpha**2)
     if strategy is Strategy.EXTREMES:
         return np.abs(h)
-    if strategy is Strategy.UNIFORM:
-        return h.copy()
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    raise ConfigError(f"strategy {strategy.value!r} has no score")
 
 
 def temper_weights(scores, r: float) -> np.ndarray:
     """Tempered softmax w_i = exp(s_i/r) / sum_j exp(s_j/r).
 
     Computed with the max-shifted exponent for stability; invariant under
-    adding a constant to all scores.
+    adding a constant to all scores. For stacked scores r may hold one
+    temperature per row.
     """
-    if r <= 0:
-        raise ConfigError("temperature r must be positive")
+    _check_r(r)
     s = np.asarray(scores, dtype=float)
-    e = np.exp((s - s.max()) / r)
-    return e / e.sum()
+    e = np.exp((s - np.maximum.reduce(s, axis=-1, keepdims=True)) / _row_r(r))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def dro_kl_weights(losses, tau: float) -> np.ndarray:
@@ -175,9 +199,20 @@ def dro_kl_weights(losses, tau: float) -> np.ndarray:
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
-    f = _as_loss_array(losses)
-    e = np.exp((f - f.max()) / tau)
-    return e / e.sum()
+    return temper_weights(_as_loss_array(losses), tau)
+
+
+@functools.lru_cache(maxsize=64)
+def _cap_thresholds(cap: float, b: int):
+    """What capped_optimal_weights needs of (cap, b) alone: the free mass
+    1 - k*cap left by k pinned entries, its log (-inf once it is spent), and
+    the log-cap threshold. Cached, as a run asks for one pair every step,
+    and read-only, as the arrays are shared."""
+    mass = 1.0 - cap * np.arange(b)
+    with np.errstate(divide="ignore"):
+        log_mass = np.log(np.maximum(mass, 0.0))
+    mass.flags.writeable = log_mass.flags.writeable = False
+    return mass, log_mass, np.log(cap) + 1e-15
 
 
 def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
@@ -191,51 +226,56 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     the largest free entry no longer exceeds the cap. A suffix log-sum-exp
     gives every candidate k's softmax denominator in one pass, so one sort
     and one scan solve it. All arithmetic is done in log space so tiny r
-    (logit spreads of ~1e6) stays exact.
+    (logit spreads of ~1e6) stays exact. Stacked rows are solved together,
+    with r a scalar or one temperature per row.
     """
-    if r <= 0:
-        raise ConfigError("temperature r must be positive")
+    _check_r(r)
     h = np.asarray(h, dtype=float)
-    b = h.size
+    b = h.shape[-1]
     if cap * b < 1.0 - 1e-12:
         raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
 
-    z = h / r
-    order = np.argsort(-z, kind="stable")
-    z = z[order]
-    suffix_lse = np.logaddexp.accumulate(z[::-1])[::-1]  # log sum exp(z[k:])
-    mass = 1.0 - cap * np.arange(b)
-    with np.errstate(divide="ignore"):
-        log_mass = np.log(np.maximum(mass, 0.0))
+    z = h / _row_r(r)
+    order = np.argsort(-z, axis=-1, kind="stable")
+    sort = order if z.ndim == 1 else (np.arange(len(z))[:, None], order)
+    z = z[sort]
+    suffix_lse = np.logaddexp.accumulate(z[..., ::-1], axis=-1)[..., ::-1]  # log sum exp(z[k:])
+    mass, log_mass, log_cap = _cap_thresholds(cap, b)
     # suffix_lse - z first: both are ~|h|/r, and adding them to log_mass one
     # at a time rounds away its last digits when r is tiny.
-    fits = log_mass - (suffix_lse - z) <= np.log(cap) + 1e-15
-    n_pin = int(fits.argmax()) if fits.any() else b
+    fits = log_mass - (suffix_lse - z) <= log_cap
+    n_pin = np.where(fits.any(axis=-1), fits.argmax(axis=-1), b)
 
-    w_sorted = np.full(b, cap)
-    if n_pin < b:
-        e = np.exp(z[n_pin:] - z[n_pin])
-        w_sorted[n_pin:] = max(mass[n_pin], 0.0) * e / e.sum()
-    w = np.empty(b)
-    w[order] = w_sorted
+    w_sorted = np.full(z.shape, cap)
+    # Rows that pin k entries share a free block z[..., k:]; each row's
+    # softmax over it is summed on its own, as the 1-D call sums it.
+    pins = set(np.atleast_1d(n_pin).tolist())
+    for k in pins - {b}:
+        same = Ellipsis if len(pins) == 1 else n_pin == k
+        e = np.exp(z[same, k:] - z[same, k:k + 1])
+        w_sorted[same, k:] = max(mass[k], 0.0) * e / np.add.reduce(e, axis=-1, keepdims=True)
+    w = np.empty_like(w_sorted)
+    w[sort] = w_sorted
     return w
 
 
-def compute_batch_weights(losses, config: ReweightConfig, step: int = 0) -> np.ndarray:
-    """Full weighting pipeline for one batch at a given training step.
+def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
+    """Full weighting pipeline for one batch, or a stack of batches, at a
+    given training step.
 
-    Deterministic function of (losses, config, step). Routing: uniform
+    Deterministic function of (losses, config, step). losses is (b,) or
+    (S, b); for a stack, step may also give one step per row (the rows'
+    temperatures then follow the schedule row by row). Routing: uniform
     strategy returns exactly 1/b; dro_tau selects the DRO-KL baseline; cap
     selects the capped-optimal mode; otherwise normalize -> score -> temper.
     """
     f = _as_loss_array(losses)
-    b = f.size
     if config.strategy is Strategy.UNIFORM:
-        return np.full(b, 1.0 / b)
+        return np.full(f.shape, 1.0 / f.shape[-1])
     if config.dro_tau is not None:
-        return dro_kl_weights(f, config.dro_tau)
+        return temper_weights(f, config.dro_tau)
     r = schedule_r(step, config.schedule)
-    h = normalize_losses(f, config.alpha)
+    h = _normalize(f, config.alpha)
     if config.cap is not None:
         return capped_optimal_weights(h, r, config.cap)
     s = apply_strategy(h, config.strategy, config.alpha)

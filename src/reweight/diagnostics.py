@@ -35,11 +35,12 @@ CSV_COLUMNS = [
 ]
 
 
-def gap_sum(u: np.ndarray, values: np.ndarray) -> float:
-    """sum_i u_i * values_i for u = 1/b - w, unchecked. The arithmetic of
+def gap_sum(u: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i u_i * values_i for u = 1/b - w along the last axis, unchecked:
+    a scalar for one batch, one sum per row for a stack. The arithmetic of
     delta_t, mu_t and grad_gap_term; training calls it directly with u
     computed once per step."""
-    return float(np.add.reduce(u * values))
+    return np.add.reduce(u * values, axis=-1)
 
 
 def _gap_sum(values, weights) -> float:
@@ -47,7 +48,7 @@ def _gap_sum(values, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape:
         raise ValueError("length mismatch between values and weights")
-    return gap_sum(1.0 / weights.size - weights, values)
+    return float(gap_sum(1.0 / weights.size - weights, values))
 
 
 def delta_t(losses_now, losses_at_opt, weights) -> float:

@@ -3,22 +3,33 @@
 The update is theta' = theta - eta * sum_i w_i g_i with weights from the
 core module. The momentum variant keeps the auxiliary sequence
 z' = z - eta * sum_i w_i g_i and mixes theta' = (lam/(1+lam)) theta +
-(1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2.
-run_training drives either update over a problem suite, sampling batches
-without replacement per epoch, and records full per-step diagnostics.
+(1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2. Both
+updates take one iterate or a stack of iterates, one per row.
 
-Each step evaluates the problem once, through its fused
-loss_grad(theta, idx), plus one losses call at the previous iterate for
-mu_t. The step's diagnostics are computed from those arrays as scalars,
-the batch histories and iterates go into preallocated (T, b) and (T+1, d)
-arrays (trimmed to the recorded length on divergence), and the records are
-built once at the end. Where a problem has no optimal losses, the proxy
-delta_t comes from one losses call at the final iterate over all samples.
+There is one training loop, run_cells. It trains cells that share a
+problem, batch size, step count, step-size rule and momentum flag and
+differ in reweighting config and seed, as the rows of one iterate stack:
+each step gathers every row's batch, evaluates the problem once through its
+fused loss_grad, computes the weights once per distinct config on that
+config's contiguous rows, and applies one update. Each row samples its
+batches with its own generator, and every row's arithmetic is bit for bit
+that of a run on its own. A row that diverges or fails leaves the stack;
+the others go on. run_training is the one-cell call.
+
+Per step the loop also makes one losses call at the previous iterates for
+mu_t. The diagnostics are computed from those arrays as one value per row
+and go into preallocated per-cell histories with the batch indices and
+losses; records are built per cell at the end. Where a problem has no
+optimal losses, the proxy delta_t comes from one losses call at the final
+iterate over all samples and the weights recomputed from the stored losses.
+
+Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -33,18 +44,31 @@ __all__ = [
     "gd_step",
     "momentum_step",
     "theory_stepsize",
+    "cell_bytes",
+    "run_cells",
     "run_training",
 ]
 
 DIVERGENCE_LOSS = 1e12
 
+# History bytes one lockstep group may hold (see cell_bytes). At the sweep_toy
+# size (2000 steps, b = 32, n = 4000) a cell holds about 0.77 MB, so a group
+# runs 5 cells.
+LOCKSTEP_BYTES = 4 << 20
+
 
 class DivergenceError(RuntimeError):
-    """Non-finite iterate or loss; carries the step at which it happened."""
+    """Non-finite iterate or loss; carries the step at which it happened.
 
-    def __init__(self, step: int, message: str = ""):
+    An update of a stack of iterates also names the non-finite rows and
+    carries the updated state, so the finite rows can go on.
+    """
+
+    def __init__(self, step: int, message: str = "", rows=None, state=None):
         super().__init__(message or f"divergence detected at step {step}")
         self.step = step
+        self.rows = rows
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -91,38 +115,51 @@ def theory_stepsize(rule: StepSizeRule, w_max: float | None = None, batch: int |
         return rule.eta
     if rule.kind == "convex_theory":
         if w_max is not None and batch is not None:
-            _check_theory_w_max(w_max, batch)
+            error = _w_max_error(w_max, batch)
+            if error:
+                raise error
         return 1.0 / (8.0 * rule.L)
     return 1.0 / (8.0 * rule.L * np.sqrt(rule.horizon_T))
 
 
-def _check_theory_w_max(w_max: float, batch: int, where: str = "") -> None:
+def _w_max_error(w_max: float, batch: int, where: str = "") -> ConfigError | None:
     if w_max > 2.0 / batch + 1e-12:
-        raise ConfigError(
+        return ConfigError(
             f"{where}w_max = {w_max:.6g} exceeds 2/b = {2.0 / batch:.6g}; "
             "the convex-theory step size requires w_max <= 2/b"
         )
+    return None
 
 
 def _weighted_grad(gradients, weights) -> np.ndarray:
+    """sum_i w_i g_i per row: (b,) weights with (b, d) gradients, or (S, b)
+    with (S, b, d)."""
     g = np.asarray(gradients, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if g.ndim != 2 or g.shape[0] != w.size:
-        raise ValidationError("gradients must be (b, d) matching the weights")
-    return w @ g
+    if g.ndim != w.ndim + 1 or g.shape[:-1] != w.shape:
+        raise ValidationError("gradients must be (b, d), or (S, b, d), matching the weights")
+    return np.matmul(w[..., None, :], g)[..., 0, :]
+
+
+def _advance(state: OptimizerState, theta, z, finite) -> OptimizerState:
+    """The next state; finite marks the finite entries of the updated arrays."""
+    new = OptimizerState(theta=theta, z=z, step=state.step + 1, eta=state.eta)
+    if not finite.all():
+        rows = np.flatnonzero(~finite.all(axis=-1))
+        raise DivergenceError(state.step, rows=rows, state=new)
+    return new
 
 
 def gd_step(state: OptimizerState, gradients, weights) -> OptimizerState:
-    """theta' = theta - eta * sum_i w_i g_i."""
-    update = _weighted_grad(gradients, weights)
-    theta = state.theta - state.eta * update
-    if not np.isfinite(theta).all():
-        raise DivergenceError(state.step)
-    return OptimizerState(theta=theta, z=state.z, step=state.step + 1, eta=state.eta)
+    """theta' = theta - eta * sum_i w_i g_i, for one iterate or each row of
+    a stack."""
+    theta = state.theta - state.eta * _weighted_grad(gradients, weights)
+    return _advance(state, theta, state.z, np.isfinite(theta))
 
 
 def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float) -> OptimizerState:
-    """Heavy-ball update in (z, theta) form.
+    """Heavy-ball update in (z, theta) form, for one iterate or each row of
+    a stack.
 
     z' = z - eta * sum_i w_i g_i;
     theta' = lam/(1+lam) * theta + 1/(1+lam) * z'  with lam = lambda_next.
@@ -131,25 +168,23 @@ def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float)
         raise ValidationError("momentum_step requires state.z (initialize z = theta)")
     if lambda_next < 0:
         raise ConfigError("lambda_next must be nonnegative")
-    update = _weighted_grad(gradients, weights)
-    z = state.z - state.eta * update
+    z = state.z - state.eta * _weighted_grad(gradients, weights)
     theta = (lambda_next / (1.0 + lambda_next)) * state.theta + z / (1.0 + lambda_next)
-    if not (np.isfinite(theta).all() and np.isfinite(z).all()):
-        raise DivergenceError(state.step)
-    return OptimizerState(theta=theta, z=z, step=state.step + 1, eta=state.eta)
+    return _advance(state, theta, z, np.isfinite(theta) & np.isfinite(z))
 
 
 @dataclass
 class Trajectory:
     """Recorded run: per-step diagnostics, the iterate history (theta^0 ..
     theta^T), the raw batch data needed to recompute theory terms (one row
-    per recorded step), and the divergence flag."""
+    per recorded step), and the divergence flag. A cell run without history
+    keeps only its final iterate in thetas and no batch weights."""
 
     records: list[StepDiagnostics]
-    thetas: np.ndarray  # (T+1, d)
+    thetas: np.ndarray  # (T+1, d), or (1, d) without history
     batch_indices: np.ndarray  # (T, b)
     batch_losses: np.ndarray  # (T, b)
-    batch_weights: np.ndarray  # (T, b)
+    batch_weights: np.ndarray | None  # (T, b)
     diverged: bool = False
     divergence_step: int | None = None
 
@@ -163,6 +198,283 @@ class Trajectory:
         return self.thetas[:T].mean(axis=0)
 
 
+# Per-step scalar columns a cell keeps; the temperature column follows from
+# the schedule.
+_COLUMNS = ("train_loss", "test_loss", "w_max", "w_min", "delta", "mu", "grad_gap",
+            "theta_dist_sq")
+
+
+def cell_bytes(problem, batch_size: int, steps: int, history: bool = False) -> int:
+    """History bytes of one lockstep cell: the batch losses and indices (in
+    the smallest integer type that holds a sample index), the per-step
+    scalar columns and the final iterate, plus the iterates and weights
+    with history."""
+    rows, d = max(steps, 1), problem.dim
+    per_row = batch_size * (8 + np.min_scalar_type(problem.n_samples - 1).itemsize)
+    per_row += 8 * len(_COLUMNS)
+    extra = 8 * ((steps + 1) * d + rows * batch_size) if history else 0
+    return rows * per_row + 8 * d + extra
+
+
+def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: int,
+              momentum: bool = False, history: bool = False):
+    """Train cells in lockstep and return an iterator over their outcomes.
+
+    cells is a sequence of (ReweightConfig, seed) pairs; the cells share
+    everything else. The iterator yields, in cell order, each cell's
+    Trajectory, or the ConfigError or ValidationError that stopped it (an
+    infeasible cap, or an observed w_max above 2/b under convex_theory).
+    Errors common to every cell, such as a bad batch size, are raised here.
+
+    Cells run in groups of LOCKSTEP_BYTES // cell_bytes(...) rows, and a
+    group's outcomes are yielded after it finishes. Without history a cell
+    keeps only what its records and proxy delta need, and its batch arrays
+    are views of its group's histories: drop each outcome before taking the
+    next, and a finished group is freed before the next one starts.
+    """
+    if batch_size < 1 or batch_size > problem.n_samples:
+        raise ConfigError("batch_size must be in [1, n_samples]")
+    if steps < 0:
+        raise ConfigError("steps must be nonnegative")
+    eta = theory_stepsize(stepsize)
+    size = max(1, LOCKSTEP_BYTES // cell_bytes(problem, batch_size, steps, history))
+    return _run_groups(list(cells), size, problem, stepsize, eta, batch_size, steps,
+                       momentum, history)
+
+
+def _run_groups(cells, size, *args):
+    # Only the running group's generator refers to it, so a group's
+    # histories are freed before the next group allocates its own.
+    for lo in range(0, len(cells), size):
+        yield from _Group(cells[lo:lo + size], *args).run()
+
+
+class _Group:
+    """One lockstep group. Rows of the iterate stack are the active cells,
+    in cell order; `active` maps them to cell numbers in the group.
+
+    A group of one cell drops the row axis: its arrays are those of a
+    single run, which every function it calls takes as the one-row case of
+    a stack (and computes with fewer, cheaper numpy calls).
+    """
+
+    def __init__(self, cells, problem, stepsize, eta, batch_size, steps, momentum, history):
+        self.problem, self.cells, self.stepsize = problem, cells, stepsize
+        self.b, self.steps, self.momentum, self.history = batch_size, steps, momentum, history
+        G, self.n, rows = len(cells), problem.n_samples, max(steps, 1)
+        self.errors = [None] * G
+        for i, (config, _) in enumerate(cells):
+            cap_bound = config.cap if config.cap is not None else 2.0 / batch_size
+            try:
+                theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
+            except ConfigError as exc:
+                self.errors[i] = exc
+        self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
+        self.single = G == len(self.active) == 1
+        self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
+        self.orders = self._shuffle()
+        theta0 = problem.theta_init()
+        theta = theta0.copy() if self.single else np.repeat(theta0[None], len(self.active), 0)
+        self.state = OptimizerState(theta=theta, z=theta.copy() if momentum else None,
+                                    step=0, eta=eta)
+        self.prev_theta = None
+        self.spans = self._spans()
+        # index of the active cells into the histories
+        self.rows = slice(None) if len(self.active) == G else self.active
+
+        self.indices = np.empty((G, rows, batch_size), np.min_scalar_type(self.n - 1))
+        self.losses = np.empty((G, rows, batch_size))
+        self.cols = {name: np.empty((G, rows)) for name in _COLUMNS}
+        self.final = np.empty((G, theta0.size))
+        self.recorded = np.zeros(G, dtype=int)
+        self.divergence_step = [None] * G
+        if history:
+            self.thetas = np.empty((G, steps + 1, theta0.size))
+            self.thetas[:, 0] = theta0
+            self.batch_weights = np.empty((G, rows, batch_size))
+
+    def _shuffle(self):
+        """A new epoch's sample order for every active row."""
+        orders = [rng.permutation(self.n) for rng in self.rngs]
+        return orders[0] if self.single else np.array(orders).reshape(-1, self.n)
+
+    def _spans(self):
+        """(config, lo, hi) for each run of active rows with one config."""
+        spans = []
+        for row, i in enumerate(self.active):
+            config = self.cells[i][0]
+            if spans and spans[-1][0] == config:
+                spans[-1][2] = row + 1
+            else:
+                spans.append([config, row, row + 1])
+        return spans
+
+    def _stop(self, rows, theta, recorded, step=None):
+        """The active rows in the mask `rows` leave the stack: record their
+        last iterate, recorded step count and divergence step (errors are
+        recorded by the caller), then drop them. Returns the kept mask."""
+        cells = self.active[rows]
+        self.final[cells] = theta.reshape(len(rows), -1)[rows]
+        self.recorded[cells] = recorded
+        for i in cells:
+            self.divergence_step[i] = step
+        keep = ~rows
+        self.active = self.active[keep]
+        if not len(self.active):
+            return keep
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.orders = self.orders[keep]
+        s = self.state
+        self.state = OptimizerState(theta=s.theta[keep], z=None if s.z is None else s.z[keep],
+                                    step=s.step, eta=s.eta)
+        if self.prev_theta is not None:
+            self.prev_theta = self.prev_theta[keep]
+        self.spans = self._spans()
+        self.rows = self.active
+        return keep
+
+    def _weights(self, f, t):
+        """Weights of every active row, one compute_batch_weights call per
+        config, and {row: error} for the rows of a config that raised (their
+        weights are zero)."""
+        parts, errors = [], {}
+        for config, lo, hi in self.spans:
+            rows = f if self.single else f[lo:hi]
+            try:
+                parts.append(compute_batch_weights(rows, config, t))
+            except (ConfigError, ValidationError) as exc:
+                parts.append(np.zeros_like(rows))
+                errors.update(dict.fromkeys(range(lo, hi), exc))
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)), errors
+
+    def run(self):
+        """Train the group, then yield each cell's outcome in cell order."""
+        problem, b, n = self.problem, self.b, self.n
+        losses_at_opt = getattr(problem, "losses_at_opt", None)
+        test_loss = getattr(problem, "test_loss", None)
+        theta_star = getattr(problem, "theta_star", None)
+        cols, inv_b = self.cols, 1.0 / b
+        updating = self.steps > 0
+        w_limit = 2.0 / b + 1e-12 if updating and self.stepsize.kind == "convex_theory" else None
+
+        pos = 0
+        for t in range(max(self.steps, 1)):
+            if not len(self.active):
+                break
+            if pos + b > n:
+                self.orders = self._shuffle()
+                pos = 0
+            idx = self.orders[..., pos:pos + b]
+            pos += b
+            theta = self.state.theta
+            f, g = problem.loss_grad(theta, idx)
+            if updating and not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
+                bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
+                keep = self._stop(np.atleast_1d(bad), theta, t, step=t)
+                if not len(self.active):
+                    break
+                theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
+            w, errors = self._weights(f, t)
+            w_max = w.max(axis=-1)
+            if w_limit is not None and (w_max > w_limit).any():
+                for row, over in enumerate(np.atleast_1d(w_max)):
+                    if over > w_limit:
+                        errors.setdefault(row, _w_max_error(over, b, f"step {t}: observed "))
+            if errors:
+                failed = np.zeros(len(self.active), dtype=bool)
+                for row, exc in errors.items():
+                    failed[row] = True
+                    self.errors[self.active[row]] = exc
+                keep = self._stop(failed, theta, 0)
+                if not len(self.active):
+                    break
+                theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
+                w, w_max = w[keep], w_max[keep]
+            rows = self.rows
+            u = inv_b - w
+            cols["train_loss"][rows, t] = f.sum(axis=-1) / b
+            if test_loss:
+                cols["test_loss"][rows, t] = test_loss(theta)
+            cols["w_max"][rows, t] = w_max
+            cols["w_min"][rows, t] = w.min(axis=-1)
+            if losses_at_opt:
+                cols["delta"][rows, t] = gap_sum(u, f - losses_at_opt(idx))
+            if self.prev_theta is not None:
+                cols["mu"][rows, t] = gap_sum(u, f - problem.losses(self.prev_theta, idx))
+            cols["grad_gap"][rows, t] = gap_sum(u, (g**2).sum(axis=-1))
+            if theta_star is not None:
+                cols["theta_dist_sq"][rows, t] = ((theta - theta_star) ** 2).sum(axis=-1)
+            self.indices[rows, t] = idx
+            self.losses[rows, t] = f
+            if self.history:
+                self.batch_weights[rows, t] = w
+            if not updating:
+                break
+            self.prev_theta = theta
+            try:
+                if self.momentum:
+                    self.state = momentum_step(self.state, g, w, lambda_next=(t + 1) / 2.0)
+                else:
+                    self.state = gd_step(self.state, g, w)
+            except DivergenceError as exc:
+                self.state = exc.state
+                bad = np.zeros(len(self.active), dtype=bool)
+                bad[exc.rows] = True
+                self._stop(bad, theta, t + 1, step=exc.step)
+                if not len(self.active):
+                    break
+            if self.history:
+                self.thetas[self.rows, t + 1] = self.state.theta
+        if len(self.active):
+            self.final[self.active] = self.state.theta
+            self.recorded[self.active] = max(self.steps, 1)
+
+        for i in range(len(self.cells)):
+            yield self.errors[i] or self._trajectory(i)
+
+    def _trajectory(self, i) -> Trajectory:
+        problem, (config, _) = self.problem, self.cells[i]
+        T, b = self.recorded[i], self.b
+        diverged = self.divergence_step[i] is not None
+        indices, losses = self.indices[i, :T], self.losses[i, :T]
+
+        def column(name, present=True):
+            return self.cols[name][i, :T].tolist() if present else repeat(None)
+
+        mu = [None] + column("mu")[1:]  # no previous iterate at step 0
+        records = [
+            StepDiagnostics(t, *fields)
+            for t, fields in enumerate(zip(
+                column("train_loss"),
+                column("test_loss", hasattr(problem, "test_loss")),
+                [schedule_r(t, config.schedule) for t in range(T)],
+                column("w_max"),
+                column("w_min"),
+                column("delta", hasattr(problem, "losses_at_opt")),
+                mu,
+                column("grad_gap"),
+                column("theta_dist_sq", getattr(problem, "theta_star", None) is not None),
+            ))
+        ]
+        weights = self.batch_weights[i, :T] if self.history else None
+        if not hasattr(problem, "losses_at_opt") and not diverged:
+            # Proxy delta: the final iterate's losses stand in for the optimal
+            # ones, from one losses call over all samples indexed by the batch
+            # history; without history the weights are recomputed row-wise.
+            f_final = problem.losses(self.final[i], np.arange(problem.n_samples))
+            w = weights if weights is not None else compute_batch_weights(
+                losses, config, np.arange(T))
+            gaps = losses - f_final[indices]
+            for rec, delta in zip(records, np.add.reduce((1.0 / b - w) * gaps, axis=1).tolist()):
+                rec.delta = delta
+                rec.delta_is_proxy = True
+        n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
+        thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]
+        return Trajectory(records=records, thetas=thetas, batch_indices=indices,
+                          batch_losses=losses, batch_weights=weights, diverged=diverged,
+                          divergence_step=self.divergence_step[i])
+
+
 def run_training(
     problem,
     reweight_config: ReweightConfig,
@@ -172,7 +484,7 @@ def run_training(
     seed: int = 0,
     momentum: bool = False,
 ) -> Trajectory:
-    """Full reweighted training loop.
+    """Full reweighted training loop: the one-cell run_cells, with history.
 
     Samples batches without replacement within an epoch (reshuffled per
     epoch, seeded), computes weights from the batch losses, and applies the
@@ -183,111 +495,8 @@ def run_training(
     With steps = 0 the run records the initial evaluation only, and neither
     check applies because no update is taken.
     """
-    n = problem.n_samples
-    if batch_size < 1 or batch_size > n:
-        raise ConfigError("batch_size must be in [1, n_samples]")
-    if steps < 0:
-        raise ConfigError("steps must be nonnegative")
-
-    cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
-    eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
-    updating = steps > 0
-    check_w_max = updating and stepsize.kind == "convex_theory"
-
-    rng = np.random.default_rng(seed)
-    theta0 = problem.theta_init()
-    state = OptimizerState(
-        theta=theta0, z=theta0.copy() if momentum else None, step=0, eta=eta
-    )
-
-    losses_at_opt = getattr(problem, "losses_at_opt", None)
-    test_loss = getattr(problem, "test_loss", None)
-    theta_star = getattr(problem, "theta_star", None)
-    schedule = reweight_config.schedule
-    inv_b = 1.0 / batch_size
-
-    order = rng.permutation(n)
-    pos = 0
-    rows = max(steps, 1)
-    thetas = np.empty((steps + 1, theta0.size))
-    thetas[0] = theta0
-    batch_indices = np.empty((rows, batch_size), dtype=order.dtype)
-    batch_losses = np.empty((rows, batch_size))
-    batch_weights = np.empty((rows, batch_size))
-    stats = []  # per step: the StepDiagnostics fields after `step`
-    prev_theta = None
-    diverged = False
-    divergence_step = None
-
-    for t in range(rows):
-        if pos + batch_size > n:
-            order = rng.permutation(n)
-            pos = 0
-        idx = order[pos : pos + batch_size]
-        pos += batch_size
-        theta = state.theta
-        f, g = problem.loss_grad(theta, idx)
-        if updating and (not np.isfinite(f).all() or f.max() > DIVERGENCE_LOSS):
-            diverged = True
-            divergence_step = t
-            break
-        w = compute_batch_weights(f, reweight_config, t)
-        w_max = float(w.max())
-        if check_w_max:
-            _check_theory_w_max(w_max, batch_size, f"step {t}: observed ")
-        u = inv_b - w
-        stats.append((
-            float(f.sum() / batch_size),  # f.mean() without its overhead
-            test_loss(theta) if test_loss else None,
-            schedule_r(t, schedule),
-            w_max,
-            float(w.min()),
-            gap_sum(u, f - losses_at_opt(idx)) if losses_at_opt else None,
-            None if prev_theta is None else gap_sum(u, f - problem.losses(prev_theta, idx)),
-            gap_sum(u, (g**2).sum(axis=1)),
-            None if theta_star is None else float(np.sum((theta - theta_star) ** 2)),
-        ))
-        batch_indices[t] = idx
-        batch_losses[t] = f
-        batch_weights[t] = w
-        if not updating:
-            break
-        try:
-            if momentum:
-                state = momentum_step(state, g, w, lambda_next=(t + 1) / 2.0)
-            else:
-                state = gd_step(state, g, w)
-        except DivergenceError as exc:
-            diverged = True
-            divergence_step = exc.step
-            break
-        prev_theta = theta
-        thetas[t + 1] = state.theta
-
-    recorded = len(stats)
-    traj = Trajectory(
-        records=[StepDiagnostics(t, *fields) for t, fields in enumerate(stats)],
-        thetas=thetas[: state.step + 1],
-        batch_indices=batch_indices[:recorded],
-        batch_losses=batch_losses[:recorded],
-        batch_weights=batch_weights[:recorded],
-        diverged=diverged,
-        divergence_step=divergence_step,
-    )
-
-    if not losses_at_opt and not diverged:
-        _fill_proxy_delta(problem, traj)
-    return traj
-
-
-def _fill_proxy_delta(problem, traj: Trajectory) -> None:
-    """Fill each step's delta with a proxy that uses the final iterate's
-    per-sample losses in place of the (unknown) optimal losses. The final
-    iterate's losses over all samples come from one losses call and are
-    indexed by the batch history. Marked as proxy on each record."""
-    f_final = problem.losses(traj.final_theta, np.arange(problem.n_samples))
-    u = 1.0 / traj.batch_weights.shape[1] - traj.batch_weights
-    gaps = traj.batch_losses - f_final[traj.batch_indices]
-    for rec, delta in zip(traj.records, np.add.reduce(u * gaps, axis=1).tolist()):
-        rec.delta = delta
-        rec.delta_is_proxy = True
+    (outcome,) = run_cells(problem, [(reweight_config, seed)], stepsize, batch_size, steps,
+                           momentum=momentum, history=True)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

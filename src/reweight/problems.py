@@ -12,6 +12,12 @@ grads)` that training calls once per step (it gathers the rows and computes
 the residual once), `losses(theta, idx)` with the same arithmetic for the
 losses alone, `grads(theta, idx)` as the gradient half of `loss_grad`, and
 the exact smoothness constant L.
+
+Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
+of iterates (S, d) with one row of indices each, (S, b); losses then come
+back as (S, b) and gradients as (S, b, d). Residuals are formed by a batched
+matmul, which gives each row bit for bit the result of the single-iterate
+call, so a stacked run reproduces its separate runs exactly.
 """
 
 from __future__ import annotations
@@ -194,6 +200,12 @@ def nonconvex_loss_grad(theta, x_i, y_i):
     return 1.0 - e, 2.0 * r * e * x_i
 
 
+def _matvec(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """rows @ theta for rows (..., b, d) and theta (d,) or a stack (S, d):
+    one matrix-vector product per iterate, as a batched matmul."""
+    return np.matmul(rows, theta[..., None])[..., 0]
+
+
 class RegressionProblem:
     """Optimizer-facing view of a RegressionDataset.
 
@@ -217,7 +229,7 @@ class RegressionProblem:
         return np.zeros(self.dim)
 
     def losses(self, theta, idx) -> np.ndarray:
-        r = self._X1[idx] @ theta - self.data.y[idx]
+        r = _matvec(self._X1[idx], theta) - self.data.y[idx]
         return 0.5 * r * r
 
     def grads(self, theta, idx) -> np.ndarray:
@@ -225,12 +237,14 @@ class RegressionProblem:
 
     def loss_grad(self, theta, idx):
         rows = self._X1[idx]
-        r = rows @ theta - self.data.y[idx]
-        return 0.5 * r * r, r[:, None] * rows
+        r = _matvec(rows, theta) - self.data.y[idx]
+        return 0.5 * r * r, r[..., None] * rows
 
-    def test_loss(self, theta) -> float:
-        r = self._X1_test @ theta - self.data.y_test
-        return float(0.5 * ((r * r).sum() / r.size))  # np.mean's arithmetic
+    def test_loss(self, theta):
+        """Mean test loss: a float for one iterate, an (S,) array for a stack."""
+        r = _matvec(self._X1_test, theta) - self.data.y_test
+        loss = 0.5 * ((r * r).sum(axis=-1) / r.shape[-1])  # np.mean's arithmetic
+        return float(loss) if loss.ndim == 0 else loss
 
 
 class QuadraticProblem:
@@ -250,20 +264,19 @@ class QuadraticProblem:
         return self._theta_init.copy()
 
     def losses(self, theta, idx) -> np.ndarray:
-        dev = np.asarray(theta, float) - self.theta_star
-        Adev = self.suite.A[idx] @ dev
-        return 0.5 * Adev @ dev
+        return self.loss_grad(theta, idx)[0]
 
     def grads(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[1]
 
     def loss_grad(self, theta, idx):
         dev = np.asarray(theta, float) - self.theta_star
-        Adev = self.suite.A[idx] @ dev
-        return 0.5 * Adev @ dev, Adev
+        # A stack of iterates gives each of its b matrices a column of dev.
+        Adev = _matvec(self.suite.A[idx], dev[..., None, :])
+        return _matvec(0.5 * Adev, dev), Adev
 
     def losses_at_opt(self, idx) -> np.ndarray:
-        return np.zeros(np.size(idx))
+        return np.zeros(np.shape(idx))
 
 
 class NonconvexProblem:
@@ -285,7 +298,7 @@ class NonconvexProblem:
         return np.zeros(self.dim)
 
     def losses(self, theta, idx) -> np.ndarray:
-        r = self.X[idx] @ theta - self.y[idx]
+        r = _matvec(self.X[idx], theta) - self.y[idx]
         return 1.0 - np.exp(-r * r)
 
     def grads(self, theta, idx) -> np.ndarray:
@@ -293,6 +306,6 @@ class NonconvexProblem:
 
     def loss_grad(self, theta, idx):
         rows = self.X[idx]
-        r = rows @ theta - self.y[idx]
+        r = _matvec(rows, theta) - self.y[idx]
         e = np.exp(-r * r)
-        return 1.0 - e, (2.0 * r * e)[:, None] * rows
+        return 1.0 - e, (2.0 * r * e)[..., None] * rows

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reweight import verify
+from reweight import optim, verify
 from reweight.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
+    GEN_DEFAULTS,
+    RUN_DEFAULTS,
+    SWEEP_DEFAULTS,
+    _check_value,
     main,
 )
 from reweight.diagnostics import CSV_COLUMNS
@@ -32,6 +36,66 @@ SMALL_RUN = {
     "batch_size": 8,
     "steps": 20,
 }
+
+
+class TestConfigErrors:
+    COMMANDS = ["run", "sweep", "gen-data"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_json_exits_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"steps": ')
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config file {str(cfg)!r} is not valid JSON" in err
+        assert "at line 1 column 11" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_config_exits_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot read config file {str(cfg)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value, bound", [
+        ("run", "lr", -1, "> 0"),
+        ("run", "alpha", 0.0, "> 0"),
+        ("run", "r_initial", -0.5, "> 0"),
+        ("run", "r_final", 0, "> 0"),
+        ("run", "cap", 0.0, "> 0"),
+        ("run", "dro_tau", -1.0, "> 0"),
+        ("run", "warmup_steps", -1, ">= 0"),
+        ("run", "seed", -1, ">= 0"),
+        ("run", "data_seed", -3, ">= 0"),
+        ("run", "p", 0, ">= 1"),
+        ("run", "n", 0, ">= 1"),
+        ("run", "m", -1, ">= 0"),
+        ("run", "n_test", -1, ">= 0"),
+        ("run", "M", 0, ">= 1"),
+        ("run", "d", 0, ">= 1"),
+        ("run", "cond_max", 0.5, ">= 1"),
+        ("sweep", "r_values", [1.0, -1.0], "> 0"),
+        ("sweep", "seeds", [0, -2], ">= 0"),
+        ("gen-data", "p", 0, ">= 1"),
+        ("gen-data", "seed", -1, ">= 0"),
+    ])
+    def test_out_of_range_value_exits_config(self, tmp_path, capsys, command, key, value,
+                                             bound):
+        # A sweep stops here, before its output directory or any group exists.
+        payload = {key: value} if command == "gen-data" else dict(SMALL_RUN, **{key: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path / "cfg.json", payload),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key {key!r} must be {bound}, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
+    def test_every_default_has_a_valid_table_entry(self, defaults):
+        for key, value in defaults.items():
+            _check_value(key, value)
 
 
 class TestGenData:
@@ -230,6 +294,56 @@ class TestSweep:
         cell = sweep_dir / "linupper_r1.0_seed0.csv"
         assert cell.read_bytes() == run_out.read_bytes()
 
+    MIXED_SWEEPS = {
+        # dro_kl diverges mid-run at this lr, and cap = 0.001 is infeasible.
+        "regression": dict(p=64, n=200, m=50, n_test=16, lr=1e-2, cap=0.001,
+                           r_values=[1.0, 0.5], seeds=[0, 1]),
+        "quadratic": dict(problem="quadratic", M=32, d=6, momentum=True,
+                          r_values=[1.0, 0.1], seeds=[3]),
+        "nonconvex": dict(problem="nonconvex", M=48, d=5, lr=0.05,
+                          r_values=[2.0, 0.5], seeds=[0, 2]),
+    }
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("problem", sorted(MIXED_SWEEPS))
+    def test_every_cell_matches_run(self, tmp_path, monkeypatch, problem, budget):
+        # Cells train in lockstep groups, and a group's rows must not affect
+        # one another: every cell CSV and sidecar equals its own `run` output.
+        # A budget of 1 byte runs each cell in a group of its own.
+        if budget is not None:
+            monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
+        strategies = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
+        payload = dict(SMALL_RUN, steps=60, strategies=strategies, **self.MIXED_SWEEPS[problem])
+        sweep_dir = tmp_path / "sweep"
+        code = main(["sweep", "--config", write_config(tmp_path / "sweep.json", payload),
+                     "--out", str(sweep_dir)])
+        summary = list(csv.DictReader((sweep_dir / "summary.csv").read_text().splitlines()))
+        assert len(summary) == len(strategies) * len(payload["r_values"]) * len(payload["seeds"])
+        statuses = set()
+        for row in summary:
+            run_payload = {k: v for k, v in payload.items()
+                           if k not in ("strategies", "r_values", "seeds")}
+            run_payload.update(strategy=row["strategy"], schedule="constant",
+                               r_initial=float(row["r"]), r_final=float(row["r"]),
+                               seed=int(row["seed"]))
+            out = tmp_path / "run.csv"
+            run_code = main(["run", "--config", write_config(tmp_path / "run.json", run_payload),
+                             "--out", str(out)])
+            name = f"{row['strategy']}_r{row['r']}_seed{row['seed']}.csv"
+            statuses.add(row["status"].split(":")[0])
+            if row["status"].startswith("error"):
+                assert run_code == EXIT_CONFIG and not (sweep_dir / name).exists()
+                continue
+            assert run_code == (EXIT_DIVERGED if row["status"] == "diverged" else EXIT_OK)
+            assert (sweep_dir / name).read_bytes() == out.read_bytes()
+            assert (sweep_dir / (name + ".meta.json")).read_bytes() \
+                == (tmp_path / "run.csv.meta.json").read_bytes()
+        if problem == "regression":
+            assert statuses == {"ok", "diverged", "error"} and code == EXIT_CONFIG
+            assert {r["status"] for r in summary if r["strategy"] == "dro_kl"} == {"diverged"}
+        else:
+            assert statuses == {"ok"} and code == EXIT_OK
+
     def test_summary_rows_and_error_isolation(self, tmp_path):
         sweep_cfg = write_config(
             tmp_path / "sweep.json",
@@ -261,16 +375,16 @@ class TestSweep:
         assert "failed cell capped r=1.0 seed=0: error: infeasible cap" in err
         assert "uniform" not in err
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_problem_build_error_recorded_by_every_cell(self, tmp_path, threads):
+    @pytest.mark.parametrize("n_strategies", [1, 2])
+    def test_problem_build_error_recorded_by_every_cell(self, tmp_path, n_strategies):
+        strategies = ["uniform", "linupper"][:n_strategies]
         cfg = write_config(tmp_path / "sweep.json",
-                           dict(SMALL_RUN, problem="nope", strategies=["uniform"],
+                           dict(SMALL_RUN, problem="nope", strategies=strategies,
                                 seeds=[0, 1, 2]))
         out_dir = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir),
-                     "--threads", threads]) == EXIT_CONFIG
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
         rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
-        assert [r["status"] for r in rows] == ["error: unknown problem 'nope'"] * 3
+        assert [r["status"] for r in rows] == ["error: unknown problem 'nope'"] * 3 * n_strategies
 
     def test_diverged_cells_exit_ok(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json",
@@ -300,31 +414,10 @@ class TestSweep:
         assert f"config key {key!r} must not be empty" in capsys.readouterr().err
         assert not (out_dir / "summary.csv").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", ""])
-    def test_bad_threads_variable_exits_config(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("REWEIGHT_THREADS", value)
-        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0]))
-        out_dir = tmp_path / "out"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"REWEIGHT_THREADS must be a positive integer, got {value!r}" in err
-        assert not out_dir.exists()
-
     def test_seed_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path / "out"), "--seed", "1"])
         assert exc.value.code == 2
-
-    def test_threaded_sweep_matches_serial(self, tmp_path):
-        payload = dict(SMALL_RUN, strategies=["uniform", "linupper"],
-                       r_values=[1.0], seeds=[0])
-        cfg = write_config(tmp_path / "sweep.json", payload)
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == EXIT_OK
-        assert main(["sweep", "--config", cfg, "--out", str(threaded),
-                     "--threads", "2"]) == EXIT_OK
-        for name in ("uniform_r1.0_seed0.csv", "linupper_r1.0_seed0.csv"):
-            assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
 
 class TestVerify:

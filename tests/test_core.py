@@ -95,9 +95,10 @@ class TestApplyStrategy:
             apply_strategy([-0.8, 0.0, 0.8], Strategy.EXTREMES), [0.8, 0.0, 0.8]
         )
 
-    def test_uniform_passes_through(self):
-        h = np.array([-0.3, 0.1, 0.2])
-        np.testing.assert_array_equal(apply_strategy(h, Strategy.UNIFORM), h)
+    def test_uniform_has_no_score(self):
+        # compute_batch_weights returns 1/b for uniform without scoring.
+        with pytest.raises(ConfigError, match="'uniform' has no score"):
+            apply_strategy([-0.3, 0.1, 0.2], Strategy.UNIFORM)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -432,3 +433,81 @@ class TestReweightConfigValidation:
             ReweightConfig(cap=0.0)
         with pytest.raises(ConfigError):
             ReweightConfig(dro_tau=-2.0)
+
+
+def _mode_config(mode, b, schedule):
+    """The ReweightConfig the CLI builds for a strategy name at batch size b."""
+    if mode == "capped":
+        return ReweightConfig(schedule=schedule, cap=2.0 / b)
+    if mode == "dro_kl":
+        return ReweightConfig(schedule=schedule, dro_tau=schedule.r_initial)
+    return ReweightConfig(strategy=Strategy(mode), schedule=schedule)
+
+
+def _stacked_losses(S, b, seed):
+    """Random losses with ties: a row with a tied block, an all-equal row,
+    and a row alternating between two values."""
+    losses = np.random.default_rng(seed).exponential(size=(S, b))
+    losses[0, :3] = losses[0, 3]
+    if S > 1:
+        losses[1] = 2.0
+    if S > 2:
+        losses[2, ::2] = losses[2, 1]
+    return losses
+
+
+MODES = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
+
+
+class TestRowWiseWeights:
+    """A stack of batches is weighted row by row: each row of a stacked
+    call is bit for bit the 1-D call on that row."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("S", [1, 3, 20])
+    @pytest.mark.parametrize("b", [7, 32])
+    @pytest.mark.parametrize("r", [1.0, 1e-6])
+    def test_rows_equal_one_dimensional_calls(self, mode, S, b, r):
+        cfg = _mode_config(mode, b, TemperatureSchedule(kind="constant", r_initial=r))
+        losses = _stacked_losses(S, b, seed=S * b)
+        w = compute_batch_weights(losses, cfg, step=3)
+        assert w.shape == (S, b)
+        for row, f in zip(w, losses):
+            assert row.tobytes() == compute_batch_weights(f, cfg, step=3).tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("b", [7, 32])
+    def test_per_row_steps_follow_the_schedule(self, mode, b):
+        # One step per row gives each row its own temperature, here across a
+        # drop from r = 50 to r = 1e-6.
+        schedule = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=1e-6,
+                                       warmup_steps=4)
+        cfg = _mode_config(mode, b, schedule)
+        losses = _stacked_losses(10, b, seed=b)
+        w = compute_batch_weights(losses, cfg, step=np.arange(10))
+        for t, (row, f) in enumerate(zip(w, losses)):
+            assert row.tobytes() == compute_batch_weights(f, cfg, step=t).tobytes()
+
+    def test_public_helpers_take_stacks(self):
+        losses = _stacked_losses(3, 7, seed=0)
+        r = np.array([0.5, 1e-6, 3.0])
+        h = normalize_losses(losses)
+        cases = [
+            (h, [normalize_losses(f) for f in losses]),
+            (temper_weights(h, r), [temper_weights(x, ri) for x, ri in zip(h, r)]),
+            (capped_optimal_weights(h, r, 0.3),
+             [capped_optimal_weights(x, ri, 0.3) for x, ri in zip(h, r)]),
+            (dro_kl_weights(losses, 0.7), [dro_kl_weights(f, 0.7) for f in losses]),
+        ]
+        for stacked, rows in cases:
+            assert stacked.tobytes() == np.array(rows).tobytes()
+
+    def test_non_finite_loss_names_row_and_column(self):
+        losses = np.ones((3, 4))
+        losses[2, 1] = np.inf
+        with pytest.raises(ValidationError, match=r"index \(2, 1\)"):
+            compute_batch_weights(losses, ReweightConfig())
+
+    def test_per_row_schedule_rejects_negative_steps(self):
+        with pytest.raises(ValidationError):
+            schedule_r(np.array([0, -1]), TemperatureSchedule())

@@ -1,9 +1,14 @@
 """Tests for the reweighted gradient-descent and momentum optimizers."""
 
+import re
+import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+
+from reweight import optim
 
 from reweight.core import (
     ConfigError,
@@ -21,8 +26,10 @@ from reweight.optim import (
     OptimizerState,
     StepSizeRule,
     Trajectory,
+    cell_bytes,
     gd_step,
     momentum_step,
+    run_cells,
     run_training,
     theory_stepsize,
 )
@@ -384,14 +391,14 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
 
 def assert_same_run(got, want, proxy_atol=0.0):
     """Every record field, iterate and batch history equal; reprs are
-    compared so a numpy scalar in place of a float also fails. The proxy
+    compared so a numpy scalar in place of a float also fails. A proxy
     delta is compared to `proxy_atol` (see test_proxy_delta_at_any_batch_size)."""
     assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
     assert len(got.records) == len(want.records)
     for a, b in zip(got.records, want.records):
         fields_a, fields_b = astuple(a), astuple(b)
-        if proxy_atol:
-            assert a.delta_is_proxy and b.delta_is_proxy
+        if proxy_atol and b.delta_is_proxy:
+            assert a.delta_is_proxy
             assert abs(a.delta - b.delta) <= proxy_atol
             fields_a, fields_b = fields_a[:6] + fields_a[7:], fields_b[:6] + fields_b[7:]
         assert [repr(v) for v in fields_a] == [repr(v) for v in fields_b]
@@ -410,7 +417,8 @@ def small_regression():
 
 class _BlowUpProblem:
     """Bounded losses with gradients 1e100 times the iterate: the loss check
-    never fires, and the update overflows at the fourth step."""
+    never fires, and the update overflows at the fourth step. Like the
+    shipped problems it takes one iterate or a stack of them."""
 
     n_samples, dim, L, theta_star = 16, 3, 1.0, None
 
@@ -421,10 +429,10 @@ class _BlowUpProblem:
         return np.ones(self.dim)
 
     def losses(self, theta, idx):
-        return 1.0 + np.tanh(self.X[idx] @ theta)
+        return 1.0 + np.tanh(np.matmul(self.X[idx], theta[..., None])[..., 0])
 
     def grads(self, theta, idx):
-        return np.tile(-1e100 * theta, (len(idx), 1))
+        return np.repeat(-1e100 * theta[..., None, :], np.shape(idx)[-1], axis=-2)
 
     def loss_grad(self, theta, idx):
         return self.losses(theta, idx), self.grads(theta, idx)
@@ -503,3 +511,134 @@ class TestFusedRunMatchesReference:
                                        StepSizeRule(eta=1e-2), batch_size=batch_size,
                                        steps=40, seed=3)
         assert_same_run(got, want, proxy_atol=1e-12)
+
+
+def assert_same_cell(got, want, proxy_atol=0.0):
+    """assert_same_run for a cell run without history: only its final
+    iterate is kept, and no batch weights."""
+    assert got.batch_weights is None and got.thetas.shape == (1, want.thetas.shape[1])
+    np.testing.assert_array_equal(got.final_theta, want.final_theta)
+    full = Trajectory(records=got.records, thetas=want.thetas, batch_indices=got.batch_indices,
+                      batch_losses=got.batch_losses, batch_weights=want.batch_weights,
+                      diverged=got.diverged, divergence_step=got.divergence_step)
+    assert_same_run(full, want, proxy_atol)
+
+
+class TestLockstepMatchesReference:
+    """Cells trained as rows of one loop reproduce their own runs exactly,
+    including cells beside rows that diverge or fail: bit for bit the
+    one-cell run_training, and the reference loop up to the last bit of a
+    proxy delta (see test_proxy_delta_at_any_batch_size)."""
+
+    def check(self, problem, cells, rule, batch_size, steps, momentum=False):
+        args = (rule, batch_size, steps)
+        for history in (True, False):
+            same = assert_same_run if history else assert_same_cell
+            outcomes = list(run_cells(problem, cells, *args, momentum=momentum,
+                                      history=history))
+            assert len(outcomes) == len(cells)
+            for (rw, seed), got in zip(cells, outcomes):
+                try:
+                    want = _reference_run_training(problem, rw, *args, seed=seed,
+                                                   momentum=momentum)
+                except ConfigError:
+                    with pytest.raises(ConfigError, match=re.escape(str(got))):
+                        run_training(problem, rw, *args, seed=seed, momentum=momentum)
+                    continue
+                same(got, want, proxy_atol=1e-12)
+                same(got, run_training(problem, rw, *args, seed=seed, momentum=momentum))
+        return outcomes
+
+    def test_regression_mixed_group(self):
+        # dro_kl diverges mid-run at this lr, and cap = 0.001 is infeasible.
+        problem = RegressionProblem(gen_regression(p=64, n=200, m=50, seed=0, n_test=16))
+        step_drop = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=0.5,
+                                        warmup_steps=10)
+        cells = [
+            (ReweightConfig(strategy=Strategy.UNIFORM), 0),
+            (ReweightConfig(schedule=constant_schedule()), 0),
+            (ReweightConfig(schedule=constant_schedule()), 1),
+            (ReweightConfig(dro_tau=1.0), 0),
+            (ReweightConfig(cap=0.001), 0),
+            (ReweightConfig(strategy=Strategy.QUADRATIC, schedule=step_drop), 2),
+            (ReweightConfig(strategy=Strategy.EXTREMES, schedule=constant_schedule(0.5)), 3),
+            (ReweightConfig(schedule=constant_schedule(1e-6), cap=0.25), 4),
+        ]
+        outcomes = self.check(problem, cells, StepSizeRule(eta=1e-2), batch_size=8, steps=60)
+        assert outcomes[3].diverged and 0 < outcomes[3].divergence_step < 60
+        assert "infeasible cap" in str(outcomes[4])
+
+    def test_quadratic_convex_theory_momentum(self, quadratic_problem):
+        # r = 0.01 softmax weights exceed 2/b mid-run; cap 0.5 > 2/b fails
+        # before the first step. The other cells must be untouched.
+        cells = [
+            (ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8), 6),
+            (ReweightConfig(schedule=constant_schedule(0.01)), 0),
+            (ReweightConfig(strategy=Strategy.UNIFORM), 1),
+            (ReweightConfig(cap=0.5), 2),
+            (ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8), 7),
+        ]
+        outcomes = self.check(quadratic_problem, cells,
+                              StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
+                              batch_size=8, steps=30, momentum=True)
+        assert "observed w_max" in str(outcomes[1]) and "w_max = 0.5" in str(outcomes[3])
+
+    def test_nonconvex_proxy_delta(self):
+        problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
+        cells = [(ReweightConfig(strategy=s, schedule=constant_schedule(0.5)), seed)
+                 for s in Strategy for seed in (0, 7)]
+        self.check(problem, cells, StepSizeRule(eta=0.05), batch_size=8, steps=30)
+
+    def test_zero_steps_and_update_divergence(self):
+        cells = [(ReweightConfig(), 9), (ReweightConfig(strategy=Strategy.UNIFORM), 1)]
+        self.check(RegressionProblem(gen_regression(p=4, n=32, m=8, n_test=4)), cells,
+                   StepSizeRule(eta=1e-2), batch_size=8, steps=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = self.check(_BlowUpProblem(), cells, StepSizeRule(eta=1.0),
+                                  batch_size=4, steps=50)
+        assert all(t.divergence_step == 3 for t in outcomes)
+
+    def test_group_size_follows_the_byte_budget(self, monkeypatch, small_regression):
+        # One cell per group gives the same outcomes as one group for all.
+        cells = [(ReweightConfig(schedule=constant_schedule(r)), seed)
+                 for r in (0.5, 2.0) for seed in (0, 1)]
+        args = (small_regression, cells, StepSizeRule(eta=1e-2), 8, 20)
+        together = list(run_cells(*args))
+        monkeypatch.setattr(optim, "LOCKSTEP_BYTES", 1)
+        for a, b in zip(together, run_cells(*args)):
+            assert [astuple(r) for r in a.records] == [astuple(r) for r in b.records]
+
+
+def _records_bytes(records) -> int:
+    """Bytes of a record list: the list, each record and its float fields."""
+    return sys.getsizeof(records) + sum(
+        sys.getsizeof(rec) + sum(sys.getsizeof(v) for v in astuple(rec) if isinstance(v, float))
+        for rec in records)
+
+
+def test_lockstep_memory_stays_within_budget(monkeypatch):
+    # A sweep's traced peak is the group budget plus what one group needs per
+    # step and the records of the one cell being handed out. Keeping more
+    # history per cell, or a finished group alive beside the next, fails.
+    problem = RegressionProblem(gen_regression(p=16, n=400, m=100, seed=0, n_test=64))
+    b, steps, group = 8, 1000, 5
+    monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
+    cells = [(ReweightConfig(strategy=s, schedule=constant_schedule()), seed)
+             for s in Strategy for seed in range(5)]
+    rule = StepSizeRule(eta=1e-3)
+    # one cell's records, with the ten column lists they are built from
+    records = _records_bytes(run_training(problem, cells[0][0], rule, b, steps).records)
+    records += 10 * 8 * steps
+    # gathered rows, gradients and their products, batch orders, test
+    # residuals, and the temporaries of one cell's proxy weights and gaps
+    per_step = 8 * group * (4 * b * problem.dim + problem.n_samples + 2 * 64)
+    proxy = 8 * 8 * steps * b
+    tracemalloc.start()
+    try:
+        for outcome in run_cells(problem, cells, rule, b, steps):
+            assert len(outcome.records) == steps
+            del outcome
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= optim.LOCKSTEP_BYTES + records + per_step + proxy
