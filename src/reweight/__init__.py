@@ -1,15 +1,13 @@
 """Dynamic loss-based sample reweighting for gradient-based optimization."""
 
 from .core import (
+    MODES,
     ConfigError,
     ReweightConfig,
-    Strategy,
     TemperatureSchedule,
     ValidationError,
-    apply_strategy,
     capped_optimal_weights,
     compute_batch_weights,
-    dro_kl_weights,
     normalize_losses,
     schedule_r,
     temper_weights,

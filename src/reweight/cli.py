@@ -23,13 +23,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import operator
 import os
 import sys
 
 import numpy as np
 
-from .core import ConfigError, ReweightConfig, Strategy, TemperatureSchedule
+from .core import MODES, ConfigError, ReweightConfig, TemperatureSchedule
 from .diagnostics import CSV_COLUMNS
 from .optim import StepSizeRule, Trajectory, run_cells, run_training
 from .problems import (
@@ -130,6 +131,9 @@ def _check_value(key, value):
                           f"{name}, got {value!r}")
     if value == []:
         raise ConfigError(f"config key {key!r} must not be empty")
+    # json.load accepts the non-standard constants NaN, Infinity and -Infinity.
+    if not all(math.isfinite(x) for x in items if isinstance(x, float)):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     op = {">": operator.gt, ">=": operator.ge}[bound[0]] if bound else None
     if op and not all(x is None or op(x, int(bound[1])) for x in items):
         raise ConfigError(f"config key {key!r} must be {' '.join(bound)}, got {value!r}")
@@ -189,19 +193,13 @@ def _make_reweight_config(cfg):
         warmup_steps=cfg["warmup_steps"],
     )
     name = cfg["strategy"]
-    if name == "capped":
-        cap = cfg["cap"] if cfg["cap"] is not None else 2.0 / cfg["batch_size"]
-        return ReweightConfig(strategy=Strategy.LINUPPER, alpha=cfg["alpha"],
-                              schedule=schedule, cap=cap)
-    if name == "dro_kl":
-        tau = cfg["dro_tau"] if cfg["dro_tau"] is not None else cfg["r_final"]
-        return ReweightConfig(strategy=Strategy.LINUPPER, alpha=cfg["alpha"],
-                              schedule=schedule, dro_tau=tau)
-    try:
-        strategy = Strategy(name)
-    except ValueError:
-        raise ConfigError(f"unknown strategy {name!r}") from None
-    return ReweightConfig(strategy=strategy, alpha=cfg["alpha"], schedule=schedule)
+    if name not in MODES:
+        raise ConfigError(f"unknown strategy {name!r}")
+    # cap and dro_tau are shared keys (a sweep gives every cell the same
+    # ones); each goes to the one mode that reads it.
+    return ReweightConfig(mode=name, alpha=cfg["alpha"], schedule=schedule,
+                          cap=cfg["cap"] if name == "capped" else None,
+                          dro_tau=cfg["dro_tau"] if name == "dro_kl" else None)
 
 
 def _make_stepsize(cfg, problem):

@@ -1,11 +1,18 @@
 """Turn a batch of raw losses into a weight vector over the batch.
 
-The pipeline is: pick the temperature for the current step, map the raw
-losses affinely into [-alpha, alpha], apply an analytical scoring strategy,
-then push the scores through a tempered softmax. Two alternative weighting
-modes bypass the strategy step: the capped-optimal weights (entropy
-regularized, with a hard per-sample cap, solved in closed form by sorting
-and thresholding) and the DRO-KL baseline (softmax on raw losses, no cap).
+A weighting mode is a name in MODES, the one table of weighting rules. Each
+entry maps the losses, the temperature r for the current step and the
+ReweightConfig to weights:
+
+  uniform    exactly 1/b per sample;
+  linupper, quadratic, extremes
+             map the losses affinely into [-alpha, alpha], score them, and
+             push the scores through a tempered softmax;
+  capped     the entropy-regularized optimum with a hard per-sample cap
+             (2/b unless set), solved in closed form by sorting and
+             thresholding;
+  dro_kl     the DRO-KL baseline: softmax of the raw losses at temperature
+             dro_tau (the schedule's r_final unless set), no cap.
 
 All functions are pure. They take one batch as a 1-D array or a stack of
 batches as an (S, b) array and work row by row: each row of a stacked call
@@ -16,21 +23,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Strategy",
+    "MODES",
     "TemperatureSchedule",
     "ReweightConfig",
     "ValidationError",
     "ConfigError",
     "normalize_losses",
-    "apply_strategy",
     "temper_weights",
     "capped_optimal_weights",
-    "dro_kl_weights",
     "schedule_r",
     "compute_batch_weights",
 ]
@@ -45,13 +49,6 @@ class ValidationError(ValueError):
 
 class ConfigError(ValueError):
     """Raised when a configuration value is inconsistent or out of range."""
-
-
-class Strategy(str, Enum):
-    LINUPPER = "linupper"
-    QUADRATIC = "quadratic"
-    EXTREMES = "extremes"
-    UNIFORM = "uniform"
 
 
 @dataclass(frozen=True)
@@ -95,27 +92,30 @@ def schedule_r(step, schedule: TemperatureSchedule):
 class ReweightConfig:
     """Full specification of the batch-weighting rule.
 
-    strategy selects the scoring function; alpha is the normalization
-    half-width. When cap is set, weights come from the capped-optimal
-    solution instead of the strategy/softmax path. When dro_tau is set, the
-    DRO-KL baseline is used (softmax of raw losses at temperature dro_tau).
+    mode names the MODES entry; alpha is the normalization half-width. Only
+    mode "capped" reads cap (None means 2/b), and only mode "dro_kl" reads
+    dro_tau (None means schedule.r_final); setting either for another mode
+    is an error.
     """
 
-    strategy: Strategy = Strategy.LINUPPER
+    mode: str = "linupper"
     alpha: float = 1.0
     schedule: TemperatureSchedule = field(default_factory=TemperatureSchedule)
     cap: float | None = None
     dro_tau: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.strategy, Strategy):
-            object.__setattr__(self, "strategy", Strategy(self.strategy))
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown weighting mode {self.mode!r}; expected one of "
+                              f"{', '.join(MODES)}")
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
-        if self.cap is not None and self.cap <= 0:
-            raise ConfigError("cap must be positive")
-        if self.dro_tau is not None and self.dro_tau <= 0:
-            raise ConfigError("dro_tau must be positive")
+        for name, reader in (("cap", "capped"), ("dro_tau", "dro_kl")):
+            value = getattr(self, name)
+            if value is not None and self.mode != reader:
+                raise ConfigError(f"{name} is read only by mode {reader!r}, not {self.mode!r}")
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 def _as_loss_array(losses) -> np.ndarray:
@@ -158,26 +158,6 @@ def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
     return _normalize(f, alpha)
 
 
-def apply_strategy(h, strategy: Strategy, alpha: float = 1.0) -> np.ndarray:
-    """Score normalized losses h in [-alpha, alpha].
-
-    linupper:  min(h + alpha, alpha)   -- proportional to loss, capped
-    quadratic: alpha * (1 - h^2/alpha^2) -- favors moderate losses
-    extremes:  |h|                     -- favors both tails
-
-    uniform has no score: compute_batch_weights returns exactly 1/b for it.
-    """
-    h = np.asarray(h, dtype=float)
-    strategy = Strategy(strategy)
-    if strategy is Strategy.LINUPPER:
-        return np.minimum(h + alpha, alpha)
-    if strategy is Strategy.QUADRATIC:
-        return alpha * (1.0 - h**2 / alpha**2)
-    if strategy is Strategy.EXTREMES:
-        return np.abs(h)
-    raise ConfigError(f"strategy {strategy.value!r} has no score")
-
-
 def temper_weights(scores, r: float) -> np.ndarray:
     """Tempered softmax w_i = exp(s_i/r) / sum_j exp(s_j/r).
 
@@ -189,17 +169,6 @@ def temper_weights(scores, r: float) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     e = np.exp((s - np.maximum.reduce(s, axis=-1, keepdims=True)) / _row_r(r))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def dro_kl_weights(losses, tau: float) -> np.ndarray:
-    """KL-regularized DRO baseline: softmax of the raw losses at temperature tau.
-
-    No normalization and no cap, so high-loss samples can dominate. This is
-    the comparison baseline, not a recommended strategy.
-    """
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
-    return temper_weights(_as_loss_array(losses), tau)
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,24 +228,49 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     return w
 
 
+def _scored(score):
+    """A mode that scores the normalized losses h in [-alpha, alpha] and
+    tempers the scores."""
+    def weights(f, r, config):
+        return temper_weights(score(_normalize(f, config.alpha), config.alpha), r)
+    return weights
+
+
+def _capped(f, r, config):
+    cap = config.cap if config.cap is not None else 2.0 / f.shape[-1]
+    return capped_optimal_weights(_normalize(f, config.alpha), r, cap)
+
+
+def _dro_kl(f, r, config):
+    # Raw losses, no normalization and no cap, so high-loss samples can
+    # dominate: the comparison baseline, not a recommended mode.
+    tau = config.dro_tau if config.dro_tau is not None else config.schedule.r_final
+    return temper_weights(f, tau)
+
+
+# Mode name -> weights(f, r, config) for validated losses f, (b,) or (S, b),
+# and the temperature r (a scalar, or one per row).
+MODES = {
+    "uniform": lambda f, r, config: np.full(f.shape, 1.0 / f.shape[-1]),
+    # proportional to loss, capped
+    "linupper": _scored(lambda h, alpha: np.minimum(h + alpha, alpha)),
+    # favors moderate losses
+    "quadratic": _scored(lambda h, alpha: alpha * (1.0 - h**2 / alpha**2)),
+    # favors both tails
+    "extremes": _scored(lambda h, alpha: np.abs(h)),
+    "capped": _capped,
+    "dro_kl": _dro_kl,
+}
+
+
 def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
-    """Full weighting pipeline for one batch, or a stack of batches, at a
-    given training step.
+    """Weights for one batch, or a stack of batches, at a given training
+    step: the config's MODES entry applied to the validated losses at the
+    schedule's temperature.
 
     Deterministic function of (losses, config, step). losses is (b,) or
     (S, b); for a stack, step may also give one step per row (the rows'
-    temperatures then follow the schedule row by row). Routing: uniform
-    strategy returns exactly 1/b; dro_tau selects the DRO-KL baseline; cap
-    selects the capped-optimal mode; otherwise normalize -> score -> temper.
+    temperatures then follow the schedule row by row).
     """
     f = _as_loss_array(losses)
-    if config.strategy is Strategy.UNIFORM:
-        return np.full(f.shape, 1.0 / f.shape[-1])
-    if config.dro_tau is not None:
-        return temper_weights(f, config.dro_tau)
-    r = schedule_r(step, config.schedule)
-    h = _normalize(f, config.alpha)
-    if config.cap is not None:
-        return capped_optimal_weights(h, r, config.cap)
-    s = apply_strategy(h, config.strategy, config.alpha)
-    return temper_weights(s, r)
+    return MODES[config.mode](f, schedule_r(step, config.schedule), config)

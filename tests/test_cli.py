@@ -17,7 +17,15 @@ from reweight.cli import (
     RUN_DEFAULTS,
     SWEEP_DEFAULTS,
     _check_value,
+    _make_reweight_config,
     main,
+)
+from reweight.core import (
+    MODES,
+    capped_optimal_weights,
+    compute_batch_weights,
+    normalize_losses,
+    temper_weights,
 )
 from reweight.diagnostics import CSV_COLUMNS
 from reweight.problems import regression_loss_grad
@@ -92,6 +100,26 @@ class TestConfigErrors:
         assert f"config key {key!r} must be {bound}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "lr", float("inf")),
+        ("run", "noise_c", float("nan")),
+        ("run", "dro_tau", float("-inf")),
+        ("sweep", "lr", float("inf")),
+        ("sweep", "r_values", [float("inf")]),
+        ("sweep", "r_values", [1.0, float("nan")]),
+        ("gen-data", "noise_c", float("nan")),
+    ])
+    def test_non_finite_value_exits_config(self, tmp_path, capsys, command, key, value):
+        # json.dumps writes the non-standard constants NaN and Infinity, which
+        # json.load reads back: they must stop here, not diverge at step 0.
+        payload = {key: value} if command == "gen-data" else dict(SMALL_RUN, **{key: value})
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert re.search(r"NaN|Infinity", Path(cfg).read_text())
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key {key!r} must be finite, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
     def test_every_default_has_a_valid_table_entry(self, defaults):
         for key, value in defaults.items():
@@ -145,6 +173,39 @@ class TestGenData:
         meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
         assert meta["seed"] == 9
         assert meta["p"] == 2
+
+
+class TestMakeReweightConfig:
+    LOSSES = np.random.default_rng(0).exponential(size=32)
+
+    @pytest.mark.parametrize("name", list(MODES))
+    def test_strategy_name_is_the_mode(self, name):
+        assert _make_reweight_config(dict(RUN_DEFAULTS, strategy=name)).mode == name
+
+    @pytest.mark.parametrize("name", [m for m in MODES if m not in ("capped", "dro_kl")])
+    def test_shared_cap_and_dro_tau_are_not_passed_on(self, name):
+        rw = _make_reweight_config(dict(RUN_DEFAULTS, strategy=name, cap=0.5, dro_tau=2.0))
+        assert rw.mode == name and rw.cap is None and rw.dro_tau is None
+
+    def test_null_cap_is_two_over_batch_size(self):
+        cfg = dict(RUN_DEFAULTS, strategy="capped", schedule="constant", r_initial=0.3)
+        assert cfg["cap"] is None and cfg["batch_size"] == 32
+        w = compute_batch_weights(self.LOSSES, _make_reweight_config(cfg), step=5)
+        assert w.tobytes() == \
+            capped_optimal_weights(normalize_losses(self.LOSSES), 0.3, 2 / 32).tobytes()
+
+    def test_null_dro_tau_is_r_final(self):
+        # The default schedule drops from r_initial = 100 to r_final = 1.
+        cfg = dict(RUN_DEFAULTS, strategy="dro_kl")
+        assert cfg["dro_tau"] is None and cfg["r_initial"] != cfg["r_final"]
+        rw = _make_reweight_config(cfg)
+        for step in (0, 500):
+            assert compute_batch_weights(self.LOSSES, rw, step).tobytes() == \
+                temper_weights(self.LOSSES, cfg["r_final"]).tobytes()
+
+    def test_unknown_strategy_is_named(self):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            _make_reweight_config(dict(RUN_DEFAULTS, strategy="bogus"))
 
 
 class TestRun:
@@ -374,6 +435,32 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "failed cell capped r=1.0 seed=0: error: infeasible cap" in err
         assert "uniform" not in err
+
+    def test_shared_cap_reaches_only_the_capped_cells(self, tmp_path):
+        # cap and dro_tau are set for the whole sweep; the capped cell reads
+        # cap, and the uniform cell runs as it would without either.
+        alone = dict(SMALL_RUN, steps=5)
+        shared = dict(alone, cap=0.5, dro_tau=2.0)
+        sweep_dir = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(shared, strategies=["capped", "uniform"], seeds=[0]))
+        assert main(["sweep", "--config", cfg, "--out", str(sweep_dir)]) == EXIT_OK
+        rows = list(csv.DictReader((sweep_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+
+        def run_csv(name, **payload):
+            out = tmp_path / f"{name}.csv"
+            run_cfg = write_config(tmp_path / f"{name}.json",
+                                   dict(payload, schedule="constant", r_initial=1.0,
+                                        r_final=1.0, seed=0))
+            assert main(["run", "--config", run_cfg, "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        capped = (sweep_dir / "capped_r1.0_seed0.csv").read_bytes()
+        assert capped == run_csv("capped", **shared, strategy="capped")
+        assert capped != run_csv("capped_2_over_b", **alone, strategy="capped")
+        uniform = (sweep_dir / "uniform_r1.0_seed0.csv").read_bytes()
+        assert uniform == run_csv("uniform", **alone, strategy="uniform")
 
     @pytest.mark.parametrize("n_strategies", [1, 2])
     def test_problem_build_error_recorded_by_every_cell(self, tmp_path, n_strategies):

@@ -10,15 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reweight.core import (
+    MODES,
     ConfigError,
     ReweightConfig,
-    Strategy,
     TemperatureSchedule,
     ValidationError,
-    apply_strategy,
     capped_optimal_weights,
     compute_batch_weights,
-    dro_kl_weights,
     normalize_losses,
     schedule_r,
     temper_weights,
@@ -77,45 +75,51 @@ class TestNormalizeLosses:
         )
 
 
-class TestApplyStrategy:
+def _mode_weights(mode, losses, r=1.0, **params):
+    """The MODES entry for mode, called on losses at temperature r."""
+    f = np.asarray(losses, dtype=float)
+    return MODES[mode](f, r, ReweightConfig(mode=mode, **params))
+
+
+class TestScoredModes:
+    """The scored modes temper a score of the normalized losses h. Losses
+    spanning exactly [-alpha, alpha] normalize to themselves, so each
+    example's losses are its h."""
+
     def test_linupper_example(self):
         np.testing.assert_allclose(
-            apply_strategy([-1.0, -0.5, 0.0, 0.7], Strategy.LINUPPER),
-            [0.0, 0.5, 1.0, 1.0],
+            _mode_weights("linupper", [-1.0, -0.5, 0.0, 0.7, 1.0]),
+            temper_weights([0.0, 0.5, 1.0, 1.0, 1.0], r=1.0),
         )
 
     def test_quadratic_example(self):
         np.testing.assert_allclose(
-            apply_strategy([-1.0, 0.0, 0.5, 1.0], Strategy.QUADRATIC),
-            [0.0, 1.0, 0.75, 0.0],
+            _mode_weights("quadratic", [-1.0, 0.0, 0.5, 1.0]),
+            temper_weights([0.0, 1.0, 0.75, 0.0], r=1.0),
         )
 
     def test_extremes_example(self):
         np.testing.assert_allclose(
-            apply_strategy([-0.8, 0.0, 0.8], Strategy.EXTREMES), [0.8, 0.0, 0.8]
+            _mode_weights("extremes", [-0.8, 0.0, 0.8], alpha=0.8),
+            temper_weights([0.8, 0.0, 0.8], r=1.0),
         )
 
     def test_uniform_has_no_score(self):
-        # compute_batch_weights returns 1/b for uniform without scoring.
-        with pytest.raises(ConfigError, match="'uniform' has no score"):
-            apply_strategy([-0.3, 0.1, 0.2], Strategy.UNIFORM)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            apply_strategy([0.0], "nonsense")
+        # Exactly 1/b, whatever the losses and the temperature.
+        for r in (1e-6, 1.0):
+            np.testing.assert_array_equal(_mode_weights("uniform", [-0.3, 0.1, 0.2], r),
+                                          np.full(3, 1.0 / 3))
 
     @given(
         losses=finite_losses,
-        strategy=st.sampled_from(
-            [Strategy.LINUPPER, Strategy.QUADRATIC, Strategy.EXTREMES]
-        ),
+        mode=st.sampled_from(["linupper", "quadratic", "extremes"]),
         alpha=st.floats(min_value=0.1, max_value=10.0),
     )
-    def test_scores_in_zero_alpha(self, losses, strategy, alpha):
-        h = normalize_losses(losses, alpha)
-        s = apply_strategy(h, strategy, alpha)
-        assert np.all(s >= -1e-12)
-        assert np.all(s <= alpha + 1e-12)
+    def test_scores_in_zero_alpha(self, losses, mode, alpha):
+        # At r = 1 the log-weights are the scores up to one shared constant,
+        # so scores in [0, alpha] bound the log-weight spread by alpha.
+        logw = np.log(_mode_weights(mode, losses, alpha=alpha))
+        assert logw.max() - logw.min() <= alpha + 1e-12
 
 
 class TestTemperWeights:
@@ -284,23 +288,39 @@ def test_cli_import_does_not_load_scipy():
 
 class TestDroKlWeights:
     def test_equal_losses_uniform(self):
-        np.testing.assert_allclose(dro_kl_weights([3.0, 3.0], tau=2.0), [0.5, 0.5])
+        np.testing.assert_allclose(_mode_weights("dro_kl", [3.0, 3.0], dro_tau=2.0),
+                                   [0.5, 0.5])
 
     def test_exponent_ratio_one_to_nine(self):
         tau = 0.7
         np.testing.assert_allclose(
-            dro_kl_weights([0.0, tau * np.log(9.0)], tau=tau), [0.1, 0.9]
+            _mode_weights("dro_kl", [0.0, tau * np.log(9.0)], dro_tau=tau), [0.1, 0.9]
         )
 
     def test_high_temperature_near_uniform(self):
         # Deviation from uniform scales like spread/(b*tau), so tau must be
         # large relative to the loss spread (100 here) for a 1e-6 tolerance.
-        w = dro_kl_weights(np.linspace(0.0, 100.0, 8), tau=1e8)
+        w = _mode_weights("dro_kl", np.linspace(0.0, 100.0, 8), dro_tau=1e8)
         assert np.abs(w - 0.125).max() <= 1e-6
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ConfigError):
-            dro_kl_weights([1.0], tau=0.0)
+            ReweightConfig(mode="dro_kl", dro_tau=0.0)
+
+    def test_ignores_the_temperature_r(self):
+        # The raw losses at dro_tau, whatever the step's temperature r.
+        losses = [0.0, 1.0, 5.0]
+        for r in (1e-6, 1.0, 1e6):
+            assert _mode_weights("dro_kl", losses, r, dro_tau=0.7).tobytes() == \
+                temper_weights(losses, 0.7).tobytes()
+
+    def test_null_tau_is_the_final_temperature(self):
+        schedule = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=0.3,
+                                       warmup_steps=4)
+        cfg = ReweightConfig(mode="dro_kl", schedule=schedule)
+        for step in (0, 10):
+            assert compute_batch_weights([0.0, 1.0, 5.0], cfg, step).tobytes() == \
+                temper_weights([0.0, 1.0, 5.0], 0.3).tobytes()
 
 
 class TestScheduleR:
@@ -332,13 +352,13 @@ class TestScheduleR:
 
 class TestComputeBatchWeights:
     def test_uniform_is_exact(self):
-        cfg = ReweightConfig(strategy=Strategy.UNIFORM)
+        cfg = ReweightConfig(mode="uniform")
         w = compute_batch_weights([5.0, 1.0, 3.0, 2.0], cfg)
         np.testing.assert_array_equal(w, np.full(4, 0.25))
 
     def test_linupper_hand_composition(self):
         cfg = ReweightConfig(
-            strategy=Strategy.LINUPPER,
+            mode="linupper",
             schedule=TemperatureSchedule(kind="constant", r_initial=1.0),
         )
         w = compute_batch_weights([0.0, 0.5, 1.0], cfg)
@@ -347,7 +367,7 @@ class TestComputeBatchWeights:
 
     def test_high_temperature_near_uniform(self):
         cfg = ReweightConfig(
-            strategy=Strategy.LINUPPER,
+            mode="linupper",
             schedule=TemperatureSchedule(kind="constant", r_initial=1e6),
         )
         w = compute_batch_weights(np.arange(10.0), cfg)
@@ -355,7 +375,7 @@ class TestComputeBatchWeights:
 
     def test_cap_mode_routes_to_capped_weights(self):
         cfg = ReweightConfig(
-            strategy=Strategy.LINUPPER,
+            mode="capped",
             schedule=TemperatureSchedule(kind="constant", r_initial=1.0),
             cap=0.5,
         )
@@ -365,14 +385,23 @@ class TestComputeBatchWeights:
         )
         np.testing.assert_array_equal(w, expect)
 
+    def test_null_cap_is_two_over_b(self):
+        cfg = ReweightConfig(
+            mode="capped", schedule=TemperatureSchedule(kind="constant", r_initial=0.1)
+        )
+        losses = np.arange(8.0)
+        w = compute_batch_weights(losses, cfg)
+        expect = capped_optimal_weights(normalize_losses(losses), 0.1, 2.0 / 8)
+        assert w.tobytes() == expect.tobytes()
+
     def test_dro_mode_routes_to_dro_weights(self):
-        cfg = ReweightConfig(strategy=Strategy.LINUPPER, dro_tau=2.0)
+        cfg = ReweightConfig(mode="dro_kl", dro_tau=2.0)
         w = compute_batch_weights([0.0, 1.0], cfg)
-        np.testing.assert_array_equal(w, dro_kl_weights([0.0, 1.0], 2.0))
+        np.testing.assert_array_equal(w, temper_weights([0.0, 1.0], 2.0))
 
     def test_step_selects_schedule_temperature(self):
         cfg = ReweightConfig(
-            strategy=Strategy.LINUPPER,
+            mode="linupper",
             schedule=TemperatureSchedule(
                 kind="step_drop", r_initial=1e6, r_final=0.5, warmup_steps=10
             ),
@@ -385,15 +414,15 @@ class TestComputeBatchWeights:
 
     @given(
         losses=finite_losses,
-        strategy=st.sampled_from(list(Strategy)),
+        mode=st.sampled_from(list(MODES)),
         r=st.floats(min_value=0.01, max_value=100.0),
         step=st.integers(min_value=0, max_value=1000),
     )
     @settings(max_examples=1000, deadline=None)
-    def test_simplex_property(self, losses, strategy, r, step):
+    def test_simplex_property(self, losses, mode, r, step):
         cfg = ReweightConfig(
-            strategy=strategy,
-            schedule=TemperatureSchedule(kind="constant", r_initial=r),
+            mode=mode,
+            schedule=TemperatureSchedule(kind="constant", r_initial=r, r_final=r),
         )
         w = compute_batch_weights(losses, cfg, step=step)
         assert w.shape == losses.shape
@@ -403,7 +432,7 @@ class TestComputeBatchWeights:
     @given(losses=finite_losses, r=st.floats(min_value=0.05, max_value=10.0))
     def test_linupper_weights_monotone_in_loss(self, losses, r):
         cfg = ReweightConfig(
-            strategy=Strategy.LINUPPER,
+            mode="linupper",
             schedule=TemperatureSchedule(kind="constant", r_initial=r),
         )
         w = compute_batch_weights(losses, cfg)
@@ -413,7 +442,7 @@ class TestComputeBatchWeights:
     @given(losses=finite_losses)
     def test_pigeonhole_on_weight_extremes(self, losses):
         cfg = ReweightConfig(
-            strategy=Strategy.QUADRATIC,
+            mode="quadratic",
             schedule=TemperatureSchedule(kind="constant", r_initial=1.0),
         )
         w = compute_batch_weights(losses, cfg)
@@ -423,25 +452,35 @@ class TestComputeBatchWeights:
 
 
 class TestReweightConfigValidation:
-    def test_strategy_string_coerced(self):
-        assert ReweightConfig(strategy="quadratic").strategy is Strategy.QUADRATIC
+    def test_modes_are_the_cli_strategy_names(self):
+        assert list(MODES) == ["uniform", "linupper", "quadratic", "extremes", "capped",
+                               "dro_kl"]
+        for mode in MODES:
+            assert ReweightConfig(mode=mode).mode == mode
+
+    @pytest.mark.parametrize("mode", ["nonsense", "capped ", "LinUpper", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ConfigError, match=f"unknown weighting mode {mode!r}"):
+            ReweightConfig(mode=mode)
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "capped"])
+    def test_cap_read_only_by_capped(self, mode):
+        with pytest.raises(ConfigError, match=f"cap is read only by mode 'capped', not {mode!r}"):
+            ReweightConfig(mode=mode, cap=0.5)
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "dro_kl"])
+    def test_dro_tau_read_only_by_dro_kl(self, mode):
+        with pytest.raises(ConfigError,
+                           match=f"dro_tau is read only by mode 'dro_kl', not {mode!r}"):
+            ReweightConfig(mode=mode, dro_tau=1.0)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             ReweightConfig(alpha=-1.0)
         with pytest.raises(ConfigError):
-            ReweightConfig(cap=0.0)
+            ReweightConfig(mode="capped", cap=0.0)
         with pytest.raises(ConfigError):
-            ReweightConfig(dro_tau=-2.0)
-
-
-def _mode_config(mode, b, schedule):
-    """The ReweightConfig the CLI builds for a strategy name at batch size b."""
-    if mode == "capped":
-        return ReweightConfig(schedule=schedule, cap=2.0 / b)
-    if mode == "dro_kl":
-        return ReweightConfig(schedule=schedule, dro_tau=schedule.r_initial)
-    return ReweightConfig(strategy=Strategy(mode), schedule=schedule)
+            ReweightConfig(mode="dro_kl", dro_tau=-2.0)
 
 
 def _stacked_losses(S, b, seed):
@@ -456,9 +495,6 @@ def _stacked_losses(S, b, seed):
     return losses
 
 
-MODES = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
-
-
 class TestRowWiseWeights:
     """A stack of batches is weighted row by row: each row of a stacked
     call is bit for bit the 1-D call on that row."""
@@ -468,7 +504,9 @@ class TestRowWiseWeights:
     @pytest.mark.parametrize("b", [7, 32])
     @pytest.mark.parametrize("r", [1.0, 1e-6])
     def test_rows_equal_one_dimensional_calls(self, mode, S, b, r):
-        cfg = _mode_config(mode, b, TemperatureSchedule(kind="constant", r_initial=r))
+        cfg = ReweightConfig(mode=mode,
+                             schedule=TemperatureSchedule(kind="constant", r_initial=r,
+                                                          r_final=r))
         losses = _stacked_losses(S, b, seed=S * b)
         w = compute_batch_weights(losses, cfg, step=3)
         assert w.shape == (S, b)
@@ -482,7 +520,7 @@ class TestRowWiseWeights:
         # drop from r = 50 to r = 1e-6.
         schedule = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=1e-6,
                                        warmup_steps=4)
-        cfg = _mode_config(mode, b, schedule)
+        cfg = ReweightConfig(mode=mode, schedule=schedule)
         losses = _stacked_losses(10, b, seed=b)
         w = compute_batch_weights(losses, cfg, step=np.arange(10))
         for t, (row, f) in enumerate(zip(w, losses)):
@@ -497,7 +535,8 @@ class TestRowWiseWeights:
             (temper_weights(h, r), [temper_weights(x, ri) for x, ri in zip(h, r)]),
             (capped_optimal_weights(h, r, 0.3),
              [capped_optimal_weights(x, ri, 0.3) for x, ri in zip(h, r)]),
-            (dro_kl_weights(losses, 0.7), [dro_kl_weights(f, 0.7) for f in losses]),
+            (_mode_weights("dro_kl", losses, dro_tau=0.7),
+             [_mode_weights("dro_kl", f, dro_tau=0.7) for f in losses]),
         ]
         for stacked, rows in cases:
             assert stacked.tobytes() == np.array(rows).tobytes()

@@ -13,7 +13,6 @@ from reweight import optim
 from reweight.core import (
     ConfigError,
     ReweightConfig,
-    Strategy,
     TemperatureSchedule,
     ValidationError,
     compute_batch_weights,
@@ -139,6 +138,10 @@ class TestTheoryStepsize:
             StepSizeRule(kind="convex_theory", L=0.0)
 
 
+# The four modes that read neither cap nor dro_tau.
+SCORED_AND_UNIFORM = ("linupper", "quadratic", "extremes", "uniform")
+
+
 @pytest.fixture(scope="module")
 def quadratic_problem():
     return QuadraticProblem(gen_quadratic_suite(M=32, d=8, seed=0))
@@ -148,7 +151,7 @@ class TestRunTraining:
     def test_zero_steps_single_record(self, quadratic_problem):
         traj = run_training(
             quadratic_problem,
-            ReweightConfig(strategy=Strategy.UNIFORM),
+            ReweightConfig(mode="uniform"),
             StepSizeRule(kind="fixed", eta=0.01),
             batch_size=8,
             steps=0,
@@ -161,7 +164,7 @@ class TestRunTraining:
     def test_determinism(self, quadratic_problem):
         kwargs = dict(
             reweight_config=ReweightConfig(
-                strategy=Strategy.LINUPPER, schedule=constant_schedule()
+                mode="linupper", schedule=constant_schedule()
             ),
             stepsize=StepSizeRule(kind="fixed", eta=0.01),
             batch_size=8,
@@ -179,7 +182,7 @@ class TestRunTraining:
         batch, steps, seed, eta = 8, 40, 5, 0.01
         traj = run_training(
             problem,
-            ReweightConfig(strategy=Strategy.UNIFORM),
+            ReweightConfig(mode="uniform"),
             StepSizeRule(kind="fixed", eta=eta),
             batch_size=batch,
             steps=steps,
@@ -212,12 +215,12 @@ class TestRunTraining:
         hot = run_training(
             quadratic_problem,
             ReweightConfig(
-                strategy=Strategy.LINUPPER, schedule=constant_schedule(1e6)
+                mode="linupper", schedule=constant_schedule(1e6)
             ),
             **common,
         )
         uni = run_training(
-            quadratic_problem, ReweightConfig(strategy=Strategy.UNIFORM), **common
+            quadratic_problem, ReweightConfig(mode="uniform"), **common
         )
         assert np.abs(hot.thetas - uni.thetas).max() <= 1e-6
 
@@ -226,7 +229,7 @@ class TestRunTraining:
         eta, steps = 0.005, 100
         traj = run_training(
             problem,
-            ReweightConfig(strategy=Strategy.LINUPPER, schedule=constant_schedule()),
+            ReweightConfig(mode="linupper", schedule=constant_schedule()),
             StepSizeRule(kind="fixed", eta=eta),
             batch_size=8,
             steps=steps,
@@ -253,7 +256,7 @@ class TestRunTraining:
         problem = RegressionProblem(gen_regression(p=8, n=64, m=16, seed=0, n_test=8))
         traj = run_training(
             problem,
-            ReweightConfig(strategy=Strategy.UNIFORM),
+            ReweightConfig(mode="uniform"),
             StepSizeRule(kind="fixed", eta=10.0),
             batch_size=16,
             steps=200,
@@ -267,7 +270,7 @@ class TestRunTraining:
         with pytest.raises(ConfigError):
             run_training(
                 quadratic_problem,
-                ReweightConfig(strategy=Strategy.UNIFORM),
+                ReweightConfig(mode="uniform"),
                 StepSizeRule(kind="fixed", eta=0.01),
                 batch_size=0,
                 steps=1,
@@ -279,7 +282,7 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match=r"step \d+: observed w_max = .* exceeds 2/b = 0\.25"):
             run_training(
                 quadratic_problem,
-                ReweightConfig(strategy=Strategy.LINUPPER, schedule=constant_schedule(0.01)),
+                ReweightConfig(mode="linupper", schedule=constant_schedule(0.01)),
                 StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
                 batch_size=8,
                 steps=20,
@@ -288,7 +291,7 @@ class TestRunTraining:
     def test_averaged_theta(self, quadratic_problem):
         traj = run_training(
             quadratic_problem,
-            ReweightConfig(strategy=Strategy.UNIFORM),
+            ReweightConfig(mode="uniform"),
             StepSizeRule(kind="fixed", eta=0.01),
             batch_size=8,
             steps=10,
@@ -456,15 +459,15 @@ class TestFusedRunMatchesReference:
         assert traj.records[-1].delta_is_proxy and traj.records[-1].mu is not None
 
     def test_regression_uniform(self, small_regression):
-        self.check(small_regression, ReweightConfig(strategy=Strategy.UNIFORM),
+        self.check(small_regression, ReweightConfig(mode="uniform"),
                    StepSizeRule(eta=1e-2), batch_size=8, steps=25, seed=4)
 
     def test_regression_dro_kl(self, small_regression):
-        self.check(small_regression, ReweightConfig(dro_tau=2.0),
+        self.check(small_regression, ReweightConfig(mode="dro_kl", dro_tau=2.0),
                    StepSizeRule(eta=1e-3), batch_size=8, steps=25, seed=5)
 
     def test_quadratic_capped_convex_theory_momentum(self, quadratic_problem):
-        rw = ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8)
+        rw = ReweightConfig(mode="capped", schedule=constant_schedule(0.1), cap=2.0 / 8)
         traj = self.check(quadratic_problem, rw,
                           StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
                           batch_size=8, steps=30, seed=6, momentum=True)
@@ -483,7 +486,7 @@ class TestFusedRunMatchesReference:
         assert len(traj.records) == 1 and traj.thetas.shape == (1, 17)
 
     def test_divergence_on_loss_check(self, small_regression):
-        traj = self.check(small_regression, ReweightConfig(strategy=Strategy.UNIFORM),
+        traj = self.check(small_regression, ReweightConfig(mode="uniform"),
                           StepSizeRule(eta=10.0), batch_size=16, steps=200, seed=0)
         assert traj.diverged
         # the loss check stops the run before the step is recorded
@@ -555,14 +558,14 @@ class TestLockstepMatchesReference:
         step_drop = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=0.5,
                                         warmup_steps=10)
         cells = [
-            (ReweightConfig(strategy=Strategy.UNIFORM), 0),
+            (ReweightConfig(mode="uniform"), 0),
             (ReweightConfig(schedule=constant_schedule()), 0),
             (ReweightConfig(schedule=constant_schedule()), 1),
-            (ReweightConfig(dro_tau=1.0), 0),
-            (ReweightConfig(cap=0.001), 0),
-            (ReweightConfig(strategy=Strategy.QUADRATIC, schedule=step_drop), 2),
-            (ReweightConfig(strategy=Strategy.EXTREMES, schedule=constant_schedule(0.5)), 3),
-            (ReweightConfig(schedule=constant_schedule(1e-6), cap=0.25), 4),
+            (ReweightConfig(mode="dro_kl", dro_tau=1.0), 0),
+            (ReweightConfig(mode="capped", cap=0.001), 0),
+            (ReweightConfig(mode="quadratic", schedule=step_drop), 2),
+            (ReweightConfig(mode="extremes", schedule=constant_schedule(0.5)), 3),
+            (ReweightConfig(mode="capped", schedule=constant_schedule(1e-6), cap=0.25), 4),
         ]
         outcomes = self.check(problem, cells, StepSizeRule(eta=1e-2), batch_size=8, steps=60)
         assert outcomes[3].diverged and 0 < outcomes[3].divergence_step < 60
@@ -572,11 +575,11 @@ class TestLockstepMatchesReference:
         # r = 0.01 softmax weights exceed 2/b mid-run; cap 0.5 > 2/b fails
         # before the first step. The other cells must be untouched.
         cells = [
-            (ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8), 6),
+            (ReweightConfig(mode="capped", schedule=constant_schedule(0.1), cap=2.0 / 8), 6),
             (ReweightConfig(schedule=constant_schedule(0.01)), 0),
-            (ReweightConfig(strategy=Strategy.UNIFORM), 1),
-            (ReweightConfig(cap=0.5), 2),
-            (ReweightConfig(schedule=constant_schedule(0.1), cap=2.0 / 8), 7),
+            (ReweightConfig(mode="uniform"), 1),
+            (ReweightConfig(mode="capped", cap=0.5), 2),
+            (ReweightConfig(mode="capped", schedule=constant_schedule(0.1), cap=2.0 / 8), 7),
         ]
         outcomes = self.check(quadratic_problem, cells,
                               StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
@@ -585,12 +588,12 @@ class TestLockstepMatchesReference:
 
     def test_nonconvex_proxy_delta(self):
         problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
-        cells = [(ReweightConfig(strategy=s, schedule=constant_schedule(0.5)), seed)
-                 for s in Strategy for seed in (0, 7)]
+        cells = [(ReweightConfig(mode=s, schedule=constant_schedule(0.5)), seed)
+                 for s in SCORED_AND_UNIFORM for seed in (0, 7)]
         self.check(problem, cells, StepSizeRule(eta=0.05), batch_size=8, steps=30)
 
     def test_zero_steps_and_update_divergence(self):
-        cells = [(ReweightConfig(), 9), (ReweightConfig(strategy=Strategy.UNIFORM), 1)]
+        cells = [(ReweightConfig(), 9), (ReweightConfig(mode="uniform"), 1)]
         self.check(RegressionProblem(gen_regression(p=4, n=32, m=8, n_test=4)), cells,
                    StepSizeRule(eta=1e-2), batch_size=8, steps=0)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -623,8 +626,8 @@ def test_lockstep_memory_stays_within_budget(monkeypatch):
     problem = RegressionProblem(gen_regression(p=16, n=400, m=100, seed=0, n_test=64))
     b, steps, group = 8, 1000, 5
     monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
-    cells = [(ReweightConfig(strategy=s, schedule=constant_schedule()), seed)
-             for s in Strategy for seed in range(5)]
+    cells = [(ReweightConfig(mode=s, schedule=constant_schedule()), seed)
+             for s in SCORED_AND_UNIFORM for seed in range(5)]
     rule = StepSizeRule(eta=1e-3)
     # one cell's records, with the ten column lists they are built from
     records = _records_bytes(run_training(problem, cells[0][0], rule, b, steps).records)
