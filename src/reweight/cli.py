@@ -7,15 +7,20 @@ Subcommands:
   verify    -- brute-force oracle suite; nonzero exit on any failure
 
 Configs are flat key-value JSON files, checked at load time against
-CONFIG_KEYS (type and range per key); an unreadable file, bad JSON or a bad
-value exits with code 2 and a message naming the path or key. Every output
-gets a sidecar <out>.meta.json with the fully resolved config so results are
+CONFIG_KEYS (type and range per key); an unreadable file, bad JSON, an
+unknown key or a bad value exits with code 2 and a message naming the path
+or key. A --seed override is checked the same way. Every output gets a
+sidecar <out>.meta.json with the fully resolved config so results are
 reproducible from their artifacts alone.
 
-A sweep builds its problem and step-size rule once and trains its cells in
-lockstep through optim.run_cells: cells are rows of one training loop, run
-in groups whose histories fit a fixed memory budget. Each cell's CSV equals
-the one `run` writes for the same config, byte for byte.
+A sweep config holds the run keys except strategy, seed, schedule, r_initial
+and r_final, which every cell sets itself, plus the lists strategies,
+r_values and seeds. Each cell runs one strategy at a constant r with one
+seed. The sweep builds its problem and step-size rule once and trains its
+cells in lockstep through optim.run_cells: cells are rows of one training
+loop, run in groups whose histories fit a fixed memory budget. Each cell's
+CSV and sidecar equal the ones `run` writes for the same config, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ CONFIG_KEYS = {
     "cap": "number? > 0", "dro_tau": "number? > 0", "lr": "number > 0",
     "warmup_steps": "int >= 0", "batch_size": "int >= 1", "steps": "int >= 0",
     "seed": "int >= 0", "data_seed": "int >= 0", "p": "int >= 1", "n": "int >= 1",
-    "m": "int >= 0", "n_test": "int >= 0", "M": "int >= 1", "d": "int >= 1",
+    "m": "int >= 0", "n_test": "int >= 1", "M": "int >= 1", "d": "int >= 1",
     "cond_max": "number >= 1", "strategies": "[string]", "r_values": "[number] > 0",
     "seeds": "[int] >= 0",
 }
@@ -139,7 +144,9 @@ def _check_value(key, value):
         raise ConfigError(f"config key {key!r} must be {' '.join(bound)}, got {value!r}")
 
 
-def _load_config(path, defaults):
+def _load_config(path, defaults, seed=None):
+    """The defaults updated by the checked config file, then by a checked
+    --seed override."""
     cfg = dict(defaults)
     if path:
         try:
@@ -158,6 +165,9 @@ def _load_config(path, defaults):
         for key, value in user.items():
             _check_value(key, value)
         cfg.update(user)
+    if seed is not None:
+        _check_value("seed", seed)
+        cfg["seed"] = seed
     return cfg
 
 
@@ -167,14 +177,15 @@ def _write_meta(out_path, cfg):
         fh.write("\n")
 
 
+def _dataset(cfg, seed):
+    return gen_regression(p=cfg["p"], n=cfg["n"], m=cfg["m"], noise_c=cfg["noise_c"],
+                          seed=seed, n_test=cfg["n_test"])
+
+
 def _make_problem(cfg):
     name = cfg["problem"]
     if name == "regression":
-        data = gen_regression(
-            p=cfg["p"], n=cfg["n"], m=cfg["m"], noise_c=cfg["noise_c"],
-            seed=cfg["data_seed"], n_test=cfg["n_test"],
-        )
-        return RegressionProblem(data)
+        return RegressionProblem(_dataset(cfg, cfg["data_seed"]))
     if name == "quadratic":
         suite = gen_quadratic_suite(
             M=cfg["M"], d=cfg["d"], cond_max=cfg["cond_max"], seed=cfg["data_seed"]
@@ -222,13 +233,8 @@ def _write_trajectory_csv(out_path, traj: Trajectory):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config, GEN_DEFAULTS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    data = gen_regression(
-        p=cfg["p"], n=cfg["n"], m=cfg["m"], noise_c=cfg["noise_c"],
-        seed=cfg["seed"], n_test=cfg["n_test"],
-    )
+    cfg = _load_config(args.config, GEN_DEFAULTS, args.seed)
+    data = _dataset(cfg, cfg["seed"])
     with open(args.out, "w", newline="") as fh:
         fh.write(data.to_csv())
     _write_meta(args.out, cfg)
@@ -246,9 +252,7 @@ def run_one(cfg) -> Trajectory:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, RUN_DEFAULTS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = _load_config(args.config, RUN_DEFAULTS, args.seed)
     traj = run_one(cfg)
     _write_trajectory_csv(args.out, traj)
     _write_meta(args.out, cfg)
@@ -260,7 +264,9 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-SWEEP_DEFAULTS = dict(RUN_DEFAULTS)
+# Every sweep cell sets these run keys itself, so a sweep config cannot.
+CELL_KEYS = ("strategy", "seed", "schedule", "r_initial", "r_final")
+SWEEP_DEFAULTS = {k: v for k, v in RUN_DEFAULTS.items() if k not in CELL_KEYS}
 SWEEP_DEFAULTS.update({
     "strategies": ["uniform", "linupper", "quadratic", "extremes"],
     "r_values": [1.0],

@@ -58,14 +58,12 @@ LOCKSTEP_BYTES = 4 << 20
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite iterate or loss; carries the step at which it happened.
+    """Non-finite iterate; carries the step at which it happened, the
+    non-finite rows of the stack and the updated state, so the finite rows
+    can go on."""
 
-    An update of a stack of iterates also names the non-finite rows and
-    carries the updated state, so the finite rows can go on.
-    """
-
-    def __init__(self, step: int, message: str = "", rows=None, state=None):
-        super().__init__(message or f"divergence detected at step {step}")
+    def __init__(self, step: int, rows, state):
+        super().__init__(f"divergence detected at step {step}")
         self.step = step
         self.rows = rows
         self.state = state
@@ -264,9 +262,9 @@ class _Group:
         G, self.n, rows = len(cells), problem.n_samples, max(steps, 1)
         self.errors = [None] * G
         for i, (config, _) in enumerate(cells):
-            cap_bound = config.cap if config.cap is not None else 2.0 / batch_size
-            try:
-                theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
+            try:  # the default cap 2/b always meets the convex-theory bound
+                if config.cap is not None:
+                    theory_stepsize(stepsize, w_max=config.cap, batch=batch_size)
             except ConfigError as exc:
                 self.errors[i] = exc
         self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
@@ -368,7 +366,7 @@ class _Group:
             pos += b
             theta = self.state.theta
             f, g = problem.loss_grad(theta, idx)
-            if updating and not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
+            if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
                 keep = self._stop(np.atleast_1d(bad), theta, t, step=t)
                 if not len(self.active):
@@ -460,10 +458,9 @@ class _Group:
         if not hasattr(problem, "losses_at_opt") and not diverged:
             # Proxy delta: the final iterate's losses stand in for the optimal
             # ones, from one losses call over all samples indexed by the batch
-            # history; without history the weights are recomputed row-wise.
+            # history, with the weights recomputed row-wise from the losses.
             f_final = problem.losses(self.final[i], np.arange(problem.n_samples))
-            w = weights if weights is not None else compute_batch_weights(
-                losses, config, np.arange(T))
+            w = compute_batch_weights(losses, config, np.arange(T))
             gaps = losses - f_final[indices]
             for rec, delta in zip(records, np.add.reduce((1.0 / b - w) * gaps, axis=1).tolist()):
                 rec.delta = delta
@@ -490,10 +487,10 @@ def run_training(
     epoch, seeded), computes weights from the batch losses, and applies the
     (momentum-)reweighted update. Deterministic given the seed. A non-finite
     or huge loss stops the run and marks the trajectory diverged instead of
-    raising. Under the convex_theory step size, a step whose observed max
-    weight exceeds 2/b raises ConfigError before the update is applied.
-    With steps = 0 the run records the initial evaluation only, and neither
-    check applies because no update is taken.
+    raising, at step 0 too. Under the convex_theory step size, a step whose
+    observed max weight exceeds 2/b raises ConfigError before the update is
+    applied. With steps = 0 the run records the initial evaluation only, and
+    the w_max check does not apply because no update is taken.
     """
     (outcome,) = run_cells(problem, [(reweight_config, seed)], stepsize, batch_size, steps,
                            momentum=momentum, history=True)

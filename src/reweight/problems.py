@@ -74,32 +74,6 @@ class RegressionDataset:
             )
         return buf.getvalue()
 
-    @staticmethod
-    def from_csv(text: str) -> "RegressionDataset":
-        """Rebuild the training block from a CSV export.
-
-        Generator parameters and the test split are not stored in the CSV,
-        so they come back empty; the training data round-trips exactly.
-        """
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        p = len(header) - 2
-        rows = [row for row in reader if row]
-        X = np.array([[float(v) for v in row[:p]] for row in rows])
-        y = np.array([float(row[p]) for row in rows])
-        flags = np.array([int(row[p + 1]) for row in rows])
-        n_clean = int((flags == 0).sum())
-        return RegressionDataset(
-            X=X,
-            y=y,
-            n_clean=n_clean,
-            m_outlier=len(rows) - n_clean,
-            W_star=np.empty(0),
-            b_star=0.0,
-            X_test=np.empty((0, p)),
-            y_test=np.empty(0),
-        )
-
 
 def gen_regression(
     p: int = 64,
@@ -250,18 +224,15 @@ class RegressionProblem:
 class QuadraticProblem:
     """Optimizer-facing view of a QuadraticSuite; f_i(theta*) = 0 for all i."""
 
-    def __init__(self, suite: QuadraticSuite, theta_init=None):
+    def __init__(self, suite: QuadraticSuite):
         self.suite = suite
         self.dim = suite.theta_star.size
         self.n_samples = suite.M
         self.L = suite.L
         self.theta_star = suite.theta_star
-        self._theta_init = (
-            np.zeros(self.dim) if theta_init is None else np.asarray(theta_init, float)
-        )
 
     def theta_init(self) -> np.ndarray:
-        return self._theta_init.copy()
+        return np.zeros(self.dim)
 
     def losses(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[0]

@@ -81,7 +81,7 @@ class TestConfigErrors:
         ("run", "p", 0, ">= 1"),
         ("run", "n", 0, ">= 1"),
         ("run", "m", -1, ">= 0"),
-        ("run", "n_test", -1, ">= 0"),
+        ("run", "n_test", 0, ">= 1"),
         ("run", "M", 0, ">= 1"),
         ("run", "d", 0, ">= 1"),
         ("run", "cond_max", 0.5, ">= 1"),
@@ -99,6 +99,13 @@ class TestConfigErrors:
                      "--out", str(out)]) == EXIT_CONFIG
         assert f"config key {key!r} must be {bound}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_negative_seed_override_exits_config(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        assert main([command, "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        assert "config key 'seed' must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, key, value", [
         ("run", "lr", float("inf")),
@@ -269,6 +276,15 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"config key {key!r} must be >= {bound}, got {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_steps_divergence_exits_diverged(self, tmp_path, capsys):
+        # The step-0 losses overflow: the run diverges before any weighting.
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0, noise_c=1e300))
+        out = tmp_path / "x.csv"
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        assert "diverged at step 0; wrote 0 steps" in capsys.readouterr().out
+        assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
     def test_zero_steps_records_initial_evaluation(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0))
@@ -479,6 +495,31 @@ class TestSweep:
                                 r_values=[1.0]))
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+        rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["diverged"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("strategy", "uniform"),
+        ("seed", 1),
+        ("schedule", "constant"),
+        ("r_initial", 1.0),
+        ("r_final", 1.0),
+    ])
+    def test_cell_key_exits_config(self, tmp_path, capsys, key, value):
+        # Every cell sets these keys itself, so a sweep config cannot.
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, **{key: value}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_zero_steps_divergence_reads_diverged(self, tmp_path):
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, steps=0, noise_c=1e300, strategies=["uniform"],
+                                seeds=[0]))
+        out_dir = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
         rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
         assert [r["status"] for r in rows] == ["diverged"]
 

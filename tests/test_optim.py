@@ -266,6 +266,16 @@ class TestRunTraining:
         assert traj.divergence_step is not None
         assert len(traj.records) < 200
 
+    def test_zero_steps_divergence_recorded(self):
+        # The step-0 losses overflow; the run stops before weighting them.
+        with np.errstate(over="ignore"):
+            problem = RegressionProblem(gen_regression(p=4, n=16, m=0, noise_c=1e300,
+                                                       n_test=4))
+            traj = run_training(problem, ReweightConfig(), StepSizeRule(eta=1e-2),
+                                batch_size=8, steps=0)
+        assert traj.diverged and traj.divergence_step == 0
+        assert traj.records == [] and traj.thetas.shape == (1, 5)
+
     def test_bad_batch_size_rejected(self, quadratic_problem):
         with pytest.raises(ConfigError):
             run_training(

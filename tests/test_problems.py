@@ -8,7 +8,6 @@ from reweight.problems import (
     NonconvexProblem,
     QuadraticProblem,
     QuadraticSuite,
-    RegressionDataset,
     RegressionProblem,
     gen_quadratic_suite,
     gen_regression,
@@ -65,12 +64,13 @@ class TestGenRegression:
             gen_regression(p=0)
 
     def test_csv_roundtrip_exact(self):
+        # Every float is written with repr, so parsing it back is exact.
         data = gen_regression(p=3, n=16, m=4, seed=5, n_test=4)
-        back = RegressionDataset.from_csv(data.to_csv())
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)
-        assert back.n_clean == data.n_clean
-        assert back.m_outlier == data.m_outlier
+        rows = [row.split(",") for row in data.to_csv().split("\r\n")[1:] if row]
+        np.testing.assert_array_equal([[float(v) for v in row[:3]] for row in rows], data.X)
+        np.testing.assert_array_equal([float(row[3]) for row in rows], data.y)
+        np.testing.assert_array_equal([int(row[4]) for row in rows], data.is_outlier)
+        assert data.is_outlier.sum() == data.m_outlier == 4
 
     def test_csv_format(self):
         data = gen_regression(p=2, n=3, m=1, seed=0, n_test=1)
