@@ -220,6 +220,9 @@ def _make_stepsize(cfg, problem):
     if kind == "convex_theory":
         return StepSizeRule(kind="convex_theory", L=problem.L)
     if kind == "sqrt_horizon":
+        if cfg["steps"] < 1:
+            raise ConfigError(f"stepsize_rule 'sqrt_horizon' needs config key 'steps' >= 1, "
+                              f"got {cfg['steps']!r}")
         return StepSizeRule(kind="sqrt_horizon", L=problem.L, horizon_T=cfg["steps"])
     raise ConfigError(f"unknown stepsize_rule {kind!r}")
 

@@ -16,12 +16,13 @@ batches with its own generator, and every row's arithmetic is bit for bit
 that of a run on its own. A row that diverges or fails leaves the stack;
 the others go on. run_training is the one-cell call.
 
-Per step the loop also makes one losses call at the previous iterates for
-mu_t. The diagnostics are computed from those arrays as one value per row
-and go into preallocated per-cell histories with the batch indices and
-losses; records are built per cell at the end. Where a problem has no
-optimal losses, the proxy delta_t comes from one losses call at the final
-iterate over all samples and the weights recomputed from the stored losses.
+The same loss_grad call also returns the previous iterates' losses on the
+step's rows, for mu_t. The diagnostics are computed from those arrays as one
+value per row and go into preallocated per-cell histories with the batch
+indices and losses; records are built per cell at the end. Where a problem
+has no optimal losses, the proxy delta_t comes from one losses call at the
+final iterate over all samples and the weights recomputed from the stored
+losses.
 
 Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 """
@@ -365,13 +366,14 @@ class _Group:
             idx = self.orders[..., pos:pos + b]
             pos += b
             theta = self.state.theta
-            f, g = problem.loss_grad(theta, idx)
+            f, g, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
                 keep = self._stop(np.atleast_1d(bad), theta, t, step=t)
                 if not len(self.active):
                     break
                 theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
+                f_prev = None if f_prev is None else f_prev[keep]
             w, errors = self._weights(f, t)
             w_max = w.max(axis=-1)
             if w_limit is not None and (w_max > w_limit).any():
@@ -387,6 +389,7 @@ class _Group:
                 if not len(self.active):
                     break
                 theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
+                f_prev = None if f_prev is None else f_prev[keep]
                 w, w_max = w[keep], w_max[keep]
             rows = self.rows
             u = inv_b - w
@@ -397,8 +400,8 @@ class _Group:
             cols["w_min"][rows, t] = w.min(axis=-1)
             if losses_at_opt:
                 cols["delta"][rows, t] = gap_sum(u, f - losses_at_opt(idx))
-            if self.prev_theta is not None:
-                cols["mu"][rows, t] = gap_sum(u, f - problem.losses(self.prev_theta, idx))
+            if f_prev is not None:
+                cols["mu"][rows, t] = gap_sum(u, f - f_prev)
             cols["grad_gap"][rows, t] = gap_sum(u, (g**2).sum(axis=-1))
             if theta_star is not None:
                 cols["theta_dist_sq"][rows, t] = ((theta - theta_star) ** 2).sum(axis=-1)

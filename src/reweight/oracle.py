@@ -8,10 +8,11 @@ provides central-difference gradients for checking analytic gradient code.
 
 The projection onto the capped simplex is exact rather than iterative. In
 the metric diag(1/scale) it is clip(v - lam * scale, floor, cap), and the
-clipped sum is piecewise linear in lam with 2b kinks, so bisecting over the
-sorted kinks (about log2(2b) sum evaluations) brackets the root on one
-linear piece, which is solved in closed form (the sort-based capped-simplex
-projection of Wang & Lu 2015 and Duchi et al. 2008).
+clipped sum is piecewise linear in lam with 2b kinks, so a k-ary search over
+the sorted kinks, evaluating the sum at up to _PROBES kinks per numpy call
+(one call for 2b <= _PROBES, about log_64(2b) in general), brackets the root
+on one linear piece, which is solved in closed form (the sort-based
+capped-simplex projection of Wang & Lu 2015 and Duchi et al. 2008).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ __all__ = [
 
 _W_FLOOR = 1e-10  # lower box bound; avoids log(0) and unbounded gradients
 
+# Kinks at which one search round evaluates the clipped sum; a round holds
+# a (_PROBES, b) array.
+_PROBES = 64
+
 
 def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.ndarray:
     """Projection onto {w : floor <= w_i <= cap, sum w = 1} in the diagonal
@@ -39,29 +44,32 @@ def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.n
     that makes the coordinates sum to one. That sum is nonincreasing and
     piecewise linear in lam, with kinks where a coordinate leaves the cap,
     (v - cap) / scale, and where it reaches the floor, (v - floor) / scale.
-    A bisection over the sorted kinks finds the bracketing piece, which is
-    then solved exactly.
+    Each round of the search evaluates that sum at up to _PROBES evenly
+    spaced kinks in one call and keeps the first adjacent pair where it drops
+    below one; the bracketing piece is then solved exactly.
     """
     v = np.asarray(v, dtype=float)
     b = v.size
     if cap * b < 1.0 - 1e-12:
         raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), v.shape)
+    scale = np.asarray(scale, dtype=float)
     kinks = np.sort(np.concatenate(((v - cap) / scale, (v - floor) / scale)))
 
-    def total(lam):
-        return np.clip(v - lam * scale, floor, cap).sum()
-
-    # Invariant: total(kinks[lo]) >= 1 >= total(kinks[hi]).
+    # Invariant: sum(kinks[lo]) >= 1 > sum(kinks[hi]), except that lo may
+    # stay 0 and hi may stay at the last kink. The sum is nonincreasing in
+    # the kink index in floating point too (every rounding step is monotone),
+    # so counting the interior probes whose sum is >= 1 finds the first probe
+    # below one.
     lo, hi = 0, kinks.size - 1
-    s_lo, s_hi = total(kinks[lo]), total(kinks[hi])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s_mid = total(kinks[mid])
-        if s_mid >= 1.0:
-            lo, s_lo = mid, s_mid
-        else:
-            hi, s_hi = mid, s_mid
+    while True:
+        num = min(_PROBES, hi - lo + 1)
+        probe = lo + np.arange(num) * (hi - lo) // (num - 1)
+        sums = np.clip(v - kinks[probe, None] * scale, floor, cap).sum(axis=1)
+        p = 1 + np.count_nonzero(sums[1:-1] >= 1.0)
+        lo, hi = probe[p - 1], probe[p]
+        if hi - lo == 1:
+            break
+    s_lo, s_hi = sums[p - 1], sums[p]
     lam = kinks[lo]
     if s_lo > s_hi:  # on a flat piece (floor == cap) every lam is a root
         lam += (s_lo - 1.0) / (s_lo - s_hi) * (kinks[hi] - kinks[lo])

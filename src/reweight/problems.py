@@ -7,11 +7,13 @@ Three families:
     loss, used to make the convergence-theory quantities exactly computable,
   * a bounded non-convex per-sample loss 1 - exp(-residual^2).
 
-Each problem exposes the vectorized `loss_grad(theta, idx) -> (losses,
-grads)` that training calls once per step (it gathers the rows and computes
-the residual once), `losses(theta, idx)` with the same arithmetic for the
-losses alone, `grads(theta, idx)` as the gradient half of `loss_grad`, and
-the exact smoothness constant L.
+Each problem exposes the vectorized `loss_grad(theta, idx, prev=None) ->
+(losses, grads, prev_losses)` that training calls once per step: it gathers
+the rows once, computes the residual once, and, given the previous iterate
+prev, also that iterate's losses on the same rows (None without prev).
+`losses(theta, idx)` has the same arithmetic for the losses alone,
+`grads(theta, idx)` is the gradient half of `loss_grad`, and L is the exact
+smoothness constant.
 
 Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
 of iterates (S, d) with one row of indices each, (S, b); losses then come
@@ -89,8 +91,8 @@ def gen_regression(
     X = 0.1 * N(0,1) + 2.0 with y ~ N(0,1). The test split is drawn from
     the clean process only. Deterministic given the seed.
     """
-    if p < 1 or n < 1 or m < 0 or n_test < 0:
-        raise ValueError("p, n must be >= 1; m, n_test must be >= 0")
+    if p < 1 or n < 1 or n_test < 1 or m < 0:
+        raise ValueError("p, n, n_test must be >= 1; m must be >= 0")
     rng = np.random.default_rng(seed)
     W_star = rng.standard_normal(p)
     b_star = float(rng.standard_normal())
@@ -209,10 +211,14 @@ class RegressionProblem:
     def grads(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[1]
 
-    def loss_grad(self, theta, idx):
-        rows = self._X1[idx]
-        r = _matvec(rows, theta) - self.data.y[idx]
-        return 0.5 * r * r, r[..., None] * rows
+    def loss_grad(self, theta, idx, prev=None):
+        rows, y = self._X1[idx], self.data.y[idx]
+        r = _matvec(rows, theta) - y
+        f_prev = None
+        if prev is not None:
+            r_prev = _matvec(rows, prev) - y
+            f_prev = 0.5 * r_prev * r_prev
+        return 0.5 * r * r, r[..., None] * rows, f_prev
 
     def test_loss(self, theta):
         """Mean test loss: a float for one iterate, an (S,) array for a stack."""
@@ -240,10 +246,15 @@ class QuadraticProblem:
     def grads(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[1]
 
-    def loss_grad(self, theta, idx):
+    def loss_grad(self, theta, idx, prev=None):
+        A = self.suite.A[idx]
+        f, Adev = self._loss_grad(A, theta)
+        return f, Adev, None if prev is None else self._loss_grad(A, prev)[0]
+
+    def _loss_grad(self, A, theta):
         dev = np.asarray(theta, float) - self.theta_star
         # A stack of iterates gives each of its b matrices a column of dev.
-        Adev = _matvec(self.suite.A[idx], dev[..., None, :])
+        Adev = _matvec(A, dev[..., None, :])
         return _matvec(0.5 * Adev, dev), Adev
 
     def losses_at_opt(self, idx) -> np.ndarray:
@@ -275,8 +286,12 @@ class NonconvexProblem:
     def grads(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[1]
 
-    def loss_grad(self, theta, idx):
-        rows = self.X[idx]
-        r = _matvec(rows, theta) - self.y[idx]
+    def loss_grad(self, theta, idx, prev=None):
+        rows, y = self.X[idx], self.y[idx]
+        r = _matvec(rows, theta) - y
         e = np.exp(-r * r)
-        return 1.0 - e, (2.0 * r * e)[..., None] * rows
+        f_prev = None
+        if prev is not None:
+            r_prev = _matvec(rows, prev) - y
+            f_prev = 1.0 - np.exp(-r_prev * r_prev)
+        return 1.0 - e, (2.0 * r * e)[..., None] * rows, f_prev

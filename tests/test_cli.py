@@ -277,6 +277,15 @@ class TestRun:
         assert f"config key {key!r} must be >= {bound}, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sqrt_horizon_zero_steps_names_steps(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(SMALL_RUN, stepsize_rule="sqrt_horizon", steps=0))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert ("stepsize_rule 'sqrt_horizon' needs config key 'steps' >= 1, got 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_zero_steps_divergence_exits_diverged(self, tmp_path, capsys):
         # The step-0 losses overflow: the run diverges before any weighting.
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0, noise_c=1e300))

@@ -447,8 +447,9 @@ class _BlowUpProblem:
     def grads(self, theta, idx):
         return np.repeat(-1e100 * theta[..., None, :], np.shape(idx)[-1], axis=-2)
 
-    def loss_grad(self, theta, idx):
-        return self.losses(theta, idx), self.grads(theta, idx)
+    def loss_grad(self, theta, idx, prev=None):
+        f_prev = None if prev is None else self.losses(prev, idx)
+        return self.losses(theta, idx), self.grads(theta, idx), f_prev
 
 
 class TestFusedRunMatchesReference:

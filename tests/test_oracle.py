@@ -1,5 +1,7 @@
 """Tests for the brute-force verifiers themselves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,32 @@ def _bisection_projection(v, cap, floor=0.0, scale=1.0):
         else:
             hi = mid
     return np.clip(v - 0.5 * (lo + hi) * scale, floor, cap)
+
+
+def _kink_bisection(v, cap, floor=0.0, scale=1.0):
+    """Reference exact projection: a scalar bisection over the sorted kinks
+    with one clipped sum per step, then the closed form on the bracketing
+    piece. The k-ary kink search must return its result bit for bit."""
+    v = np.asarray(v, dtype=float)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), v.shape)
+    kinks = np.sort(np.concatenate(((v - cap) / scale, (v - floor) / scale)))
+
+    def total(lam):
+        return np.clip(v - lam * scale, floor, cap).sum()
+
+    lo, hi = 0, kinks.size - 1
+    s_lo, s_hi = total(kinks[lo]), total(kinks[hi])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s_mid = total(kinks[mid])
+        if s_mid >= 1.0:
+            lo, s_lo = mid, s_mid
+        else:
+            hi, s_hi = mid, s_mid
+    lam = kinks[lo]
+    if s_lo > s_hi:
+        lam += (s_lo - 1.0) / (s_lo - s_hi) * (kinks[hi] - kinks[lo])
+    return np.clip(v - lam * scale, floor, cap)
 
 
 def _random_scale(rng, b):
@@ -151,6 +179,61 @@ class TestProjection:
             out = project_capped_simplex(v, 1.0, 0.0, _random_scale(rng, b))
             assert np.abs(out - w).max() <= 2e-12
             assert abs(out.sum() - 1.0) <= 1e-12
+
+
+class TestKinkSearch:
+    """The k-ary kink search against the scalar kink bisection, bit for bit.
+    Batch sizes above 32 take more than one search round."""
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-10])
+    @pytest.mark.parametrize("scale_kind", ["unit", "scalar", "vector"])
+    def test_equals_kink_bisection(self, floor, scale_kind):
+        rng = np.random.default_rng(8)
+        for i in range(150):
+            b = int(rng.integers(1, 401)) if i % 2 else int(rng.integers(1, 17))
+            cap = float(rng.uniform(1.0 / b, 1.0))
+            v = rng.normal(scale=3.0, size=b)
+            if i % 3 == 0:  # many tied kinks
+                v = np.round(v)
+            if scale_kind == "unit":
+                scale = 1.0
+            elif scale_kind == "scalar":
+                scale = float(10.0 ** rng.uniform(-12.0, 0.0))
+            else:
+                scale = _random_scale(rng, b)
+            np.testing.assert_array_equal(project_capped_simplex(v, cap, floor, scale),
+                                          _kink_bisection(v, cap, floor, scale))
+
+    def test_equals_kink_bisection_at_edges(self):
+        rng = np.random.default_rng(9)
+        for b in (1, 2, 16, 17, 32, 33, 64, 65, 200, 400):
+            v = rng.normal(size=b)
+            scale = _random_scale(rng, b)
+            cases = [
+                (1.0 / b, 1.0 / b, 1.0),            # floor == cap: the flat piece
+                (1.0 / b, 0.0, scale),              # cap * b == 1
+                ((1.0 - 1e-13) / b, 1e-10, scale),  # no kink reaches sum 1
+                (1.0, 0.0, 1.0),
+            ]
+            for cap, floor, s in cases:
+                np.testing.assert_array_equal(project_capped_simplex(v, cap, floor, s),
+                                              _kink_bisection(v, cap, floor, s))
+
+    def test_memory_is_linear_in_b(self):
+        # A round holds a (64, b) array and never a (2b, b) one: at b = 20000
+        # the latter alone would take 6.4 GB.
+        rng = np.random.default_rng(10)
+        b = 20000
+        v = rng.normal(size=b)
+        scale = _random_scale(rng, b)
+        tracemalloc.start()
+        try:
+            w = project_capped_simplex(v, 2.0 / b, 1e-10, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        np.testing.assert_array_equal(w, _kink_bisection(v, 2.0 / b, 1e-10, scale))
 
 
 class TestBruteForceWeights:

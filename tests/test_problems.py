@@ -63,6 +63,11 @@ class TestGenRegression:
         with pytest.raises(ValueError):
             gen_regression(p=0)
 
+    def test_empty_test_split_rejected(self):
+        # An empty split would make test_loss a nan mean with a RuntimeWarning.
+        with pytest.raises(ValueError, match="n_test"):
+            gen_regression(p=2, n=8, m=2, n_test=0)
+
     def test_csv_roundtrip_exact(self):
         # Every float is written with repr, so parsing it back is exact.
         data = gen_regression(p=3, n=16, m=4, seed=5, n_test=4)
@@ -225,15 +230,24 @@ class TestProblemAdapters:
     lambda: NonconvexProblem(n_samples=48, dim=6, seed=3),
 ], ids=["regression", "quadratic", "nonconvex"])
 def test_loss_grad_equals_separate_methods(make_problem):
-    # Training takes its losses from the fused path and its mu_t and proxy
-    # delta_t from `losses`; the two must agree bitwise, for every batch
-    # size (the BLAS kernels differ by row count) and for large iterates.
-    # `grads` is the gradient half of `loss_grad`, so it needs no check here.
+    # Training takes its losses and mu_t's previous-iterate losses from the
+    # fused path and its proxy delta_t from `losses`; they must agree
+    # bitwise, for every batch size (the BLAS kernels differ by row count),
+    # for large iterates and for stacks of iterates. `grads` is the gradient
+    # half of `loss_grad`, so it needs no check here.
     problem = make_problem()
     rng = np.random.default_rng(7)
     for b in (1, 3, 4, 7, 8, 13, 24):
         for scale in (1e-3, 1.0, 1e3):
-            theta = scale * rng.standard_normal(problem.dim)
-            idx = rng.choice(problem.n_samples, size=b, replace=False)
-            losses, _ = problem.loss_grad(theta, idx)
-            np.testing.assert_array_equal(losses, problem.losses(theta, idx))
+            for S in (None, 3):
+                shape = (problem.dim,) if S is None else (S, problem.dim)
+                theta = scale * rng.standard_normal(shape)
+                prev = scale * rng.standard_normal(shape)
+                idx = np.array([rng.choice(problem.n_samples, size=b, replace=False)
+                                for _ in range(S or 1)]).reshape(shape[:-1] + (b,))
+                losses, _, none = problem.loss_grad(theta, idx)
+                assert none is None
+                np.testing.assert_array_equal(losses, problem.losses(theta, idx))
+                losses_again, _, prev_losses = problem.loss_grad(theta, idx, prev)
+                np.testing.assert_array_equal(losses_again, losses)
+                np.testing.assert_array_equal(prev_losses, problem.losses(prev, idx))
