@@ -12,7 +12,7 @@ from .core import (
     schedule_r,
     temper_weights,
 )
-from .diagnostics import StepDiagnostics, delta_t, grad_gap_term, mu_t, theorem1_bound
+from .diagnostics import delta_t, grad_gap_term, mu_t, theorem1_bound
 from .optim import (
     DivergenceError,
     OptimizerState,

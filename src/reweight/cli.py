@@ -3,7 +3,8 @@
 Subcommands:
   gen-data  -- write a seeded regression dataset to CSV
   run       -- single training run, one CSV row per step
-  sweep     -- strategy x temperature x seed grid, summary CSV per cell
+  sweep     -- strategy x temperature x seed grid, one CSV per cell and a
+               summary CSV
   verify    -- brute-force oracle suite; nonzero exit on any failure
 
 Configs are flat key-value JSON files, checked at load time against
@@ -18,9 +19,14 @@ and r_final, which every cell sets itself, plus the lists strategies,
 r_values and seeds. Each cell runs one strategy at a constant r with one
 seed. The sweep builds its problem and step-size rule once and trains its
 cells in lockstep through optim.run_cells: cells are rows of one training
-loop, run in groups whose histories fit a fixed memory budget. Each cell's
-CSV and sidecar equal the ones `run` writes for the same config, byte for
-byte.
+loop, run in groups whose histories fit a fixed memory budget. `run` is the
+one-cell case of that path, without iterate or weight history, and writes
+its trajectory and sidecar with the same code, so each cell's CSV and
+sidecar equal the ones `run` writes for the same config, byte for byte.
+
+Trajectory and dataset CSVs are written column by column by _write_csv:
+each value is written with repr, rows end in CRLF, and a column shorter
+than the others is empty in the first rows.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ import math
 import operator
 import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
 from .core import MODES, ConfigError, ReweightConfig, TemperatureSchedule
-from .diagnostics import CSV_COLUMNS
-from .optim import StepSizeRule, Trajectory, run_cells, run_training
+from .optim import COLUMNS, StepSizeRule, Trajectory, run_cells
 from .problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -227,43 +233,65 @@ def _make_stepsize(cfg, problem):
     raise ConfigError(f"unknown stepsize_rule {kind!r}")
 
 
-def _write_trajectory_csv(out_path, traj: Trajectory):
+def _run_cells(cfg, problem, cells):
+    """Train (ReweightConfig, seed) cells with the shared keys of cfg."""
+    return run_cells(problem, cells, _make_stepsize(cfg, problem), cfg["batch_size"],
+                     cfg["steps"], momentum=cfg["momentum"])
+
+
+# Rows of a column converted to Python values at a time; a small block keeps
+# few of them alive at once, and writes no slower.
+_CSV_BLOCK = 256
+
+
+def _fields(column, rows):
+    """A column's CSV fields over `rows` rows: empty until the column starts,
+    then repr of each value."""
+    blocks = (column[lo:lo + _CSV_BLOCK].tolist() for lo in range(0, len(column), _CSV_BLOCK))
+    return chain(repeat("", rows - len(column)), map(repr, chain.from_iterable(blocks)))
+
+
+def _write_csv(out_path, header, columns):
+    """Write columns, a map from header name to array, as CSV rows. A
+    column shorter than the longest fills the last rows; a name without a
+    column writes empty fields."""
+    cols = [columns.get(name, ()) for name in header]
+    rows = max(map(len, cols))
     with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in traj.records:
-            writer.writerow(rec.csv_row())
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*(_fields(c, rows) for c in cols)))
+
+
+def _write_cell(out_path, cfg, traj: Trajectory):
+    """Write a trajectory's CSV and its sidecar."""
+    _write_csv(out_path, COLUMNS, traj.columns)
+    _write_meta(out_path, cfg)
 
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, GEN_DEFAULTS, args.seed)
     data = _dataset(cfg, cfg["seed"])
-    with open(args.out, "w", newline="") as fh:
-        fh.write(data.to_csv())
+    rows, p = data.X.shape
+    columns = {f"x_{j}": data.X[:, j] for j in range(p)}
+    columns.update(y=data.y, is_outlier=data.is_outlier)
+    _write_csv(args.out, list(columns), columns)
     _write_meta(args.out, cfg)
-    rows, cols = data.X.shape
-    print(f"wrote {rows} rows x {cols + 2} columns (seed {cfg['seed']}) to {args.out}")
+    print(f"wrote {rows} rows x {p + 2} columns (seed {cfg['seed']}) to {args.out}")
     return EXIT_OK
-
-
-def run_one(cfg) -> Trajectory:
-    """Execute a single run from a resolved config dict."""
-    problem = _make_problem(cfg)
-    return run_training(problem, _make_reweight_config(cfg), _make_stepsize(cfg, problem),
-                        batch_size=cfg["batch_size"], steps=cfg["steps"], seed=cfg["seed"],
-                        momentum=cfg["momentum"])
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, RUN_DEFAULTS, args.seed)
-    traj = run_one(cfg)
-    _write_trajectory_csv(args.out, traj)
-    _write_meta(args.out, cfg)
+    problem = _make_problem(cfg)
+    (traj,) = _run_cells(cfg, problem, [(_make_reweight_config(cfg), cfg["seed"])])
+    if isinstance(traj, Exception):
+        raise traj
+    _write_cell(args.out, cfg, traj)
+    steps = len(traj.columns["step"])
     if traj.diverged:
-        print(f"diverged at step {traj.divergence_step}; "
-              f"wrote {len(traj.records)} steps to {args.out}")
+        print(f"diverged at step {traj.divergence_step}; wrote {steps} steps to {args.out}")
         return EXIT_DIVERGED
-    print(f"converged; wrote {len(traj.records)} steps to {args.out}")
+    print(f"converged; wrote {steps} steps to {args.out}")
     return EXIT_OK
 
 
@@ -282,10 +310,8 @@ def _summary_row(cell, out_dir, outcome):
     row = [cell["strategy"], cell["r_initial"], cell["seed"]]
     if isinstance(outcome, Exception):
         return row + ["", "", f"error: {outcome}"]
-    out_path = os.path.join(out_dir, f"{row[0]}_r{row[1]}_seed{row[2]}.csv")
-    _write_trajectory_csv(out_path, outcome)
-    _write_meta(out_path, cell)
-    test_losses = [rec.test_loss for rec in outcome.records if rec.test_loss is not None]
+    _write_cell(os.path.join(out_dir, f"{row[0]}_r{row[1]}_seed{row[2]}.csv"), cell, outcome)
+    test_losses = outcome.columns.get("test_loss", np.empty(0)).tolist()
     final = test_losses[-1] if test_losses else ""
     auc = float(np.mean(test_losses)) if test_losses else ""
     return row + [final, auc, "diverged" if outcome.diverged else "ok"]
@@ -309,9 +335,7 @@ def cmd_sweep(args) -> int:
             outcomes[i] = exc
     try:
         problem = _make_problem(cfg)
-        trained = run_cells(problem, [(rw, cells[i]["seed"]) for i, rw in runnable],
-                            _make_stepsize(cfg, problem), cfg["batch_size"], cfg["steps"],
-                            momentum=cfg["momentum"])
+        trained = _run_cells(cfg, problem, [(rw, cells[i]["seed"]) for i, rw in runnable])
     except Exception as exc:  # record the shared failure for every cell
         outcomes, runnable, trained = dict.fromkeys(range(len(cells)), exc), [], []
     rows = [None] * len(cells)

@@ -9,29 +9,13 @@ the right-hand side of the averaged-iterate bound under interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "StepDiagnostics",
     "delta_t",
     "mu_t",
     "grad_gap_term",
     "theorem1_bound",
-]
-
-CSV_COLUMNS = [
-    "step",
-    "train_loss",
-    "test_loss",
-    "r",
-    "w_max",
-    "w_min",
-    "delta_t",
-    "mu_t",
-    "grad_gap",
-    "theta_dist_sq",
 ]
 
 
@@ -84,38 +68,3 @@ def theorem1_bound(L: float, dist0_sq: float, T: int, delta_series) -> float:
     if T < 1 or delta_series.size != T:
         raise ValueError("delta_series must have length T >= 1")
     return 8.0 * L * dist0_sq / T + float(delta_series.mean())
-
-
-@dataclass
-class StepDiagnostics:
-    """One logged training step. Optional fields are None when the quantity
-    is undefined for the problem at hand (e.g. theta_dist_sq without a known
-    minimizer). delta_is_proxy marks delta_t values computed against a
-    final-iterate loss proxy instead of true optimal losses."""
-
-    step: int
-    train_loss: float
-    test_loss: float | None
-    r: float
-    w_max: float
-    w_min: float
-    delta: float | None
-    mu: float | None
-    grad_gap: float | None
-    theta_dist_sq: float | None
-    delta_is_proxy: bool = False
-
-    def csv_row(self) -> list[str]:
-        vals = [
-            self.step,
-            self.train_loss,
-            self.test_loss,
-            self.r,
-            self.w_max,
-            self.w_min,
-            self.delta,
-            self.mu,
-            self.grad_gap,
-            self.theta_dist_sq,
-        ]
-        return ["" if v is None else repr(v) for v in vals]

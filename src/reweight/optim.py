@@ -18,11 +18,12 @@ the others go on. run_training is the one-cell call.
 
 The same loss_grad call also returns the previous iterates' losses on the
 step's rows, for mu_t. The diagnostics are computed from those arrays as one
-value per row and go into preallocated per-cell histories with the batch
-indices and losses; records are built per cell at the end. Where a problem
-has no optimal losses, the proxy delta_t comes from one losses call at the
-final iterate over all samples and the weights recomputed from the stored
-losses.
+value per row and go into preallocated per-cell column arrays, one per CSV
+column in COLUMNS, beside the batch indices and losses; a cell's Trajectory
+takes its columns as views of them. Where a problem has no optimal losses,
+the proxy delta_t is one array computed at the end, from one losses call at
+the final iterate over all samples and the weights recomputed from the
+stored losses.
 
 Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 """
@@ -30,18 +31,18 @@ Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .core import ConfigError, ReweightConfig, ValidationError, compute_batch_weights, schedule_r
-from .diagnostics import StepDiagnostics, gap_sum
+from .diagnostics import gap_sum
 
 __all__ = [
     "OptimizerState",
     "StepSizeRule",
     "DivergenceError",
     "Trajectory",
+    "COLUMNS",
     "gd_step",
     "momentum_step",
     "theory_stepsize",
@@ -172,45 +173,53 @@ def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float)
     return _advance(state, theta, z, np.isfinite(theta) & np.isfinite(z))
 
 
+# The CSV columns of a trajectory, in order. A lockstep group keeps one array
+# per column but step and r, which follow from the step count and the
+# temperature schedule.
+COLUMNS = ("step", "train_loss", "test_loss", "r", "w_max", "w_min", "delta_t", "mu_t",
+           "grad_gap", "theta_dist_sq")
+_KEPT = tuple(name for name in COLUMNS if name not in ("step", "r"))
+
+
 @dataclass
 class Trajectory:
-    """Recorded run: per-step diagnostics, the iterate history (theta^0 ..
-    theta^T), the raw batch data needed to recompute theory terms (one row
-    per recorded step), and the divergence flag. A cell run without history
-    keeps only its final iterate in thetas and no batch weights."""
+    """Recorded run: the per-step diagnostics as columns, the iterate history
+    (theta^0 .. theta^T), the raw batch data needed to recompute theory
+    terms (one row per recorded step), and the divergence flag. A cell run
+    without history keeps only its final iterate in thetas and no batch
+    weights.
 
-    records: list[StepDiagnostics]
+    columns maps a name in COLUMNS to an array with one value per recorded
+    step. A shorter column holds the last steps: mu_t starts at step 1. A
+    column the problem does not define has no key: test_loss without a test
+    split, theta_dist_sq without a known minimizer, and delta_t without
+    optimal losses on a diverged run. Without optimal losses delta_t is a
+    proxy against the final iterate's losses, marked by delta_is_proxy. r
+    holds the schedule's own values, ints included.
+    """
+
+    columns: dict[str, np.ndarray]
     thetas: np.ndarray  # (T+1, d), or (1, d) without history
     batch_indices: np.ndarray  # (T, b)
     batch_losses: np.ndarray  # (T, b)
     batch_weights: np.ndarray | None  # (T, b)
     diverged: bool = False
     divergence_step: int | None = None
+    delta_is_proxy: bool = False
 
     @property
     def final_theta(self) -> np.ndarray:
         return self.thetas[-1]
 
-    def averaged_theta(self, T: int | None = None) -> np.ndarray:
-        """Mean of theta^0 .. theta^{T-1}."""
-        T = len(self.thetas) - 1 if T is None else T
-        return self.thetas[:T].mean(axis=0)
-
-
-# Per-step scalar columns a cell keeps; the temperature column follows from
-# the schedule.
-_COLUMNS = ("train_loss", "test_loss", "w_max", "w_min", "delta", "mu", "grad_gap",
-            "theta_dist_sq")
-
 
 def cell_bytes(problem, batch_size: int, steps: int, history: bool = False) -> int:
     """History bytes of one lockstep cell: the batch losses and indices (in
-    the smallest integer type that holds a sample index), the per-step
-    scalar columns and the final iterate, plus the iterates and weights
-    with history."""
+    the smallest integer type that holds a sample index), the column arrays
+    a group keeps and the final iterate, plus the iterates and weights with
+    history."""
     rows, d = max(steps, 1), problem.dim
     per_row = batch_size * (8 + np.min_scalar_type(problem.n_samples - 1).itemsize)
-    per_row += 8 * len(_COLUMNS)
+    per_row += 8 * len(_KEPT)
     extra = 8 * ((steps + 1) * d + rows * batch_size) if history else 0
     return rows * per_row + 8 * d + extra
 
@@ -227,7 +236,7 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
 
     Cells run in groups of LOCKSTEP_BYTES // cell_bytes(...) rows, and a
     group's outcomes are yielded after it finishes. Without history a cell
-    keeps only what its records and proxy delta need, and its batch arrays
+    keeps only what its columns and proxy delta need, and its batch arrays
     are views of its group's histories: drop each outcome before taking the
     next, and a finished group is freed before the next one starts.
     """
@@ -283,7 +292,13 @@ class _Group:
 
         self.indices = np.empty((G, rows, batch_size), np.min_scalar_type(self.n - 1))
         self.losses = np.empty((G, rows, batch_size))
-        self.cols = {name: np.empty((G, rows)) for name in _COLUMNS}
+        # Only the columns the problem defines: test_loss needs a test split,
+        # delta_t optimal losses (else _trajectory computes a proxy) and
+        # theta_dist_sq a known minimizer.
+        defined = {"test_loss": hasattr(problem, "test_loss"),
+                   "delta_t": hasattr(problem, "losses_at_opt"),
+                   "theta_dist_sq": getattr(problem, "theta_star", None) is not None}
+        self.cols = {name: np.empty((G, rows)) for name in _KEPT if defined.get(name, True)}
         self.final = np.empty((G, theta0.size))
         self.recorded = np.zeros(G, dtype=int)
         self.divergence_step = [None] * G
@@ -349,9 +364,6 @@ class _Group:
     def run(self):
         """Train the group, then yield each cell's outcome in cell order."""
         problem, b, n = self.problem, self.b, self.n
-        losses_at_opt = getattr(problem, "losses_at_opt", None)
-        test_loss = getattr(problem, "test_loss", None)
-        theta_star = getattr(problem, "theta_star", None)
         cols, inv_b = self.cols, 1.0 / b
         updating = self.steps > 0
         w_limit = 2.0 / b + 1e-12 if updating and self.stepsize.kind == "convex_theory" else None
@@ -394,17 +406,17 @@ class _Group:
             rows = self.rows
             u = inv_b - w
             cols["train_loss"][rows, t] = f.sum(axis=-1) / b
-            if test_loss:
-                cols["test_loss"][rows, t] = test_loss(theta)
+            if "test_loss" in cols:
+                cols["test_loss"][rows, t] = problem.test_loss(theta)
             cols["w_max"][rows, t] = w_max
             cols["w_min"][rows, t] = w.min(axis=-1)
-            if losses_at_opt:
-                cols["delta"][rows, t] = gap_sum(u, f - losses_at_opt(idx))
+            if "delta_t" in cols:
+                cols["delta_t"][rows, t] = gap_sum(u, f - problem.losses_at_opt(idx))
             if f_prev is not None:
-                cols["mu"][rows, t] = gap_sum(u, f - f_prev)
+                cols["mu_t"][rows, t] = gap_sum(u, f - f_prev)
             cols["grad_gap"][rows, t] = gap_sum(u, (g**2).sum(axis=-1))
-            if theta_star is not None:
-                cols["theta_dist_sq"][rows, t] = ((theta - theta_star) ** 2).sum(axis=-1)
+            if "theta_dist_sq" in cols:
+                cols["theta_dist_sq"][rows, t] = ((theta - problem.theta_star) ** 2).sum(axis=-1)
             self.indices[rows, t] = idx
             self.losses[rows, t] = f
             if self.history:
@@ -438,41 +450,25 @@ class _Group:
         T, b = self.recorded[i], self.b
         diverged = self.divergence_step[i] is not None
         indices, losses = self.indices[i, :T], self.losses[i, :T]
-
-        def column(name, present=True):
-            return self.cols[name][i, :T].tolist() if present else repeat(None)
-
-        mu = [None] + column("mu")[1:]  # no previous iterate at step 0
-        records = [
-            StepDiagnostics(t, *fields)
-            for t, fields in enumerate(zip(
-                column("train_loss"),
-                column("test_loss", hasattr(problem, "test_loss")),
-                [schedule_r(t, config.schedule) for t in range(T)],
-                column("w_max"),
-                column("w_min"),
-                column("delta", hasattr(problem, "losses_at_opt")),
-                mu,
-                column("grad_gap"),
-                column("theta_dist_sq", getattr(problem, "theta_star", None) is not None),
-            ))
-        ]
-        weights = self.batch_weights[i, :T] if self.history else None
-        if not hasattr(problem, "losses_at_opt") and not diverged:
-            # Proxy delta: the final iterate's losses stand in for the optimal
-            # ones, from one losses call over all samples indexed by the batch
-            # history, with the weights recomputed row-wise from the losses.
+        columns = {name: col[i, :T] for name, col in self.cols.items()}
+        columns["step"] = np.arange(T)
+        columns["r"] = np.array([schedule_r(t, config.schedule) for t in range(T)], dtype=object)
+        columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
+        proxy = "delta_t" not in columns and not diverged
+        if proxy:
+            # The final iterate's losses stand in for the optimal ones, from
+            # one losses call over all samples indexed by the batch history,
+            # with the weights recomputed row-wise from the losses.
             f_final = problem.losses(self.final[i], np.arange(problem.n_samples))
             w = compute_batch_weights(losses, config, np.arange(T))
-            gaps = losses - f_final[indices]
-            for rec, delta in zip(records, np.add.reduce((1.0 / b - w) * gaps, axis=1).tolist()):
-                rec.delta = delta
-                rec.delta_is_proxy = True
+            columns["delta_t"] = np.add.reduce((1.0 / b - w) * (losses - f_final[indices]),
+                                               axis=1)
+        weights = self.batch_weights[i, :T] if self.history else None
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]
-        return Trajectory(records=records, thetas=thetas, batch_indices=indices,
+        return Trajectory(columns=columns, thetas=thetas, batch_indices=indices,
                           batch_losses=losses, batch_weights=weights, diverged=diverged,
-                          divergence_step=self.divergence_step[i])
+                          divergence_step=self.divergence_step[i], delta_is_proxy=proxy)
 
 
 def run_training(

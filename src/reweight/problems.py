@@ -24,8 +24,6 @@ call, so a stacked run reproduces its separate runs exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,19 +60,6 @@ class RegressionDataset:
         flags = np.zeros(self.X.shape[0], dtype=int)
         flags[self.n_clean :] = 1
         return flags
-
-    def to_csv(self) -> str:
-        p = self.X.shape[1]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow([f"x_{j}" for j in range(p)] + ["y", "is_outlier"])
-        flags = self.is_outlier
-        for i in range(self.X.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in self.X[i]]
-                + [repr(float(self.y[i])), flags[i]]
-            )
-        return buf.getvalue()
 
 
 def gen_regression(

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from reweight.cli import RUN_DEFAULTS, run_one
+from reweight.cli import RUN_DEFAULTS, _make_problem, _make_reweight_config, _make_stepsize
 from reweight.core import capped_optimal_weights, normalize_losses
 from reweight.diagnostics import theorem1_bound
+from reweight.optim import run_training
 from reweight.oracle import brute_force_optimal_weights
 from reweight.problems import gen_quadratic_suite
 from reweight.verify import check_gradients
@@ -37,9 +38,14 @@ QUAD = {
 
 
 def run(**overrides):
+    """The run the CLI makes of the default config with overrides, with
+    its iterate and weight history."""
     cfg = dict(RUN_DEFAULTS)
     cfg.update(overrides)
-    return run_one(cfg)
+    problem = _make_problem(cfg)
+    return run_training(problem, _make_reweight_config(cfg), _make_stepsize(cfg, problem),
+                        batch_size=cfg["batch_size"], steps=cfg["steps"], seed=cfg["seed"],
+                        momentum=cfg["momentum"])
 
 
 # pytest captures at the file-descriptor level, so reaching the real stdout
@@ -64,12 +70,13 @@ def report(criterion, ok, detail):
 
 
 def exploded(traj):
-    init = traj.records[0].train_loss
+    train_loss = traj.columns["train_loss"]
+    init = train_loss[0]
     if traj.diverged:
         return True
     return any(
-        not np.isfinite(rec.train_loss) or rec.train_loss > 10.0 * init
-        for rec in traj.records
+        not np.isfinite(loss) or loss > 10.0 * init
+        for loss in train_loss
     )
 
 
@@ -78,7 +85,7 @@ def test_criterion_1_toy_regression_strategy_ordering():
     finals = {}
     for strategy in ("uniform", "linupper", "quadratic"):
         finals[strategy] = np.mean(
-            [run(strategy=strategy, seed=s).records[-1].test_loss for s in range(5)]
+            [run(strategy=strategy, seed=s).columns["test_loss"][-1] for s in range(5)]
         )
     elapsed = time.time() - t0
     ordering = finals["linupper"] < finals["quadratic"] < finals["uniform"]
@@ -160,11 +167,11 @@ def test_criterion_5_delta_sign_suite():
     worst_abs = 0.0
     for strategy in ("capped", "linupper"):
         traj = run(strategy=strategy, **QUAD)
-        deltas = np.array([rec.delta for rec in traj.records])
+        deltas = traj.columns["delta_t"]
         worst_signed = max(worst_signed, float(deltas.max()))
     uniform_traj = run(strategy="uniform", **QUAD)
     worst_abs = float(
-        np.abs([rec.delta for rec in uniform_traj.records]).max()
+        np.abs(uniform_traj.columns["delta_t"]).max()
     )
     ok = worst_signed <= 1e-12 and worst_abs <= 1e-12
     report(
@@ -183,11 +190,11 @@ def test_criterion_6_theorem_bound():
     detail_parts = []
     ok = True
     for T in (10, 50, 100, 500):
-        theta_bar = traj.averaged_theta(T)
+        theta_bar = traj.thetas[:T].mean(axis=0)
         dev = theta_bar - theta_star
         f_bar = float(np.mean([0.5 * dev @ A @ dev for A in suite.A]))
         bound = theorem1_bound(
-            suite.L, dist0_sq, T, [rec.delta for rec in traj.records[:T]]
+            suite.L, dist0_sq, T, traj.columns["delta_t"][:T]
         )
         ok = ok and f_bar <= bound
         detail_parts.append(f"T={T}: {f_bar:.3g} <= {bound:.3g}")
@@ -196,7 +203,7 @@ def test_criterion_6_theorem_bound():
 
 def test_criterion_7_cap_monitoring():
     capped = run(strategy="capped", **QUAD)
-    cap_excess = max(rec.w_max for rec in capped.records) - 2.0 / QUAD["batch_size"]
+    cap_excess = max(capped.columns["w_max"]) - 2.0 / QUAD["batch_size"]
     softmax_ok = True
     softmax_detail = []
     for r in (1.5, 2.0, 10.0):
@@ -207,7 +214,7 @@ def test_criterion_7_cap_monitoring():
             r_initial=r,
             r_final=r,
         )
-        w_max = max(rec.w_max for rec in traj.records)
+        w_max = max(traj.columns["w_max"])
         softmax_ok = softmax_ok and w_max < 2.0 / 128.0
         softmax_detail.append(f"r={r}: {w_max:.4f}")
     ok = cap_excess <= 1e-12 and softmax_ok
@@ -246,7 +253,7 @@ def test_criterion_10_momentum_sanity():
     traj = run(
         strategy="linupper", stepsize_rule="sqrt_horizon", momentum=True, **QUAD
     )
-    losses = np.array([rec.train_loss for rec in traj.records])
+    losses = traj.columns["train_loss"]
     windows = [losses[i : i + 50].mean() for i in range(0, 500, 50)]
     monotone = all(a > b for a, b in zip(windows, windows[1:]))
     final_le_initial = losses[-1] <= losses[0]

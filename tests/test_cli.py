@@ -27,7 +27,7 @@ from reweight.core import (
     normalize_losses,
     temper_weights,
 )
-from reweight.diagnostics import CSV_COLUMNS
+from reweight.optim import COLUMNS
 from reweight.problems import regression_loss_grad
 
 
@@ -223,7 +223,7 @@ class TestRun:
         raw = out.read_bytes()
         assert b"\r\n" in raw
         rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[0] == CSV_COLUMNS
+        assert rows[0] == list(COLUMNS)
         steps = [int(r[0]) for r in rows[1:]]
         assert steps[0] == 0
         assert all(b > a for a, b in zip(steps, steps[1:]))
@@ -293,7 +293,7 @@ class TestRun:
         with np.errstate(over="ignore"):
             assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
         assert "diverged at step 0; wrote 0 steps" in capsys.readouterr().out
-        assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+        assert out.read_text().splitlines() == [",".join(COLUMNS)]
 
     def test_zero_steps_records_initial_evaluation(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0))
@@ -386,8 +386,9 @@ class TestSweep:
                            r_values=[1.0, 0.5], seeds=[0, 1]),
         "quadratic": dict(problem="quadratic", M=32, d=6, momentum=True,
                           r_values=[1.0, 0.1], seeds=[3]),
+        # an integer r keeps its type: r2 cells write r = 2, like `run`
         "nonconvex": dict(problem="nonconvex", M=48, d=5, lr=0.05,
-                          r_values=[2.0, 0.5], seeds=[0, 2]),
+                          r_values=[2.0, 0.5, 2], seeds=[0, 2]),
     }
 
     @pytest.mark.parametrize("budget", [None, 1])
@@ -410,7 +411,7 @@ class TestSweep:
             run_payload = {k: v for k, v in payload.items()
                            if k not in ("strategies", "r_values", "seeds")}
             run_payload.update(strategy=row["strategy"], schedule="constant",
-                               r_initial=float(row["r"]), r_final=float(row["r"]),
+                               r_initial=json.loads(row["r"]), r_final=json.loads(row["r"]),
                                seed=int(row["seed"]))
             out = tmp_path / "run.csv"
             run_code = main(["run", "--config", write_config(tmp_path / "run.json", run_payload),

@@ -1,16 +1,28 @@
-"""Tests for the per-step theory diagnostics."""
+"""Tests for the per-step theory diagnostics and the trajectory CSV they
+are written to."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reweight import cli
+from reweight.core import ReweightConfig
 from reweight.diagnostics import (
-    StepDiagnostics,
     delta_t,
     grad_gap_term,
     mu_t,
     theorem1_bound,
 )
+from reweight.optim import COLUMNS, StepSizeRule, run_training
+from reweight.problems import (
+    QuadraticProblem,
+    RegressionProblem,
+    gen_quadratic_suite,
+    gen_regression,
+)
+from test_optim import _BlowUpProblem
 
 
 def random_simplex(rng, b):
@@ -106,23 +118,79 @@ class TestTheorem1Bound:
             theorem1_bound(1.0, 1.0, 5, np.zeros(4))
 
 
-class TestStepDiagnostics:
-    def test_csv_row_serializes_none_as_empty(self):
-        rec = StepDiagnostics(
-            step=3,
-            train_loss=1.5,
-            test_loss=None,
-            r=1.0,
-            w_max=0.3,
-            w_min=0.1,
-            delta=None,
-            mu=None,
-            grad_gap=-0.25,
-            theta_dist_sq=None,
-        )
-        row = rec.csv_row()
-        assert row[0] == "3"
-        assert row[1] == repr(1.5)
-        assert row[2] == ""
-        assert row[6] == ""
-        assert row[8] == repr(-0.25)
+def write_rows(path, columns, header=COLUMNS):
+    """Write columns with the CLI's CSV writer and return the rows as
+    lists of fields, checking the CRLF line ends."""
+    cli._write_csv(path, header, columns)
+    text = path.read_bytes().decode()
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    rows = [line.split(",") for line in text.split("\r\n")[:-1]]
+    assert rows[0] == list(header)
+    return rows[1:]
+
+
+def field(rows, name):
+    """One column of written rows."""
+    return [row[COLUMNS.index(name)] for row in rows]
+
+
+class TestTrajectoryCsv:
+    """The CLI's one column-wise CSV writer, on trajectories. A field is
+    empty only where a column is absent or has not started (mu_t at step
+    0); a nan value is written as nan."""
+
+    def test_absent_column_writes_empty(self, tmp_path):
+        quadratic = QuadraticProblem(gen_quadratic_suite(M=16, d=3, seed=0))
+        traj = run_training(quadratic, ReweightConfig(mode="uniform"), StepSizeRule(eta=0.01),
+                            batch_size=4, steps=5)
+        rows = write_rows(tmp_path / "q.csv", traj.columns)
+        assert len(rows) == 5 and "test_loss" not in traj.columns
+        assert field(rows, "test_loss") == [""] * 5
+        assert "" not in field(rows, "theta_dist_sq") + field(rows, "delta_t")
+
+        regression = RegressionProblem(gen_regression(p=3, n=16, m=4, n_test=4))
+        traj = run_training(regression, ReweightConfig(), StepSizeRule(eta=0.01),
+                            batch_size=4, steps=5)
+        rows = write_rows(tmp_path / "r.csv", traj.columns)
+        assert field(rows, "theta_dist_sq") == [""] * 5
+        assert "" not in field(rows, "test_loss") + field(rows, "delta_t")
+
+    def test_mu_t_empty_at_step_zero(self, tmp_path):
+        quadratic = QuadraticProblem(gen_quadratic_suite(M=16, d=3, seed=0))
+        traj = run_training(quadratic, ReweightConfig(), StepSizeRule(eta=0.01),
+                            batch_size=4, steps=4)
+        mu = field(write_rows(tmp_path / "q.csv", traj.columns), "mu_t")
+        assert mu[0] == "" and mu[1:] == [repr(v) for v in traj.columns["mu_t"].tolist()]
+
+    def test_nan_writes_nan(self, tmp_path):
+        # The update overflows at the fourth step; the gradient-norm gap of
+        # the steps after the first is inf - inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run_training(_BlowUpProblem(), ReweightConfig(), StepSizeRule(eta=1.0),
+                                batch_size=4, steps=50, seed=9)
+        rows = write_rows(tmp_path / "b.csv", traj.columns)
+        assert field(rows, "step") == ["0", "1", "2", "3"]
+        assert field(rows, "grad_gap")[1:] == ["nan"] * 3
+        assert field(rows, "delta_t") == [""] * 4  # diverged: no proxy
+
+    @pytest.mark.parametrize("payload, want", [
+        ({"r_initial": 100, "r_final": 1}, ["100", "100", "100"]),
+        ({"r_initial": 100, "warmup_steps": 1}, ["100", "1.0", "1.0"]),
+    ])
+    def test_temperature_keeps_the_config_type(self, tmp_path, payload, want):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(payload, p=3, n=16, m=4, n_test=4, batch_size=4,
+                                       steps=3)))
+        out = tmp_path / "t.csv"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert field(rows, "r") == want
+
+    def test_short_columns_fill_the_last_rows(self, tmp_path, monkeypatch):
+        # Converted in blocks of two rows, a block boundary falls inside the
+        # empty rows of b and inside its values.
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
+        columns = {"a": np.arange(5), "b": np.array([1.5, np.nan])}
+        rows = write_rows(tmp_path / "x.csv", columns, header=("a", "b", "c"))
+        assert rows == [["0", "", ""], ["1", "", ""], ["2", "", ""], ["3", "1.5", ""],
+                        ["4", "nan", ""]]

@@ -1,9 +1,7 @@
 """Tests for the reweighted gradient-descent and momentum optimizers."""
 
 import re
-import sys
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,8 +16,9 @@ from reweight.core import (
     compute_batch_weights,
     schedule_r,
 )
-from reweight.diagnostics import StepDiagnostics, delta_t, grad_gap_term, mu_t
+from reweight.diagnostics import delta_t, grad_gap_term, mu_t
 from reweight.optim import (
+    COLUMNS,
     DIVERGENCE_LOSS,
     DivergenceError,
     OptimizerState,
@@ -156,8 +155,7 @@ class TestRunTraining:
             batch_size=8,
             steps=0,
         )
-        assert len(traj.records) == 1
-        assert traj.records[0].step == 0
+        assert traj.columns["step"].tolist() == [0]
         assert traj.thetas.shape == (1, 8)
         assert not traj.diverged
 
@@ -264,7 +262,7 @@ class TestRunTraining:
         )
         assert traj.diverged
         assert traj.divergence_step is not None
-        assert len(traj.records) < 200
+        assert len(traj.columns["step"]) < 200
 
     def test_zero_steps_divergence_recorded(self):
         # The step-0 losses overflow; the run stops before weighting them.
@@ -274,7 +272,8 @@ class TestRunTraining:
             traj = run_training(problem, ReweightConfig(), StepSizeRule(eta=1e-2),
                                 batch_size=8, steps=0)
         assert traj.diverged and traj.divergence_step == 0
-        assert traj.records == [] and traj.thetas.shape == (1, 5)
+        assert all(len(col) == 0 for col in traj.columns.values())
+        assert traj.thetas.shape == (1, 5)
 
     def test_bad_batch_size_rejected(self, quadratic_problem):
         with pytest.raises(ConfigError):
@@ -298,25 +297,14 @@ class TestRunTraining:
                 steps=20,
             )
 
-    def test_averaged_theta(self, quadratic_problem):
-        traj = run_training(
-            quadratic_problem,
-            ReweightConfig(mode="uniform"),
-            StepSizeRule(kind="fixed", eta=0.01),
-            batch_size=8,
-            steps=10,
-        )
-        np.testing.assert_allclose(
-            traj.averaged_theta(4), traj.thetas[:4].mean(axis=0)
-        )
-
 
 def _reference_run_training(problem, reweight_config, stepsize, batch_size, steps,
                             seed=0, momentum=False):
     """The training loop before the fused step: separate losses and grads
     calls, diagnostics through the public diagnostics functions, list
-    histories, and a proxy delta from one losses call per step. Kept as the
-    reference that run_training must reproduce exactly."""
+    histories turned into the trajectory's column arrays at the end, and a
+    proxy delta from one losses call per step. Kept as the reference that
+    run_training must reproduce exactly."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
     rng = np.random.default_rng(seed)
@@ -326,7 +314,10 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
     has_opt_losses = hasattr(problem, "losses_at_opt")
     has_test = hasattr(problem, "test_loss")
     theta_star = getattr(problem, "theta_star", None)
-    records, thetas = [], [theta0.copy()]
+    absent = {"test_loss": not has_test, "delta_t": not has_opt_losses,
+              "theta_dist_sq": theta_star is None}
+    columns = {name: [] for name in COLUMNS if not absent.get(name)}
+    thetas = [theta0.copy()]
     batch_indices, batch_losses, batch_weights = [], [], []
     diverged, divergence_step = False, None
     order = rng.permutation(problem.n_samples)
@@ -343,21 +334,19 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         return idx
 
     def record_step(t, idx, f, w, r_value):
-        test = problem.test_loss(state.theta) if has_test else None
-        delta = delta_t(f, problem.losses_at_opt(idx), w) if has_opt_losses else None
-        mu = None
-        if prev_theta is not None:
-            mu = mu_t(f, problem.losses(prev_theta, idx), w)
         g = problem.grads(state.theta, idx)
-        gap = grad_gap_term((g**2).sum(axis=1), w)
-        dist = None
+        row = dict(step=t, train_loss=float(f.mean()), r=r_value, w_max=float(w.max()),
+                   w_min=float(w.min()), grad_gap=grad_gap_term((g**2).sum(axis=1), w))
+        if has_test:
+            row["test_loss"] = problem.test_loss(state.theta)
+        if has_opt_losses:
+            row["delta_t"] = delta_t(f, problem.losses_at_opt(idx), w)
+        if prev_theta is not None:
+            row["mu_t"] = mu_t(f, problem.losses(prev_theta, idx), w)
         if theta_star is not None:
-            dist = float(np.sum((state.theta - theta_star) ** 2))
-        records.append(StepDiagnostics(
-            step=t, train_loss=float(f.mean()), test_loss=test, r=r_value,
-            w_max=float(w.max()), w_min=float(w.min()), delta=delta, mu=mu,
-            grad_gap=gap, theta_dist_sq=dist,
-        ))
+            row["theta_dist_sq"] = float(np.sum((state.theta - theta_star) ** 2))
+        for name, value in row.items():
+            columns[name].append(value)
         batch_indices.append(idx.copy())
         batch_losses.append(f.copy())
         batch_weights.append(w.copy())
@@ -392,33 +381,44 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         w = compute_batch_weights(f, reweight_config, 0)
         record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
 
-    traj = Trajectory(records=records, thetas=np.array(thetas), batch_indices=batch_indices,
+    dtypes = {"step": int, "r": object}
+    traj = Trajectory(columns={name: np.array(values, dtype=dtypes.get(name, float))
+                               for name, values in columns.items()},
+                      thetas=np.array(thetas), batch_indices=batch_indices,
                       batch_losses=batch_losses, batch_weights=batch_weights,
                       diverged=diverged, divergence_step=divergence_step)
     if not has_opt_losses and not diverged:
-        for rec, idx, f, w in zip(records, batch_indices, batch_losses, batch_weights):
-            rec.delta = delta_t(f, problem.losses(traj.final_theta, idx), w)
-            rec.delta_is_proxy = True
+        traj.columns["delta_t"] = np.array([
+            delta_t(f, problem.losses(traj.final_theta, idx), w)
+            for idx, f, w in zip(batch_indices, batch_losses, batch_weights)])
+        traj.delta_is_proxy = True
     return traj
 
 
+def column_text(traj):
+    """Each column's dtype and the repr of each value, which tells an int
+    from a float and a numpy scalar from a Python one."""
+    return {name: (col.dtype, [repr(v) for v in col.tolist()])
+            for name, col in traj.columns.items()}
+
+
 def assert_same_run(got, want, proxy_atol=0.0):
-    """Every record field, iterate and batch history equal; reprs are
-    compared so a numpy scalar in place of a float also fails. A proxy
-    delta is compared to `proxy_atol` (see test_proxy_delta_at_any_batch_size)."""
-    assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
-    assert len(got.records) == len(want.records)
-    for a, b in zip(got.records, want.records):
-        fields_a, fields_b = astuple(a), astuple(b)
-        if proxy_atol and b.delta_is_proxy:
-            assert a.delta_is_proxy
-            assert abs(a.delta - b.delta) <= proxy_atol
-            fields_a, fields_b = fields_a[:6] + fields_a[7:], fields_b[:6] + fields_b[7:]
-        assert [repr(v) for v in fields_a] == [repr(v) for v in fields_b]
+    """Every column, iterate and batch history equal; columns are compared
+    by column_text, so an int in place of a float or a numpy scalar in an
+    object column also fails. A proxy delta is compared to `proxy_atol` (see
+    test_proxy_delta_at_any_batch_size)."""
+    assert (got.diverged, got.divergence_step, got.delta_is_proxy) \
+        == (want.diverged, want.divergence_step, want.delta_is_proxy)
+    text, ref_text = column_text(got), column_text(want)
+    if proxy_atol and want.delta_is_proxy:
+        np.testing.assert_allclose(got.columns["delta_t"], want.columns["delta_t"],
+                                   rtol=0, atol=proxy_atol)
+        del text["delta_t"], ref_text["delta_t"]
+    assert text == ref_text
     np.testing.assert_array_equal(got.thetas, want.thetas)
     for name in ("batch_indices", "batch_losses", "batch_weights"):
         rows, ref_rows = getattr(got, name), getattr(want, name)
-        assert len(rows) == len(ref_rows) == len(got.records)
+        assert len(rows) == len(ref_rows) == len(got.columns["step"])
         for row, ref in zip(rows, ref_rows):
             np.testing.assert_array_equal(row, ref)
 
@@ -467,7 +467,7 @@ class TestFusedRunMatchesReference:
                                        warmup_steps=7)
         traj = self.check(small_regression, ReweightConfig(schedule=schedule),
                           StepSizeRule(eta=1e-2), batch_size=8, steps=40, seed=2)
-        assert traj.records[-1].delta_is_proxy and traj.records[-1].mu is not None
+        assert traj.delta_is_proxy and len(traj.columns["mu_t"]) == 39
 
     def test_regression_uniform(self, small_regression):
         self.check(small_regression, ReweightConfig(mode="uniform"),
@@ -482,26 +482,26 @@ class TestFusedRunMatchesReference:
         traj = self.check(quadratic_problem, rw,
                           StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
                           batch_size=8, steps=30, seed=6, momentum=True)
-        assert traj.records[-1].theta_dist_sq is not None
-        assert not traj.records[-1].delta_is_proxy
+        assert len(traj.columns["theta_dist_sq"]) == 30
+        assert not traj.delta_is_proxy
 
     def test_nonconvex_proxy_delta(self):
         problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
         traj = self.check(problem, ReweightConfig(schedule=constant_schedule(0.5)),
                           StepSizeRule(eta=0.05), batch_size=8, steps=30, seed=7)
-        assert all(rec.delta_is_proxy for rec in traj.records)
+        assert traj.delta_is_proxy and len(traj.columns["delta_t"]) == 30
 
     def test_zero_steps(self, small_regression):
         traj = self.check(small_regression, ReweightConfig(),
                           StepSizeRule(eta=1e-2), batch_size=8, steps=0, seed=8)
-        assert len(traj.records) == 1 and traj.thetas.shape == (1, 17)
+        assert len(traj.columns["step"]) == 1 and traj.thetas.shape == (1, 17)
 
     def test_divergence_on_loss_check(self, small_regression):
         traj = self.check(small_regression, ReweightConfig(mode="uniform"),
                           StepSizeRule(eta=10.0), batch_size=16, steps=200, seed=0)
         assert traj.diverged
         # the loss check stops the run before the step is recorded
-        assert len(traj.records) == traj.divergence_step == len(traj.thetas) - 1
+        assert len(traj.columns["step"]) == traj.divergence_step == len(traj.thetas) - 1
 
     def test_divergence_in_update(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -509,7 +509,7 @@ class TestFusedRunMatchesReference:
                               StepSizeRule(eta=1.0), batch_size=4, steps=50, seed=9)
         assert traj.diverged and traj.divergence_step == 3
         # the failed step is recorded, its iterate is not
-        assert len(traj.records) == 4 and len(traj.thetas) == 4
+        assert len(traj.columns["step"]) == 4 and len(traj.thetas) == 4
 
     @pytest.mark.parametrize("batch_size", [3, 5, 6, 7])
     def test_proxy_delta_at_any_batch_size(self, small_regression, batch_size):
@@ -532,9 +532,10 @@ def assert_same_cell(got, want, proxy_atol=0.0):
     iterate is kept, and no batch weights."""
     assert got.batch_weights is None and got.thetas.shape == (1, want.thetas.shape[1])
     np.testing.assert_array_equal(got.final_theta, want.final_theta)
-    full = Trajectory(records=got.records, thetas=want.thetas, batch_indices=got.batch_indices,
+    full = Trajectory(columns=got.columns, thetas=want.thetas, batch_indices=got.batch_indices,
                       batch_losses=got.batch_losses, batch_weights=want.batch_weights,
-                      diverged=got.diverged, divergence_step=got.divergence_step)
+                      diverged=got.diverged, divergence_step=got.divergence_step,
+                      delta_is_proxy=got.delta_is_proxy)
     assert_same_run(full, want, proxy_atol)
 
 
@@ -620,29 +621,23 @@ class TestLockstepMatchesReference:
         together = list(run_cells(*args))
         monkeypatch.setattr(optim, "LOCKSTEP_BYTES", 1)
         for a, b in zip(together, run_cells(*args)):
-            assert [astuple(r) for r in a.records] == [astuple(r) for r in b.records]
-
-
-def _records_bytes(records) -> int:
-    """Bytes of a record list: the list, each record and its float fields."""
-    return sys.getsizeof(records) + sum(
-        sys.getsizeof(rec) + sum(sys.getsizeof(v) for v in astuple(rec) if isinstance(v, float))
-        for rec in records)
+            assert column_text(a) == column_text(b)
 
 
 def test_lockstep_memory_stays_within_budget(monkeypatch):
     # A sweep's traced peak is the group budget plus what one group needs per
-    # step and the records of the one cell being handed out. Keeping more
-    # history per cell, or a finished group alive beside the next, fails.
+    # step and the column arrays of the one cell being handed out. Keeping
+    # more history per cell, or a finished group alive beside the next, fails.
     problem = RegressionProblem(gen_regression(p=16, n=400, m=100, seed=0, n_test=64))
     b, steps, group = 8, 1000, 5
     monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
     cells = [(ReweightConfig(mode=s, schedule=constant_schedule()), seed)
              for s in SCORED_AND_UNIFORM for seed in range(5)]
     rule = StepSizeRule(eta=1e-3)
-    # one cell's records, with the ten column lists they are built from
-    records = _records_bytes(run_training(problem, cells[0][0], rule, b, steps).records)
-    records += 10 * 8 * steps
+    # one cell's column arrays; all but step, r and delta_t are views of its
+    # group's histories
+    traj = run_training(problem, cells[0][0], rule, b, steps)
+    columns = sum(col.nbytes for col in traj.columns.values())
     # gathered rows, gradients and their products, batch orders, test
     # residuals, and the temporaries of one cell's proxy weights and gaps
     per_step = 8 * group * (4 * b * problem.dim + problem.n_samples + 2 * 64)
@@ -650,9 +645,9 @@ def test_lockstep_memory_stays_within_budget(monkeypatch):
     tracemalloc.start()
     try:
         for outcome in run_cells(problem, cells, rule, b, steps):
-            assert len(outcome.records) == steps
+            assert len(outcome.columns["step"]) == steps
             del outcome
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= optim.LOCKSTEP_BYTES + records + per_step + proxy
+    assert peak <= optim.LOCKSTEP_BYTES + columns + per_step + proxy

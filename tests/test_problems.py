@@ -1,8 +1,11 @@
 """Tests for the synthetic problem suites."""
 
+import json
+
 import numpy as np
 import pytest
 
+from reweight.cli import EXIT_OK, main
 from reweight.oracle import finite_diff_grad
 from reweight.problems import (
     NonconvexProblem,
@@ -14,6 +17,14 @@ from reweight.problems import (
     nonconvex_loss_grad,
     regression_loss_grad,
 )
+
+
+def gen_data_text(tmp_path, **cfg):
+    """The CSV text `reweight gen-data` writes for the config."""
+    path, out = tmp_path / "cfg.json", tmp_path / "data.csv"
+    path.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    return out.read_bytes().decode()
 
 
 def power_iteration_eigmax(A, iters=500):
@@ -68,18 +79,18 @@ class TestGenRegression:
         with pytest.raises(ValueError, match="n_test"):
             gen_regression(p=2, n=8, m=2, n_test=0)
 
-    def test_csv_roundtrip_exact(self):
+    def test_csv_roundtrip_exact(self, tmp_path):
         # Every float is written with repr, so parsing it back is exact.
         data = gen_regression(p=3, n=16, m=4, seed=5, n_test=4)
-        rows = [row.split(",") for row in data.to_csv().split("\r\n")[1:] if row]
+        text = gen_data_text(tmp_path, p=3, n=16, m=4, seed=5, n_test=4)
+        rows = [row.split(",") for row in text.split("\r\n")[1:] if row]
         np.testing.assert_array_equal([[float(v) for v in row[:3]] for row in rows], data.X)
         np.testing.assert_array_equal([float(row[3]) for row in rows], data.y)
         np.testing.assert_array_equal([int(row[4]) for row in rows], data.is_outlier)
         assert data.is_outlier.sum() == data.m_outlier == 4
 
-    def test_csv_format(self):
-        data = gen_regression(p=2, n=3, m=1, seed=0, n_test=1)
-        text = data.to_csv()
+    def test_csv_format(self, tmp_path):
+        text = gen_data_text(tmp_path, p=2, n=3, m=1, seed=0, n_test=1)
         lines = text.split("\r\n")
         assert lines[0] == "x_0,x_1,y,is_outlier"
         assert len([ln for ln in lines if ln]) == 5
