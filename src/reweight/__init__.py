@@ -32,8 +32,6 @@ from .problems import (
     RegressionProblem,
     gen_quadratic_suite,
     gen_regression,
-    nonconvex_loss_grad,
-    regression_loss_grad,
 )
 
 __version__ = "0.1.0"

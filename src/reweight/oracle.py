@@ -150,15 +150,19 @@ def kkt_residual(w, gaps, r: float, cap: float) -> float:
 
 
 def finite_diff_grad(loss_fn, theta, epsilon: float = 1e-6) -> np.ndarray:
-    """Central finite differences: (f(x + e) - f(x - e)) / (2 eps) per coordinate."""
+    """Central finite differences: (f(x + e) - f(x - e)) / (2 eps) per coordinate.
+
+    theta may be a stack of points (..., d) for a loss_fn that returns one
+    loss per point; each round moves coordinate j of every point at once.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
-    for j in range(theta.size):
+    for j in range(theta.shape[-1]):
         tp = theta.copy()
         tm = theta.copy()
-        tp[j] += epsilon
-        tm[j] -= epsilon
-        grad[j] = (loss_fn(tp) - loss_fn(tm)) / (2.0 * epsilon)
+        tp[..., j] += epsilon
+        tm[..., j] -= epsilon
+        grad[..., j] = (loss_fn(tp) - loss_fn(tm)) / (2.0 * epsilon)
     return grad

@@ -11,9 +11,10 @@ Each problem exposes the vectorized `loss_grad(theta, idx, prev=None) ->
 (losses, grads, prev_losses)` that training calls once per step: it gathers
 the rows once, computes the residual once, and, given the previous iterate
 prev, also that iterate's losses on the same rows (None without prev).
-`losses(theta, idx)` has the same arithmetic for the losses alone,
-`grads(theta, idx)` is the gradient half of `loss_grad`, and L is the exact
-smoothness constant.
+`losses(theta, idx)` gives the losses alone by the same arithmetic, and L is
+the exact smoothness constant. The regression and non-convex problems are
+linear models that differ only in their per-sample loss of the residual, so
+they share one implementation of both methods.
 
 Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
 of iterates (S, d) with one row of indices each, (S, b); losses then come
@@ -32,9 +33,7 @@ __all__ = [
     "RegressionDataset",
     "QuadraticSuite",
     "gen_regression",
-    "regression_loss_grad",
     "gen_quadratic_suite",
-    "nonconvex_loss_grad",
     "RegressionProblem",
     "QuadraticProblem",
     "NonconvexProblem",
@@ -101,15 +100,6 @@ def gen_regression(
     )
 
 
-def regression_loss_grad(W, b, x_i, y_i):
-    """Single-sample squared loss 0.5*(x'W + b - y)^2 and its gradient
-    (grad_W, grad_b) stacked as a length-(p+1) vector."""
-    W = np.asarray(W, dtype=float)
-    x_i = np.asarray(x_i, dtype=float)
-    r = float(x_i @ W + b - y_i)
-    return 0.5 * r * r, np.concatenate([r * x_i, [r]])
-
-
 @dataclass
 class QuadraticSuite:
     """Per-sample quadratics f_i(theta) = 0.5 (theta - theta*)' A_i (theta - theta*).
@@ -151,24 +141,39 @@ def gen_quadratic_suite(
     return QuadraticSuite(A=A, theta_star=theta_star, L_values=L_values)
 
 
-def nonconvex_loss_grad(theta, x_i, y_i):
-    """Bounded non-convex per-sample loss f = 1 - exp(-r^2) with
-    r = x'theta - y; gradient 2 r exp(-r^2) x."""
-    theta = np.asarray(theta, dtype=float)
-    x_i = np.asarray(x_i, dtype=float)
-    r = float(x_i @ theta - y_i)
-    e = np.exp(-r * r)
-    return 1.0 - e, 2.0 * r * e * x_i
-
-
 def _matvec(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """rows @ theta for rows (..., b, d) and theta (d,) or a stack (S, d):
     one matrix-vector product per iterate, as a batched matmul."""
     return np.matmul(rows, theta[..., None])[..., 0]
 
 
-class RegressionProblem:
-    """Optimizer-facing view of a RegressionDataset.
+class _LinearProblem:
+    """Linear model with per-sample loss phi(r) of the residual
+    r = row' theta - target. A subclass passes its rows and targets and gives
+    `_phi(r) -> (phi(r), phi'(r))`; no common minimizer exists."""
+
+    theta_star = None
+
+    def __init__(self, rows: np.ndarray, targets: np.ndarray):
+        self._rows, self._targets = rows, targets
+        self.n_samples, self.dim = rows.shape
+
+    def theta_init(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    def losses(self, theta, idx) -> np.ndarray:
+        return self._phi(_matvec(self._rows[idx], theta) - self._targets[idx])[0]
+
+    def loss_grad(self, theta, idx, prev=None):
+        rows, y = self._rows[idx], self._targets[idx]
+        f, df = self._phi(_matvec(rows, theta) - y)
+        f_prev = None if prev is None else self._phi(_matvec(rows, prev) - y)[0]
+        return f, df[..., None] * rows, f_prev
+
+
+class RegressionProblem(_LinearProblem):
+    """Optimizer-facing view of a RegressionDataset under the squared loss
+    0.5 r^2.
 
     The bias is folded in as a trailing constant-1 feature, so the
     parameter vector has length p+1 and per-sample smoothness is
@@ -177,33 +182,15 @@ class RegressionProblem:
 
     def __init__(self, data: RegressionDataset):
         self.data = data
-        self._X1 = np.hstack([data.X, np.ones((data.X.shape[0], 1))])
+        super().__init__(np.hstack([data.X, np.ones((data.X.shape[0], 1))]), data.y)
         self._X1_test = np.hstack(
             [data.X_test, np.ones((data.X_test.shape[0], 1))]
         )
-        self.dim = self._X1.shape[1]
-        self.n_samples = self._X1.shape[0]
-        self.L = float((self._X1**2).sum(axis=1).max())
-        self.theta_star = None  # no common minimizer across outliers
+        self.L = float((self._rows**2).sum(axis=1).max())
 
-    def theta_init(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def losses(self, theta, idx) -> np.ndarray:
-        r = _matvec(self._X1[idx], theta) - self.data.y[idx]
-        return 0.5 * r * r
-
-    def grads(self, theta, idx) -> np.ndarray:
-        return self.loss_grad(theta, idx)[1]
-
-    def loss_grad(self, theta, idx, prev=None):
-        rows, y = self._X1[idx], self.data.y[idx]
-        r = _matvec(rows, theta) - y
-        f_prev = None
-        if prev is not None:
-            r_prev = _matvec(rows, prev) - y
-            f_prev = 0.5 * r_prev * r_prev
-        return 0.5 * r * r, r[..., None] * rows, f_prev
+    @staticmethod
+    def _phi(r):
+        return 0.5 * r * r, r
 
     def test_loss(self, theta):
         """Mean test loss: a float for one iterate, an (S,) array for a stack."""
@@ -228,9 +215,6 @@ class QuadraticProblem:
     def losses(self, theta, idx) -> np.ndarray:
         return self.loss_grad(theta, idx)[0]
 
-    def grads(self, theta, idx) -> np.ndarray:
-        return self.loss_grad(theta, idx)[1]
-
     def loss_grad(self, theta, idx, prev=None):
         A = self.suite.A[idx]
         f, Adev = self._loss_grad(A, theta)
@@ -246,37 +230,19 @@ class QuadraticProblem:
         return np.zeros(np.shape(idx))
 
 
-class NonconvexProblem:
-    """Random linear features under the bounded non-convex loss; used for
-    the gradient-norm gap diagnostic."""
+class NonconvexProblem(_LinearProblem):
+    """Random linear features under the bounded non-convex loss
+    1 - exp(-r^2); used for the gradient-norm gap diagnostic."""
 
     def __init__(self, n_samples: int = 256, dim: int = 8, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.X = rng.standard_normal((n_samples, dim))
+        X = rng.standard_normal((n_samples, dim))
         theta_true = rng.standard_normal(dim)
-        self.y = self.X @ theta_true + 0.1 * rng.standard_normal(n_samples)
-        self.dim = dim
-        self.n_samples = n_samples
+        super().__init__(X, X @ theta_true + 0.1 * rng.standard_normal(n_samples))
         # |d^2/dr^2 (1 - exp(-r^2))| <= 2, so L_i <= 2 ||x_i||^2
-        self.L = float(2.0 * (self.X**2).sum(axis=1).max())
-        self.theta_star = None
+        self.L = float(2.0 * (X**2).sum(axis=1).max())
 
-    def theta_init(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def losses(self, theta, idx) -> np.ndarray:
-        r = _matvec(self.X[idx], theta) - self.y[idx]
-        return 1.0 - np.exp(-r * r)
-
-    def grads(self, theta, idx) -> np.ndarray:
-        return self.loss_grad(theta, idx)[1]
-
-    def loss_grad(self, theta, idx, prev=None):
-        rows, y = self.X[idx], self.y[idx]
-        r = _matvec(rows, theta) - y
+    @staticmethod
+    def _phi(r):
         e = np.exp(-r * r)
-        f_prev = None
-        if prev is not None:
-            r_prev = _matvec(rows, prev) - y
-            f_prev = 1.0 - np.exp(-r_prev * r_prev)
-        return 1.0 - e, (2.0 * r * e)[..., None] * rows, f_prev
+        return 1.0 - e, 2.0 * r * e

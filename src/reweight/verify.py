@@ -1,20 +1,29 @@
 """Self-contained verification suite behind the `verify` CLI subcommand.
 
 Each check pits a production code path against an independent brute-force
-oracle and reports the tolerance it used. Gradient functions are injectable
-so a deliberately broken gradient can be used as a negative control.
+oracle and reports the tolerance it used. The gradient check takes the
+problems it checks as an argument, so a problem with a deliberately broken
+`loss_grad` can be used as a negative control.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
 from .core import capped_optimal_weights, normalize_losses
 from .diagnostics import delta_t
 from .oracle import brute_force_optimal_weights, finite_diff_grad, kkt_residual
-from .problems import nonconvex_loss_grad, regression_loss_grad
+from .problems import (
+    NonconvexProblem,
+    QuadraticProblem,
+    RegressionProblem,
+    gen_quadratic_suite,
+    gen_regression,
+)
 
-__all__ = ["run_all", "check_prop1_agreement", "check_gradients",
+__all__ = ["run_all", "check_prop1_agreement", "check_kkt", "check_gradients",
            "check_delta_sign", "check_cap_enforcement", "check_degenerate_limit"]
 
 
@@ -48,36 +57,39 @@ def check_kkt(n_instances: int = 50, seed: int = 1, tol: float = 1e-6):
 
 
 def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
-                    regression_grad=None, nonconvex_grad=None):
-    """Analytic gradients vs central finite differences, relative error."""
-    regression_grad = regression_grad or regression_loss_grad
-    nonconvex_grad = nonconvex_grad or nonconvex_loss_grad
+                    problems=None):
+    """Each problem's loss_grad vs central finite differences of its losses,
+    relative error, on one sample at each of a stack of random iterates.
+    The losses loss_grad returns, at the iterate and at prev, must also equal
+    `losses` bit for bit. By default the regression, quadratic and
+    non-convex problems are checked."""
+    if problems is None:
+        problems = [
+            RegressionProblem(gen_regression(p=6, n=24, m=8, seed=seed, n_test=1)),
+            QuadraticProblem(gen_quadratic_suite(M=16, d=6, seed=seed)),
+            NonconvexProblem(n_samples=32, dim=6, seed=seed),
+        ]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    p = 6
+    exact = True
     # Below this gradient magnitude the comparison is effectively absolute:
     # central differences on near-flat regions (e.g. the saturated tails of
     # the non-convex loss) are dominated by cancellation noise ~1e-10.
     grad_floor = 1e-3
-    for _ in range(n_points):
-        x = rng.standard_normal(p)
-        y = float(rng.standard_normal())
-        W = rng.standard_normal(p)
-        b = float(rng.standard_normal())
-        _, g = regression_grad(W, b, x, y)
-        fd = finite_diff_grad(
-            lambda th: regression_loss_grad(th[:p], th[p], x, y)[0],
-            np.concatenate([W, [b]]),
-        )
-        rel = np.abs(g - fd).max() / max(np.abs(fd).max(), grad_floor)
-        worst = max(worst, float(rel))
-
-        theta = rng.standard_normal(p)
-        _, g2 = nonconvex_grad(theta, x, y)
-        fd2 = finite_diff_grad(lambda th: nonconvex_loss_grad(th, x, y)[0], theta)
-        rel2 = np.abs(g2 - fd2).max() / max(np.abs(fd2).max(), grad_floor)
-        worst = max(worst, float(rel2))
-    return worst <= rel_tol, f"gradient check: max rel err = {worst:.2e} (tol {rel_tol:.0e})"
+    for problem in problems:
+        theta, prev = rng.standard_normal((2, n_points, problem.dim))
+        idx = rng.integers(problem.n_samples, size=(n_points, 1))
+        f, g, f_prev = problem.loss_grad(theta, idx, prev)
+        fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
+        err = np.abs(g[:, 0] - fd).max(axis=1)
+        rel = err / np.maximum(np.abs(fd).max(axis=1), grad_floor)
+        worst = max(worst, float(rel.max()))
+        exact &= (np.array_equal(f, problem.losses(theta, idx))
+                  and np.array_equal(f_prev, problem.losses(prev, idx)))
+    msg = f"gradient check: max rel err = {worst:.2e} (tol {rel_tol:.0e})"
+    if not exact:
+        msg += "; loss_grad's losses differ from losses()"
+    return worst <= rel_tol and exact, msg
 
 
 def check_delta_sign(n_batches: int = 500, seed: int = 3, tol: float = 1e-12):
@@ -134,14 +146,17 @@ CHECKS = [
 def run_all(verbose: bool = False, **overrides) -> bool:
     """Run every check; returns True only if all pass.
 
-    Keyword overrides (e.g. regression_grad=...) are forwarded to the checks
-    that accept them, which lets tests inject broken implementations.
+    Keyword overrides (e.g. problems=...) are forwarded to the checks that
+    take a parameter of that name, which lets tests inject broken
+    implementations. An override that no check takes is a TypeError.
     """
+    params = {check: inspect.signature(check).parameters for check in CHECKS}
+    unknown = sorted(set(overrides).difference(*params.values()))
+    if unknown:
+        raise TypeError(f"no check takes the override(s) {', '.join(unknown)}")
     all_ok = True
     for check in CHECKS:
-        kwargs = {k: v for k, v in overrides.items()
-                  if k in check.__code__.co_varnames}
-        ok, msg = check(**kwargs)
+        ok, msg = check(**{k: v for k, v in overrides.items() if k in params[check]})
         all_ok &= ok
         if verbose:
             print(f"[{'PASS' if ok else 'FAIL'}] {msg}")

@@ -28,7 +28,13 @@ from reweight.core import (
     temper_weights,
 )
 from reweight.optim import COLUMNS
-from reweight.problems import regression_loss_grad
+from reweight.problems import (
+    NonconvexProblem,
+    QuadraticProblem,
+    RegressionProblem,
+    gen_quadratic_suite,
+    gen_regression,
+)
 
 
 def write_config(path, payload):
@@ -575,18 +581,55 @@ class TestVerify:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_wrong_sign_gradient_negative_control(self):
-        def broken_grad(W, b, x_i, y_i):
-            loss, grad = regression_loss_grad(W, b, x_i, y_i)
-            return loss, -grad
-
-        ok, msg = verify.check_gradients(
-            n_points=5, regression_grad=broken_grad
-        )
+        problem = tampered(RegressionProblem, grad=lambda g: -g)(
+            gen_regression(p=6, n=24, m=8, seed=0, n_test=1))
+        ok, msg = verify.check_gradients(n_points=5, problems=[problem])
         assert not ok
 
     def test_run_all_forwards_overrides(self):
-        def broken_grad(W, b, x_i, y_i):
-            loss, grad = regression_loss_grad(W, b, x_i, y_i)
-            return loss, grad * 0.5
+        problem = tampered(RegressionProblem, grad=lambda g: 0.5 * g)(
+            gen_regression(p=6, n=24, m=8, seed=0, n_test=1))
+        assert verify.run_all(problems=[problem], n_points=5) is False
 
-        assert verify.run_all(regression_grad=broken_grad, n_points=5) is False
+    def test_scaled_quadratic_gradient_negative_control(self):
+        problem = tampered(QuadraticProblem, grad=lambda g: (1.0 + 1e-4) * g)(
+            gen_quadratic_suite(M=16, d=6, seed=0))
+        ok, msg = verify.check_gradients(problems=[problem])
+        assert not ok
+        assert "max rel err = 1.00e-04" in msg
+
+    @pytest.mark.parametrize("tamper", ["losses", "prev_losses"])
+    def test_losses_one_ulp_off_negative_control(self, tamper):
+        # The gradient is right; only the losses are one ulp off `losses`.
+        problem = tampered(NonconvexProblem, **{tamper: lambda f: np.nextafter(f, np.inf)})(
+            n_samples=32, dim=6)
+        ok, msg = verify.check_gradients(problems=[problem])
+        assert not ok
+        assert "differ from losses()" in msg
+
+    def test_untampered_problems_pass(self):
+        problems = [tampered(RegressionProblem)(gen_regression(p=6, n=24, m=8, n_test=1)),
+                    tampered(QuadraticProblem)(gen_quadratic_suite(M=16, d=6)),
+                    tampered(NonconvexProblem)(n_samples=32, dim=6)]
+        ok, msg = verify.check_gradients(problems=problems)
+        assert ok, msg
+
+    @pytest.mark.parametrize("name", ["worst", "regresion_grad"])
+    def test_run_all_rejects_unknown_override(self, name):
+        # `worst` is a local variable of several checks, not a parameter;
+        # a misspelt override must not be dropped, or a negative control
+        # with a typo would pass.
+        with pytest.raises(TypeError, match=name):
+            verify.run_all(**{name: 1.0}, n_points=1)
+
+
+def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f):
+    """A subclass of the problem class base whose loss_grad passes each of its
+    three results through the given function."""
+
+    class Tampered(base):
+        def loss_grad(self, theta, idx, prev=None):
+            f, g, f_prev = super().loss_grad(theta, idx, prev)
+            return losses(f), grad(g), prev_losses(f_prev)
+
+    return Tampered

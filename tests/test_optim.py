@@ -198,7 +198,7 @@ class TestRunTraining:
                 pos = 0
             idx = order[pos : pos + batch]
             pos += batch
-            theta = theta - eta * (uniform @ problem.grads(theta, idx))
+            theta = theta - eta * (uniform @ problem.loss_grad(theta, idx)[1])
             np.testing.assert_array_equal(traj.thetas[t + 1], theta)
         for w in traj.batch_weights:
             np.testing.assert_array_equal(w, uniform)
@@ -239,7 +239,7 @@ class TestRunTraining:
         theta_prev = traj.thetas[0].copy()
         theta = traj.thetas[0].copy()
         for t in range(steps):
-            wg = traj.batch_weights[t] @ problem.grads(theta, traj.batch_indices[t])
+            wg = traj.batch_weights[t] @ problem.loss_grad(theta, traj.batch_indices[t])[1]
             lam_t = t / 2.0
             lam_next = (t + 1) / 2.0
             theta_next = (
@@ -300,7 +300,7 @@ class TestRunTraining:
 
 def _reference_run_training(problem, reweight_config, stepsize, batch_size, steps,
                             seed=0, momentum=False):
-    """The training loop before the fused step: separate losses and grads
+    """The training loop before the fused step: separate losses and gradient
     calls, diagnostics through the public diagnostics functions, list
     histories turned into the trajectory's column arrays at the end, and a
     proxy delta from one losses call per step. Kept as the reference that
@@ -334,7 +334,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         return idx
 
     def record_step(t, idx, f, w, r_value):
-        g = problem.grads(state.theta, idx)
+        g = problem.loss_grad(state.theta, idx)[1]
         row = dict(step=t, train_loss=float(f.mean()), r=r_value, w_max=float(w.max()),
                    w_min=float(w.min()), grad_gap=grad_gap_term((g**2).sum(axis=1), w))
         if has_test:

@@ -288,3 +288,14 @@ class TestFiniteDiff:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda t: 0.0, np.zeros(2), epsilon=0.0)
+
+    def test_stack_rows_equal_separate_calls(self):
+        # A stack (S, d) with a row-wise loss differences each row exactly as
+        # a separate call on that row would.
+        rng = np.random.default_rng(0)
+        thetas = rng.standard_normal((4, 3))
+        stacked = finite_diff_grad(lambda t: np.sin(t).sum(axis=-1), thetas)
+        for theta, row in zip(thetas, stacked):
+            np.testing.assert_array_equal(
+                row, finite_diff_grad(lambda t: float(np.sin(t).sum()), theta))
+        np.testing.assert_allclose(stacked, np.cos(thetas), atol=1e-8)

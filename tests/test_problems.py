@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from reweight.cli import EXIT_OK, main
-from reweight.oracle import finite_diff_grad
 from reweight.problems import (
     NonconvexProblem,
     QuadraticProblem,
     QuadraticSuite,
+    RegressionDataset,
     RegressionProblem,
     gen_quadratic_suite,
     gen_regression,
-    nonconvex_loss_grad,
-    regression_loss_grad,
 )
 
 
@@ -96,29 +94,29 @@ class TestGenRegression:
         assert len([ln for ln in lines if ln]) == 5
 
 
+def one_sample_regression(x, y):
+    """RegressionProblem over the single training row (x, y)."""
+    X = np.array([x], dtype=float)
+    return RegressionProblem(RegressionDataset(
+        X=X, y=np.array([y], dtype=float), n_clean=1, m_outlier=0,
+        W_star=np.zeros(X.shape[1]), b_star=0.0, X_test=X, y_test=np.array([y], dtype=float),
+    ))
+
+
 class TestRegressionLossGrad:
+    # theta is (W, b): the bias is the trailing coordinate.
     def test_perfect_fit(self):
-        loss, grad = regression_loss_grad([1.0], 0.0, [2.0], 2.0)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        loss, grad, _ = one_sample_regression([2.0], 2.0).loss_grad(
+            np.array([1.0, 0.0]), np.array([0]))
+        assert loss[0] == 0.0
+        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
     def test_hand_arithmetic(self):
-        loss, grad = regression_loss_grad([1.0], 0.0, [2.0], 0.0)
-        assert loss == 2.0
-        np.testing.assert_array_equal(grad, [4.0, 2.0])
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        p = 5
-        for _ in range(20):
-            x, y = rng.standard_normal(p), float(rng.standard_normal())
-            W, b = rng.standard_normal(p), float(rng.standard_normal())
-            _, g = regression_loss_grad(W, b, x, y)
-            fd = finite_diff_grad(
-                lambda th: regression_loss_grad(th[:p], th[p], x, y)[0],
-                np.concatenate([W, [b]]),
-            )
-            assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-3) <= 1e-5
+        # r = 2 * 1 + 0 - 0: loss r^2/2 = 2, gradient r * (x, 1) = (4, 2).
+        loss, grad, _ = one_sample_regression([2.0], 0.0).loss_grad(
+            np.array([1.0, 0.0]), np.array([0]))
+        assert loss[0] == 2.0
+        np.testing.assert_array_equal(grad[0], [4.0, 2.0])
 
 
 class TestQuadraticSuite:
@@ -129,7 +127,7 @@ class TestQuadraticSuite:
         problem = QuadraticProblem(suite)
         theta = np.array([3.0])
         np.testing.assert_allclose(problem.losses(theta, np.array([0])), [9.0])
-        np.testing.assert_allclose(problem.grads(theta, np.array([0])), [[6.0]])
+        np.testing.assert_allclose(problem.loss_grad(theta, np.array([0]))[1], [[6.0]])
 
     def test_interpolation_zero_minimum(self):
         suite = gen_quadratic_suite(M=16, d=6, seed=3)
@@ -138,7 +136,7 @@ class TestQuadraticSuite:
         np.testing.assert_allclose(
             problem.losses(suite.theta_star, idx), np.zeros(16), atol=1e-30
         )
-        grads = problem.grads(suite.theta_star, idx)
+        grads = problem.loss_grad(suite.theta_star, idx)[1]
         assert np.abs(grads).max() <= 1e-10
 
     def test_hessians_psd(self):
@@ -174,28 +172,19 @@ class TestQuadraticSuite:
 
 class TestNonconvexLoss:
     def test_zero_residual(self):
-        loss, grad = nonconvex_loss_grad(np.zeros(2), np.ones(2), 0.0)
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        problem = NonconvexProblem(n_samples=1, dim=2)
+        problem._rows, problem._targets = np.ones((1, 2)), np.zeros(1)
+        loss, grad, _ = problem.loss_grad(np.zeros(2), np.array([0]))
+        assert loss[0] == 0.0
+        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
     def test_loss_bounded(self):
+        problem = NonconvexProblem(n_samples=100, dim=3, seed=1)
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            theta, x = rng.standard_normal(3), rng.standard_normal(3)
-            loss, _ = nonconvex_loss_grad(theta, x, float(rng.standard_normal()))
-            # Supremum 1 is attained in floating point when exp(-r^2) underflows.
-            assert 0.0 <= loss <= 1.0
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            theta, x = rng.standard_normal(4), rng.standard_normal(4)
-            y = float(rng.standard_normal())
-            _, g = nonconvex_loss_grad(theta, x, y)
-            fd = finite_diff_grad(lambda t: nonconvex_loss_grad(t, x, y)[0], theta)
-            # Floor at gradient scale 1e-3: the saturated tails of this loss
-            # are flat enough that central differences are cancellation noise.
-            assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-3) <= 1e-5
+        theta = rng.standard_normal((100, 3)) * 10.0 ** rng.uniform(-1, 2, size=(100, 1))
+        loss, _, _ = problem.loss_grad(theta, np.arange(100)[:, None])
+        # Supremum 1 is attained in floating point when exp(-r^2) underflows.
+        assert np.all((0.0 <= loss) & (loss <= 1.0))
 
 
 class TestProblemAdapters:
@@ -208,30 +197,17 @@ class TestProblemAdapters:
         expect_L = float(((data.X**2).sum(axis=1) + 1.0).max())
         assert abs(problem.L - expect_L) <= 1e-12
 
-    def test_regression_problem_losses_match_scalar_form(self):
-        data = gen_regression(p=3, n=8, m=2, seed=1, n_test=2)
-        problem = RegressionProblem(data)
-        theta = np.arange(4, dtype=float) / 10.0
-        idx = np.array([0, 5, 9])
-        for k, i in enumerate(idx):
-            loss, grad = regression_loss_grad(
-                theta[:3], theta[3], data.X[i], data.y[i]
-            )
-            assert abs(problem.losses(theta, idx)[k] - loss) <= 1e-12
-            np.testing.assert_allclose(problem.grads(theta, idx)[k], grad)
-
     def test_nonconvex_problem_gradient_norm_deviation_bounded(self):
         problem = NonconvexProblem(n_samples=64, dim=4, seed=0)
         rng = np.random.default_rng(0)
         idx = np.arange(64)
         for _ in range(10):
             theta = rng.standard_normal(4)
-            g = problem.grads(theta, idx)
+            g = problem.loss_grad(theta, idx)[1]
             dev = np.linalg.norm(g - g.mean(axis=0), axis=1)
-            # |2r e^{-r^2}| <= sqrt(2/e), so deviations stay below 2 sqrt(2/e) max||x||
-            bound = 2.0 * np.sqrt(2.0 / np.e) * np.sqrt(
-                (problem.X**2).sum(axis=1).max()
-            )
+            # |2r e^{-r^2}| <= sqrt(2/e), so deviations stay below
+            # 2 sqrt(2/e) max||x||, and L = 2 max||x||^2.
+            bound = 2.0 * np.sqrt(2.0 / np.e) * np.sqrt(problem.L / 2.0)
             assert dev.max() <= bound
 
 
@@ -244,8 +220,8 @@ def test_loss_grad_equals_separate_methods(make_problem):
     # Training takes its losses and mu_t's previous-iterate losses from the
     # fused path and its proxy delta_t from `losses`; they must agree
     # bitwise, for every batch size (the BLAS kernels differ by row count),
-    # for large iterates and for stacks of iterates. `grads` is the gradient
-    # half of `loss_grad`, so it needs no check here.
+    # for large iterates and for stacks of iterates. The gradients are
+    # checked against finite differences by `verify.check_gradients`.
     problem = make_problem()
     rng = np.random.default_rng(7)
     for b in (1, 3, 4, 7, 8, 13, 24):
