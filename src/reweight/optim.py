@@ -457,9 +457,10 @@ class _Group:
         proxy = "delta_t" not in columns and not diverged
         if proxy:
             # The final iterate's losses stand in for the optimal ones, from
-            # one losses call over all samples indexed by the batch history,
-            # with the weights recomputed row-wise from the losses.
-            f_final = problem.losses(self.final[i], np.arange(problem.n_samples))
+            # one losses call over a view of all samples (no gathered copy),
+            # indexed by the batch history, with the weights recomputed
+            # row-wise from the losses.
+            f_final = problem.losses(self.final[i], slice(None))
             w = compute_batch_weights(losses, config, np.arange(T))
             columns["delta_t"] = np.add.reduce((1.0 / b - w) * (losses - f_final[indices]),
                                                axis=1)

@@ -21,6 +21,11 @@ of iterates (S, d) with one row of indices each, (S, b); losses then come
 back as (S, b) and gradients as (S, b, d). Residuals are formed by a batched
 matmul, which gives each row bit for bit the result of the single-iterate
 call, so a stacked run reproduces its separate runs exactly.
+
+The regression problem's `test_loss` factors its test split once,
+[X_test 1 y_test] = QR, and evaluates the residual norm through R, which has
+at most p+2 rows however large the split is. It equals the direct mean over
+the test rows up to rounding (about 1e-15 relative on trained iterates).
 """
 
 from __future__ import annotations
@@ -183,19 +188,26 @@ class RegressionProblem(_LinearProblem):
     def __init__(self, data: RegressionDataset):
         self.data = data
         super().__init__(np.hstack([data.X, np.ones((data.X.shape[0], 1))]), data.y)
-        self._X1_test = np.hstack(
-            [data.X_test, np.ones((data.X_test.shape[0], 1))]
-        )
         self.L = float((self._rows**2).sum(axis=1).max())
+        # [X_test 1 y_test] = QR with orthonormal Q, so the test residual norm
+        # ||X1 theta - y|| equals ||R[:, :-1] theta - R[:, -1]||: at most
+        # (p+2) rows stand in for the whole test split.
+        R = np.linalg.qr(np.column_stack([data.X_test, np.ones(len(data.y_test)), data.y_test]),
+                         mode="r")
+        self._R_test = np.ascontiguousarray(R[:, :-1])
+        self._r_test = np.ascontiguousarray(R[:, -1])
+        self._n_test = len(data.y_test)
 
     @staticmethod
     def _phi(r):
         return 0.5 * r * r, r
 
     def test_loss(self, theta):
-        """Mean test loss: a float for one iterate, an (S,) array for a stack."""
-        r = _matvec(self._X1_test, theta) - self.data.y_test
-        loss = 0.5 * ((r * r).sum(axis=-1) / r.shape[-1])  # np.mean's arithmetic
+        """Mean test loss 0.5 mean((X1_test theta - y_test)^2) through the test
+        split's R factor: equal to the direct mean up to rounding, never
+        negative. A float for one iterate, an (S,) array for a stack."""
+        r = _matvec(self._R_test, theta) - self._r_test
+        loss = 0.5 * ((r * r).sum(axis=-1) / self._n_test)
         return float(loss) if loss.ndim == 0 else loss
 
 
@@ -232,13 +244,14 @@ class QuadraticProblem:
 
 class NonconvexProblem(_LinearProblem):
     """Random linear features under the bounded non-convex loss
-    1 - exp(-r^2); used for the gradient-norm gap diagnostic."""
+    1 - exp(-r^2); used for the gradient-norm gap diagnostic. The targets are
+    X theta_true plus 0.1-scale noise."""
 
     def __init__(self, n_samples: int = 256, dim: int = 8, seed: int = 0):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_samples, dim))
-        theta_true = rng.standard_normal(dim)
-        super().__init__(X, X @ theta_true + 0.1 * rng.standard_normal(n_samples))
+        self.theta_true = rng.standard_normal(dim)
+        super().__init__(X, X @ self.theta_true + 0.1 * rng.standard_normal(n_samples))
         # |d^2/dr^2 (1 - exp(-r^2))| <= 2, so L_i <= 2 ||x_i||^2
         self.L = float(2.0 * (X**2).sum(axis=1).max())
 

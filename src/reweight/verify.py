@@ -63,22 +63,13 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
     The losses loss_grad returns, at the iterate and at prev, must also equal
     `losses` bit for bit. By default the regression, quadratic and
     non-convex problems are checked."""
-    if problems is None:
-        problems = [
-            RegressionProblem(gen_regression(p=6, n=24, m=8, seed=seed, n_test=1)),
-            QuadraticProblem(gen_quadratic_suite(M=16, d=6, seed=seed)),
-            NonconvexProblem(n_samples=32, dim=6, seed=seed),
-        ]
-    rng = np.random.default_rng(seed)
     worst = 0.0
     exact = True
     # Below this gradient magnitude the comparison is effectively absolute:
-    # central differences on near-flat regions (e.g. the saturated tails of
-    # the non-convex loss) are dominated by cancellation noise ~1e-10.
+    # central differences on near-flat regions are dominated by cancellation
+    # noise ~1e-10, which is why gradient_points avoids them.
     grad_floor = 1e-3
-    for problem in problems:
-        theta, prev = rng.standard_normal((2, n_points, problem.dim))
-        idx = rng.integers(problem.n_samples, size=(n_points, 1))
+    for problem, theta, prev, idx in gradient_points(n_points, seed, problems):
         f, g, f_prev = problem.loss_grad(theta, idx, prev)
         fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
         err = np.abs(g[:, 0] - fd).max(axis=1)
@@ -90,6 +81,29 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
     if not exact:
         msg += "; loss_grad's losses differ from losses()"
     return worst <= rel_tol and exact, msg
+
+
+def gradient_points(n_points: int = 100, seed: int = 2, problems=None):
+    """The (problem, theta, prev, idx) stacks check_gradients evaluates: per
+    problem, n_points iterates and previous iterates (n_points, d) with one
+    sample index each. Iterates are standard normal, except for the
+    non-convex problem, whose unit-scale iterates would put about a third of
+    the points in the flat tails of 1 - exp(-r^2); its iterates are normal
+    with standard deviation 0.2 around the parameter that generated its
+    targets, where residuals are small but gradients are not."""
+    if problems is None:
+        problems = [
+            RegressionProblem(gen_regression(p=6, n=24, m=8, seed=seed, n_test=1)),
+            QuadraticProblem(gen_quadratic_suite(M=16, d=6, seed=seed)),
+            NonconvexProblem(n_samples=32, dim=6, seed=seed),
+        ]
+    rng = np.random.default_rng(seed)
+    for problem in problems:
+        theta, prev = rng.standard_normal((2, n_points, problem.dim))
+        idx = rng.integers(problem.n_samples, size=(n_points, 1))
+        if isinstance(problem, NonconvexProblem):
+            theta, prev = problem.theta_true + 0.2 * theta, problem.theta_true + 0.2 * prev
+        yield problem, theta, prev, idx
 
 
 def check_delta_sign(n_batches: int = 500, seed: int = 3, tol: float = 1e-12):

@@ -28,6 +28,7 @@ from reweight.core import (
     temper_weights,
 )
 from reweight.optim import COLUMNS
+from reweight.oracle import finite_diff_grad
 from reweight.problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -606,6 +607,23 @@ class TestVerify:
         ok, msg = verify.check_gradients(problems=[problem])
         assert not ok
         assert "differ from losses()" in msg
+
+    def test_scaled_nonconvex_gradient_negative_control(self):
+        problem = tampered(NonconvexProblem, grad=lambda g: (1.0 + 1e-4) * g)(
+            n_samples=32, dim=6, seed=2)
+        ok, msg = verify.check_gradients(problems=[problem])
+        assert not ok
+        assert "max rel err = 1.00e-04" in msg
+
+    def test_gradient_points_off_the_flat_regions(self):
+        # Every point's gradient clears the check's 1e-3 floor, so every
+        # comparison is relative; unit-scale non-convex iterates left 38 of
+        # 100 points in the flat tails of 1 - exp(-r^2).
+        points = list(verify.gradient_points())
+        assert len(points) == 3
+        for problem, theta, _, idx in points:
+            fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
+            assert np.abs(fd).max(axis=1).min() >= 1e-3, type(problem).__name__
 
     def test_untampered_problems_pass(self):
         problems = [tampered(RegressionProblem)(gen_regression(p=6, n=24, m=8, n_test=1)),

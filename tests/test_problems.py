@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from reweight.cli import EXIT_OK, main
+from reweight.core import ReweightConfig, TemperatureSchedule
+from reweight.optim import StepSizeRule, run_training
 from reweight.problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -119,6 +121,56 @@ class TestRegressionLossGrad:
         np.testing.assert_array_equal(grad[0], [4.0, 2.0])
 
 
+def direct_test_loss(data, theta):
+    """0.5 mean((X1_test theta - y_test)^2) for each row of a stack of iterates."""
+    X1 = np.column_stack([data.X_test, np.ones(len(data.y_test))])
+    return 0.5 * np.mean((np.atleast_2d(theta) @ X1.T - data.y_test) ** 2, axis=1)
+
+
+class TestRegressionTestLoss:
+    # test_loss goes through the R factor of [X_test 1 y_test]; it must
+    # match the direct mean over the test rows to rounding.
+    def test_matches_direct_mean_on_trained_iterates(self):
+        # The configs/toy_regression.json run, every iterate of it.
+        problem = RegressionProblem(gen_regression(seed=0))
+        schedule = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=1.0,
+                                       warmup_steps=100)
+        traj = run_training(problem, ReweightConfig(mode="linupper", schedule=schedule),
+                            StepSizeRule(kind="fixed", eta=1e-3), batch_size=32, steps=2000)
+        want = direct_test_loss(problem.data, traj.thetas)
+        np.testing.assert_allclose(problem.test_loss(traj.thetas), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.columns["test_loss"], want[:-1], rtol=1e-12, atol=0)
+
+    def test_matches_direct_mean_near_the_generator(self):
+        data = gen_regression(seed=1)
+        problem = RegressionProblem(data)
+        rng = np.random.default_rng(1)
+        theta = np.append(data.W_star, data.b_star) + 1e-4 * rng.uniform(-1, 1, (50, 65))
+        np.testing.assert_allclose(problem.test_loss(theta), direct_test_loss(data, theta),
+                                   rtol=1e-12, atol=0)
+
+    def test_nonnegative_and_zero_on_noise_free_split(self):
+        data = gen_regression(p=16, n=64, m=8, noise_c=0.0, seed=2, n_test=200)
+        loss = RegressionProblem(data).test_loss(np.append(data.W_star, data.b_star))
+        assert 0.0 <= loss < 1e-20
+
+    def test_stack_rows_equal_single_calls(self):
+        problem = RegressionProblem(gen_regression(seed=3))
+        thetas = np.random.default_rng(3).standard_normal((5, 65))
+        stacked = problem.test_loss(thetas)
+        assert stacked.shape == (5,)
+        for theta, loss in zip(thetas, stacked):
+            assert problem.test_loss(theta) == loss
+
+    @pytest.mark.parametrize("n_test", [1, 3])
+    def test_split_with_fewer_rows_than_columns(self, n_test):
+        # R is then n_test x (p + 2), wide and upper trapezoidal.
+        data = gen_regression(p=6, n=24, m=8, seed=4, n_test=n_test)
+        theta = np.random.default_rng(4).standard_normal((4, 7))
+        np.testing.assert_allclose(RegressionProblem(data).test_loss(theta),
+                                   direct_test_loss(data, theta), rtol=1e-12, atol=0)
+
+
 class TestQuadraticSuite:
     def test_hand_built_one_dimensional(self):
         suite = QuadraticSuite(
@@ -211,11 +263,24 @@ class TestProblemAdapters:
             assert dev.max() <= bound
 
 
-@pytest.mark.parametrize("make_problem", [
+MAKE_PROBLEMS = pytest.mark.parametrize("make_problem", [
     lambda: RegressionProblem(gen_regression(p=6, n=40, m=10, seed=3, n_test=4)),
     lambda: QuadraticProblem(gen_quadratic_suite(M=24, d=5, seed=3)),
     lambda: NonconvexProblem(n_samples=48, dim=6, seed=3),
 ], ids=["regression", "quadratic", "nonconvex"])
+
+
+@MAKE_PROBLEMS
+def test_losses_over_all_samples_by_slice(make_problem):
+    # The proxy delta_t takes the final iterate's losses over a view of all
+    # samples; that must equal gathering every row by index.
+    problem = make_problem()
+    theta = np.random.default_rng(5).standard_normal(problem.dim)
+    np.testing.assert_array_equal(problem.losses(theta, slice(None)),
+                                  problem.losses(theta, np.arange(problem.n_samples)))
+
+
+@MAKE_PROBLEMS
 def test_loss_grad_equals_separate_methods(make_problem):
     # Training takes its losses and mu_t's previous-iterate losses from the
     # fused path and its proxy delta_t from `losses`; they must agree
