@@ -23,7 +23,7 @@ column in COLUMNS, beside the batch indices and losses; a cell's Trajectory
 takes its columns as views of them. Where a problem has no optimal losses,
 the proxy delta_t is one array computed at the end, from one losses call at
 the final iterate over all samples and the weights recomputed from the
-stored losses.
+stored losses, _PROXY_BLOCK steps at a time.
 
 Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 """
@@ -55,8 +55,12 @@ DIVERGENCE_LOSS = 1e12
 
 # History bytes one lockstep group may hold (see cell_bytes). At the sweep_toy
 # size (2000 steps, b = 32, n = 4000) a cell holds about 0.77 MB, so a group
-# runs 5 cells.
-LOCKSTEP_BYTES = 4 << 20
+# runs 10 cells: two strategies of five seeds.
+LOCKSTEP_BYTES = 8 << 20
+
+# Steps of a cell's proxy delta_t computed at a time; a block's temporaries
+# are a few b-wide rows of this many steps, not of the whole run.
+_PROXY_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -458,12 +462,16 @@ class _Group:
         if proxy:
             # The final iterate's losses stand in for the optimal ones, from
             # one losses call over a view of all samples (no gathered copy),
-            # indexed by the batch history, with the weights recomputed
-            # row-wise from the losses.
+            # indexed by the batch history, with the weights recomputed from
+            # the losses. Both work row by row, so computing a block of steps
+            # at a time gives each step the whole-run result bit for bit.
             f_final = problem.losses(self.final[i], slice(None))
-            w = compute_batch_weights(losses, config, np.arange(T))
-            columns["delta_t"] = np.add.reduce((1.0 / b - w) * (losses - f_final[indices]),
-                                               axis=1)
+            delta = columns["delta_t"] = np.empty(T)
+            for lo in range(0, T, _PROXY_BLOCK):
+                rows = slice(lo, lo + _PROXY_BLOCK)
+                f = losses[rows]
+                w = compute_batch_weights(f, config, columns["step"][rows])
+                delta[rows] = np.add.reduce((1.0 / b - w) * (f - f_final[indices[rows]]), axis=1)
         weights = self.batch_weights[i, :T] if self.history else None
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]

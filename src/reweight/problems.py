@@ -182,11 +182,12 @@ class RegressionProblem(_LinearProblem):
 
     The bias is folded in as a trailing constant-1 feature, so the
     parameter vector has length p+1 and per-sample smoothness is
-    L_i = ||x_i||^2 + 1.
+    L_i = ||x_i||^2 + 1. The problem keeps that design matrix, the targets
+    and the test split's R factor, not the dataset: its X and X_test are
+    freed once the caller drops it.
     """
 
     def __init__(self, data: RegressionDataset):
-        self.data = data
         super().__init__(np.hstack([data.X, np.ones((data.X.shape[0], 1))]), data.y)
         self.L = float((self._rows**2).sum(axis=1).max())
         # [X_test 1 y_test] = QR with orthonormal Q, so the test residual norm

@@ -17,6 +17,8 @@ from reweight.cli import (
     RUN_DEFAULTS,
     SWEEP_DEFAULTS,
     _check_value,
+    _load_config,
+    _make_problem,
     _make_reweight_config,
     main,
 )
@@ -27,7 +29,7 @@ from reweight.core import (
     normalize_losses,
     temper_weights,
 )
-from reweight.optim import COLUMNS
+from reweight.optim import COLUMNS, cell_bytes
 from reweight.oracle import finite_diff_grad
 from reweight.problems import (
     NonconvexProblem,
@@ -398,19 +400,23 @@ class TestSweep:
                           r_values=[2.0, 0.5, 2], seeds=[0, 2]),
     }
 
-    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("budget", [None, 1, "3cells"])
     @pytest.mark.parametrize("problem", sorted(MIXED_SWEEPS))
     def test_every_cell_matches_run(self, tmp_path, monkeypatch, problem, budget):
         # Cells train in lockstep groups, and a group's rows must not affect
         # one another: every cell CSV and sidecar equals its own `run` output.
-        # A budget of 1 byte runs each cell in a group of its own.
-        if budget is not None:
-            monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
+        # A budget of 1 byte runs each cell in a group of its own; one of
+        # three cells splits some strategy's cells across two groups.
         strategies = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
         payload = dict(SMALL_RUN, steps=60, strategies=strategies, **self.MIXED_SWEEPS[problem])
+        sweep_cfg = write_config(tmp_path / "sweep.json", payload)
+        if budget == "3cells":
+            built = _make_problem(_load_config(sweep_cfg, SWEEP_DEFAULTS))
+            budget = 3 * cell_bytes(built, payload["batch_size"], payload["steps"])
+        if budget is not None:
+            monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
         sweep_dir = tmp_path / "sweep"
-        code = main(["sweep", "--config", write_config(tmp_path / "sweep.json", payload),
-                     "--out", str(sweep_dir)])
+        code = main(["sweep", "--config", sweep_cfg, "--out", str(sweep_dir)])
         summary = list(csv.DictReader((sweep_dir / "summary.csv").read_text().splitlines()))
         assert len(summary) == len(strategies) * len(payload["r_values"]) * len(payload["seeds"])
         statuses = set()

@@ -624,6 +624,58 @@ class TestLockstepMatchesReference:
             assert column_text(a) == column_text(b)
 
 
+def whole_history_proxy(problem, config, traj, b):
+    """A cell's proxy delta_t computed over its whole batch history at once."""
+    losses = traj.batch_losses
+    f_final = problem.losses(traj.final_theta, slice(None))
+    w = compute_batch_weights(losses, config, np.arange(len(losses)))
+    return np.add.reduce((1.0 / b - w) * (losses - f_final[traj.batch_indices]), axis=1)
+
+
+class TestBlockwiseProxy:
+    """The proxy delta_t is computed a block of steps at a time; each step
+    must equal the whole-history formula bit for bit, on both sides of a
+    block edge and across a temperature drop inside a later block."""
+
+    PROBLEMS = {
+        "regression": lambda: RegressionProblem(gen_regression(p=8, n=120, m=30, seed=2,
+                                                               n_test=8)),
+        "nonconvex": lambda: NonconvexProblem(n_samples=96, dim=6, seed=2),
+    }
+
+    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_equals_whole_history(self, name, steps):
+        problem, b = self.PROBLEMS[name](), 8
+        drop = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=0.5,
+                                   warmup_steps=300)
+        cells = [(ReweightConfig(schedule=drop), 0),
+                 (ReweightConfig(mode="capped", schedule=constant_schedule(0.1)), 1),
+                 (ReweightConfig(mode="quadratic", schedule=drop), 2)]
+        outcomes = run_cells(problem, cells, StepSizeRule(eta=1e-2), b, steps)
+        for (config, _), traj in zip(cells, outcomes):
+            assert traj.delta_is_proxy and len(traj.columns["delta_t"]) == steps
+            want = whole_history_proxy(problem, config, traj, b)
+            assert traj.columns["delta_t"].tobytes() == want.tobytes()
+
+    def test_diverged_cell_has_no_proxy(self):
+        # dro_kl diverges past the first block at this lr and seed; its
+        # neighbour keeps its proxy.
+        problem = RegressionProblem(gen_regression(p=64, n=200, m=50, seed=0, n_test=16))
+        cells = [(ReweightConfig(mode="dro_kl", dro_tau=1.0), 5), (ReweightConfig(), 0)]
+        diverged, ok = run_cells(problem, cells, StepSizeRule(eta=8e-3), 8, 600)
+        assert diverged.divergence_step > optim._PROXY_BLOCK
+        assert "delta_t" not in diverged.columns and not diverged.delta_is_proxy
+        assert not ok.diverged and ok.delta_is_proxy and len(ok.columns["delta_t"]) == 600
+
+
+def test_sweep_toy_groups_hold_two_strategies():
+    # The budget is sized for the sweep_toy cells (gen_regression defaults,
+    # b = 32, 2000 steps): ten per group, two strategies of five seeds.
+    problem = RegressionProblem(gen_regression())
+    assert optim.LOCKSTEP_BYTES // cell_bytes(problem, 32, 2000) == 10
+
+
 def test_lockstep_memory_stays_within_budget(monkeypatch):
     # A sweep's traced peak is the group budget plus what one group needs per
     # step and the column arrays of the one cell being handed out. Keeping
@@ -639,9 +691,11 @@ def test_lockstep_memory_stays_within_budget(monkeypatch):
     traj = run_training(problem, cells[0][0], rule, b, steps)
     columns = sum(col.nbytes for col in traj.columns.values())
     # gathered rows, gradients and their products, batch orders, test
-    # residuals, and the temporaries of one cell's proxy weights and gaps
+    # residuals; and one block of a cell's proxy (its weights, 1/b - w, the
+    # gathered final losses, their gap and the product), plus its (steps,)
+    # result
     per_step = 8 * group * (4 * b * problem.dim + problem.n_samples + 2 * 64)
-    proxy = 8 * 8 * steps * b
+    proxy = 8 * 5 * optim._PROXY_BLOCK * b + 8 * steps
     tracemalloc.start()
     try:
         for outcome in run_cells(problem, cells, rule, b, steps):

@@ -1,6 +1,8 @@
 """Tests for the synthetic problem suites."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -132,12 +134,13 @@ class TestRegressionTestLoss:
     # match the direct mean over the test rows to rounding.
     def test_matches_direct_mean_on_trained_iterates(self):
         # The configs/toy_regression.json run, every iterate of it.
-        problem = RegressionProblem(gen_regression(seed=0))
+        data = gen_regression(seed=0)
+        problem = RegressionProblem(data)
         schedule = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=1.0,
                                        warmup_steps=100)
         traj = run_training(problem, ReweightConfig(mode="linupper", schedule=schedule),
                             StepSizeRule(kind="fixed", eta=1e-3), batch_size=32, steps=2000)
-        want = direct_test_loss(problem.data, traj.thetas)
+        want = direct_test_loss(data, traj.thetas)
         np.testing.assert_allclose(problem.test_loss(traj.thetas), want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(traj.columns["test_loss"], want[:-1], rtol=1e-12, atol=0)
 
@@ -169,6 +172,30 @@ class TestRegressionTestLoss:
         theta = np.random.default_rng(4).standard_normal((4, 7))
         np.testing.assert_allclose(RegressionProblem(data).test_loss(theta),
                                    direct_test_loss(data, theta), rtol=1e-12, atol=0)
+
+
+def test_regression_problem_does_not_keep_its_dataset():
+    # A sweep holds its problem for the whole run; the dataset's training and
+    # test features are copied into the design matrix and the R factor, so
+    # they must be freed once the caller drops the dataset, and every
+    # evaluation must stay bit for bit what it was while the dataset lived.
+    data = gen_regression(p=8, n=60, m=20, seed=5, n_test=12)
+    problem = RegressionProblem(data)
+    rng = np.random.default_rng(5)
+    theta, prev = rng.standard_normal((2, 3, 9))
+    idx = np.array([rng.choice(80, size=7, replace=False) for _ in range(3)])
+
+    def evaluations():
+        return (*problem.loss_grad(theta, idx, prev), problem.losses(theta, idx),
+                problem.test_loss(theta))
+
+    before = evaluations()
+    X, X_test = weakref.ref(data.X), weakref.ref(data.X_test)
+    del data
+    gc.collect()
+    assert X() is None and X_test() is None
+    for got, want in zip(evaluations(), before):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestQuadraticSuite:
