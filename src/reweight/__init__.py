@@ -14,8 +14,6 @@ from .core import (
 )
 from .diagnostics import delta_t, grad_gap_term, mu_t, theorem1_bound
 from .optim import (
-    DivergenceError,
-    OptimizerState,
     StepSizeRule,
     Trajectory,
     gd_step,

@@ -58,15 +58,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
-GEN_DEFAULTS = {
-    "p": 64,
-    "n": 3200,
-    "m": 800,
-    "noise_c": 0.01,
-    "n_test": 800,
-    "seed": 0,
-}
-
 # lr calibrated once on the default dataset: the largest power-of-ten
 # learning rate at which the uniform baseline both remains stable and is
 # still in its descent phase at the 2000-step horizon. 1e-2 is also
@@ -102,6 +93,11 @@ RUN_DEFAULTS = {
     "d": 16,
     "cond_max": 10.0,
 }
+
+# gen-data writes the dataset `run` builds for the regression problem, so
+# its seed is run's data_seed.
+GEN_DEFAULTS = {key: RUN_DEFAULTS[key] for key in ("p", "n", "m", "noise_c", "n_test")}
+GEN_DEFAULTS["seed"] = RUN_DEFAULTS["data_seed"]
 
 
 def _is_number(x):
@@ -326,7 +322,8 @@ def cmd_sweep(args) -> int:
              for strategy in cfg["strategies"] for r in cfg["r_values"] for seed in cfg["seeds"]]
     # Cells differ only in strategy, r and seed, so they share one problem and
     # step-size rule and train as rows of one loop. A cell whose config fails
-    # records its error; a problem or step-size error is recorded by every cell.
+    # records its error; a problem or step-size ConfigError is recorded by
+    # every cell, and any other exception propagates, as from `run`.
     outcomes, runnable = {}, []
     for i, cell in enumerate(cells):
         try:
@@ -336,7 +333,7 @@ def cmd_sweep(args) -> int:
     try:
         problem = _make_problem(cfg)
         trained = _run_cells(cfg, problem, [(rw, cells[i]["seed"]) for i, rw in runnable])
-    except Exception as exc:  # record the shared failure for every cell
+    except ConfigError as exc:  # record the shared failure for every cell
         outcomes, runnable, trained = dict.fromkeys(range(len(cells)), exc), [], []
     rows = [None] * len(cells)
     for i, _ in runnable:  # each trajectory is dropped once its CSV is written

@@ -3,8 +3,10 @@
 The update is theta' = theta - eta * sum_i w_i g_i with weights from the
 core module. The momentum variant keeps the auxiliary sequence
 z' = z - eta * sum_i w_i g_i and mixes theta' = (lam/(1+lam)) theta +
-(1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2. Both
-updates take one iterate or a stack of iterates, one per row.
+(1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2. Both are
+plain array functions, gd_step(theta, eta, g, w) -> theta' and
+momentum_step(theta, z, eta, g, w, lam) -> (theta', z'), on one iterate or
+a stack of iterates, one per row.
 
 There is one training loop, run_cells. It trains cells that share a
 problem, batch size, step count, step-size rule and momentum flag and
@@ -13,8 +15,9 @@ each step gathers every row's batch, evaluates the problem once through its
 fused loss_grad, computes the weights once per distinct config on that
 config's contiguous rows, and applies one update. Each row samples its
 batches with its own generator, and every row's arithmetic is bit for bit
-that of a run on its own. A row that diverges or fails leaves the stack;
-the others go on. run_training is the one-cell call.
+that of a run on its own. A row whose losses blow up, whose weights fail,
+or whose update is not finite leaves the stack; the others go on.
+run_training is the one-cell call.
 
 The same loss_grad call also returns the previous iterates' losses on the
 step's rows, for mu_t. The diagnostics are computed from those arrays as one
@@ -38,9 +41,7 @@ from .core import ConfigError, ReweightConfig, ValidationError, compute_batch_we
 from .diagnostics import gap_sum
 
 __all__ = [
-    "OptimizerState",
     "StepSizeRule",
-    "DivergenceError",
     "Trajectory",
     "COLUMNS",
     "gd_step",
@@ -61,26 +62,6 @@ LOCKSTEP_BYTES = 8 << 20
 # Steps of a cell's proxy delta_t computed at a time; a block's temporaries
 # are a few b-wide rows of this many steps, not of the whole run.
 _PROXY_BLOCK = 256
-
-
-class DivergenceError(RuntimeError):
-    """Non-finite iterate; carries the step at which it happened, the
-    non-finite rows of the stack and the updated state, so the finite rows
-    can go on."""
-
-    def __init__(self, step: int, rows, state):
-        super().__init__(f"divergence detected at step {step}")
-        self.step = step
-        self.rows = rows
-        self.state = state
-
-
-@dataclass(frozen=True)
-class OptimizerState:
-    theta: np.ndarray
-    z: np.ndarray | None
-    step: int
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -126,8 +107,14 @@ def theory_stepsize(rule: StepSizeRule, w_max: float | None = None, batch: int |
     return 1.0 / (8.0 * rule.L * np.sqrt(rule.horizon_T))
 
 
+def _w_max_limit(batch: int) -> float:
+    """The largest w_max the convex-theory step size allows, 2/b, with
+    rounding slack."""
+    return 2.0 / batch + 1e-12
+
+
 def _w_max_error(w_max: float, batch: int, where: str = "") -> ConfigError | None:
-    if w_max > 2.0 / batch + 1e-12:
+    if w_max > _w_max_limit(batch):
         return ConfigError(
             f"{where}w_max = {w_max:.6g} exceeds 2/b = {2.0 / batch:.6g}; "
             "the convex-theory step size requires w_max <= 2/b"
@@ -145,36 +132,23 @@ def _weighted_grad(gradients, weights) -> np.ndarray:
     return np.matmul(w[..., None, :], g)[..., 0, :]
 
 
-def _advance(state: OptimizerState, theta, z, finite) -> OptimizerState:
-    """The next state; finite marks the finite entries of the updated arrays."""
-    new = OptimizerState(theta=theta, z=z, step=state.step + 1, eta=state.eta)
-    if not finite.all():
-        rows = np.flatnonzero(~finite.all(axis=-1))
-        raise DivergenceError(state.step, rows=rows, state=new)
-    return new
-
-
-def gd_step(state: OptimizerState, gradients, weights) -> OptimizerState:
+def gd_step(theta, eta: float, gradients, weights) -> np.ndarray:
     """theta' = theta - eta * sum_i w_i g_i, for one iterate or each row of
     a stack."""
-    theta = state.theta - state.eta * _weighted_grad(gradients, weights)
-    return _advance(state, theta, state.z, np.isfinite(theta))
+    return theta - eta * _weighted_grad(gradients, weights)
 
 
-def momentum_step(state: OptimizerState, gradients, weights, lambda_next: float) -> OptimizerState:
+def momentum_step(theta, z, eta: float, gradients, weights, lambda_next: float):
     """Heavy-ball update in (z, theta) form, for one iterate or each row of
-    a stack.
+    a stack; returns (theta', z').
 
     z' = z - eta * sum_i w_i g_i;
     theta' = lam/(1+lam) * theta + 1/(1+lam) * z'  with lam = lambda_next.
     """
-    if state.z is None:
-        raise ValidationError("momentum_step requires state.z (initialize z = theta)")
     if lambda_next < 0:
         raise ConfigError("lambda_next must be nonnegative")
-    z = state.z - state.eta * _weighted_grad(gradients, weights)
-    theta = (lambda_next / (1.0 + lambda_next)) * state.theta + z / (1.0 + lambda_next)
-    return _advance(state, theta, z, np.isfinite(theta) & np.isfinite(z))
+    z = z - eta * _weighted_grad(gradients, weights)
+    return (lambda_next / (1.0 + lambda_next)) * theta + z / (1.0 + lambda_next), z
 
 
 # The CSV columns of a trajectory, in order. A lockstep group keeps one array
@@ -263,11 +237,16 @@ def _run_groups(cells, size, *args):
 
 class _Group:
     """One lockstep group. Rows of the iterate stack are the active cells,
-    in cell order; `active` maps them to cell numbers in the group.
+    in cell order; `active` maps them to cell numbers in the group. The
+    per-row state is theta, z (with momentum) and prev_theta, and each
+    row's generator and epoch order.
 
-    A group of one cell drops the row axis: its arrays are those of a
-    single run, which every function it calls takes as the one-row case of
-    a stack (and computes with fewer, cheaper numpy calls).
+    A row leaves the stack one way, through _stop: on a loss blow-up or a
+    weight error before the update (then the other rows retake the same
+    step), or on a non-finite update. A group of one cell drops the row
+    axis: its arrays are those of a single run, which every function it
+    calls takes as the one-row case of a stack (and computes with fewer,
+    cheaper numpy calls).
     """
 
     def __init__(self, cells, problem, stepsize, eta, batch_size, steps, momentum, history):
@@ -275,20 +254,18 @@ class _Group:
         self.b, self.steps, self.momentum, self.history = batch_size, steps, momentum, history
         G, self.n, rows = len(cells), problem.n_samples, max(steps, 1)
         self.errors = [None] * G
-        for i, (config, _) in enumerate(cells):
-            try:  # the default cap 2/b always meets the convex-theory bound
+        if stepsize.kind == "convex_theory":  # the default cap 2/b meets the bound
+            for i, (config, _) in enumerate(cells):
                 if config.cap is not None:
-                    theory_stepsize(stepsize, w_max=config.cap, batch=batch_size)
-            except ConfigError as exc:
-                self.errors[i] = exc
+                    self.errors[i] = _w_max_error(config.cap, batch_size)
         self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
         self.single = G == len(self.active) == 1
         self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
         self.orders = self._shuffle()
         theta0 = problem.theta_init()
-        theta = theta0.copy() if self.single else np.repeat(theta0[None], len(self.active), 0)
-        self.state = OptimizerState(theta=theta, z=theta.copy() if momentum else None,
-                                    step=0, eta=eta)
+        self.eta = eta
+        self.theta = theta0.copy() if self.single else np.repeat(theta0[None], len(self.active), 0)
+        self.z = self.theta.copy() if momentum else None
         self.prev_theta = None
         self.spans = self._spans()
         # index of the active cells into the histories
@@ -329,8 +306,10 @@ class _Group:
 
     def _stop(self, rows, theta, recorded, step=None):
         """The active rows in the mask `rows` leave the stack: record their
-        last iterate, recorded step count and divergence step (errors are
-        recorded by the caller), then drop them. Returns the kept mask."""
+        last iterate (their rows of theta), recorded step count and
+        divergence step (errors are recorded by the caller), then drop them
+        from every per-row attribute."""
+        rows = np.atleast_1d(rows)
         cells = self.active[rows]
         self.final[cells] = theta.reshape(len(rows), -1)[rows]
         self.recorded[cells] = recorded
@@ -339,17 +318,13 @@ class _Group:
         keep = ~rows
         self.active = self.active[keep]
         if not len(self.active):
-            return keep
+            return
         self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
         self.orders = self.orders[keep]
-        s = self.state
-        self.state = OptimizerState(theta=s.theta[keep], z=None if s.z is None else s.z[keep],
-                                    step=s.step, eta=s.eta)
-        if self.prev_theta is not None:
-            self.prev_theta = self.prev_theta[keep]
+        self.theta, self.z, self.prev_theta = (
+            None if a is None else a[keep] for a in (self.theta, self.z, self.prev_theta))
         self.spans = self._spans()
         self.rows = self.active
-        return keep
 
     def _weights(self, f, t):
         """Weights of every active row, one compute_batch_weights call per
@@ -370,26 +345,22 @@ class _Group:
         problem, b, n = self.problem, self.b, self.n
         cols, inv_b = self.cols, 1.0 / b
         updating = self.steps > 0
-        w_limit = 2.0 / b + 1e-12 if updating and self.stepsize.kind == "convex_theory" else None
+        w_limit = _w_max_limit(b) if updating and self.stepsize.kind == "convex_theory" else None
 
-        pos = 0
-        for t in range(max(self.steps, 1)):
-            if not len(self.active):
-                break
+        # A row that leaves before the update leaves the others to retake
+        # step t on the same batch: pos moves on only once a step is recorded.
+        pos = t = 0
+        while t < max(self.steps, 1) and len(self.active):
             if pos + b > n:
                 self.orders = self._shuffle()
                 pos = 0
             idx = self.orders[..., pos:pos + b]
-            pos += b
-            theta = self.state.theta
+            theta = self.theta
             f, g, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
-                keep = self._stop(np.atleast_1d(bad), theta, t, step=t)
-                if not len(self.active):
-                    break
-                theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
-                f_prev = None if f_prev is None else f_prev[keep]
+                self._stop(bad, theta, t, step=t)
+                continue
             w, errors = self._weights(f, t)
             w_max = w.max(axis=-1)
             if w_limit is not None and (w_max > w_limit).any():
@@ -401,12 +372,9 @@ class _Group:
                 for row, exc in errors.items():
                     failed[row] = True
                     self.errors[self.active[row]] = exc
-                keep = self._stop(failed, theta, 0)
-                if not len(self.active):
-                    break
-                theta, f, g, idx = self.state.theta, f[keep], g[keep], idx[keep]
-                f_prev = None if f_prev is None else f_prev[keep]
-                w, w_max = w[keep], w_max[keep]
+                self._stop(failed, theta, 0)
+                continue
+            pos += b
             rows = self.rows
             u = inv_b - w
             cols["train_loss"][rows, t] = f.sum(axis=-1) / b
@@ -428,22 +396,19 @@ class _Group:
             if not updating:
                 break
             self.prev_theta = theta
-            try:
-                if self.momentum:
-                    self.state = momentum_step(self.state, g, w, lambda_next=(t + 1) / 2.0)
-                else:
-                    self.state = gd_step(self.state, g, w)
-            except DivergenceError as exc:
-                self.state = exc.state
-                bad = np.zeros(len(self.active), dtype=bool)
-                bad[exc.rows] = True
-                self._stop(bad, theta, t + 1, step=exc.step)
-                if not len(self.active):
-                    break
-            if self.history:
-                self.thetas[self.rows, t + 1] = self.state.theta
+            if self.momentum:
+                self.theta, self.z = momentum_step(theta, self.z, self.eta, g, w, (t + 1) / 2.0)
+            else:
+                self.theta = gd_step(theta, self.eta, g, w)
+            if self.history:  # _trajectory cuts a diverged row's off
+                self.thetas[rows, t + 1] = self.theta
+            # A non-finite z makes theta non-finite, so theta tells for both.
+            finite = np.isfinite(self.theta)
+            if not finite.all():
+                self._stop(~finite.all(axis=-1), theta, t + 1, step=t)
+            t += 1
         if len(self.active):
-            self.final[self.active] = self.state.theta
+            self.final[self.active] = self.theta
             self.recorded[self.active] = max(self.steps, 1)
 
         for i in range(len(self.cells)):

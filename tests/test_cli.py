@@ -1,14 +1,19 @@
 """End-to-end tests of the CLI subcommands and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reweight import optim, verify
+from reweight import cli, optim, verify
 from reweight.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -20,6 +25,7 @@ from reweight.cli import (
     _load_config,
     _make_problem,
     _make_reweight_config,
+    _make_stepsize,
     main,
 )
 from reweight.core import (
@@ -38,6 +44,7 @@ from reweight.problems import (
     gen_quadratic_suite,
     gen_regression,
 )
+from test_optim import _reference_run_training
 
 
 def write_config(path, payload):
@@ -512,6 +519,17 @@ class TestSweep:
         rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
         assert [r["status"] for r in rows] == ["error: unknown problem 'nope'"] * 3 * n_strategies
 
+    def test_unexpected_shared_error_propagates(self, tmp_path, monkeypatch):
+        # Only a ConfigError is recorded as every cell's result; anything
+        # else is a bug, and raises as it does from `run`.
+        def broken(cfg):
+            raise RuntimeError("broken problem builder")
+
+        monkeypatch.setattr(cli, "_make_problem", broken)
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0]))
+        with pytest.raises(RuntimeError, match="broken problem builder"):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+
     def test_diverged_cells_exit_ok(self, tmp_path):
         cfg = write_config(tmp_path / "sweep.json",
                            dict(strategies=["dro_kl"], dro_tau=1.0, lr=0.01, seeds=[0],
@@ -569,6 +587,134 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path / "out"), "--seed", "1"])
         assert exc.value.code == 2
+
+
+# Small problems whose sample counts are not a multiple of most batch sizes,
+# so runs reshuffle mid-sweep with a partial epoch left over.
+PROPERTY_PROBLEMS = {
+    "regression": dict(p=4, n=40, m=10, n_test=8),
+    "quadratic": dict(problem="quadratic", M=26, d=4),
+    "nonconvex": dict(problem="nonconvex", M=34, d=4),
+}
+
+
+def sweep_payload(problem, rule, b, cap=None, **keys):
+    """A sweep config on a PROPERTY_PROBLEMS problem. rule is a fixed lr or a
+    theory step-size rule (which ignores lr), and cap is in units of 1/b."""
+    return dict(PROPERTY_PROBLEMS[problem], batch_size=b,
+                stepsize_rule="fixed" if isinstance(rule, float) else rule,
+                lr=rule if isinstance(rule, float) else 1e-3,
+                cap=None if cap is None else cap / b, **keys)
+
+
+@st.composite
+def small_sweeps(draw):
+    """A sweep payload and the lockstep group size in cells (None for the
+    default budget). The draws reach every way a row leaves the stack: a
+    loss blow-up (dro_kl at lr 0.3, any mode at lr 1), an infeasible cap
+    (cap*b < 1), a cap over 2/b or an observed w_max over 2/b (r = 0.01)
+    under convex_theory, a non-finite update (lr 1e308), and the end of the
+    run."""
+    payload = sweep_payload(
+        draw(st.sampled_from(sorted(PROPERTY_PROBLEMS))),
+        draw(st.sampled_from([1e-3, 0.3, 1.0, 1e308, "convex_theory", "sqrt_horizon"])),
+        draw(st.integers(3, 12)),
+        cap=draw(st.sampled_from([None, 0.5, 1.5, 3.0])),
+        strategies=draw(st.lists(st.sampled_from(sorted(MODES)), min_size=1, max_size=4,
+                                 unique=True)),
+        r_values=draw(st.lists(st.sampled_from([0.01, 0.5, 1.0, 2, 100.0]), min_size=1,
+                               max_size=3, unique=True)),
+        seeds=draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True)),
+        momentum=draw(st.booleans()),
+        steps=draw(st.integers(0, 60)),
+        dro_tau=draw(st.sampled_from([None, 0.05, 1.0])),
+    )
+    return payload, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+def _main_quietly(argv):
+    """main(argv) and what it wrote to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestLockstepProperty:
+    # Random draws seldom make some rows of a stack leave while others go
+    # on, so three sweeps do it for certain: dro_kl cells blow up mid-run
+    # beside the other modes, in groups that split a strategy's cells; a cap
+    # over 2/b and an observed w_max over 2/b fail cells beside uniform
+    # ones; and some rows' updates overflow while others stay finite, beside
+    # an infeasible cap.
+    @example((sweep_payload("regression", 0.3, 7, strategies=["uniform", "dro_kl", "linupper"],
+                            r_values=[1.0], seeds=[0, 1], momentum=False, steps=60,
+                            dro_tau=0.05), 3))
+    @example((sweep_payload("quadratic", "convex_theory", 8, cap=3.0,
+                            strategies=["capped", "linupper", "uniform"], r_values=[1.0, 0.01],
+                            seeds=[2, 5], momentum=True, steps=40, dro_tau=None), None))
+    @example((sweep_payload("nonconvex", 1e308, 5, cap=0.5,
+                            strategies=["uniform", "extremes", "capped"], r_values=[1.0],
+                            seeds=[0, 1, 2, 3], momentum=False, steps=20, dro_tau=None), 4))
+    @given(small_sweeps())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_every_cell_matches_run(self, sweep):
+        # Whatever rows leave a lockstep group, and when, every cell writes
+        # the CSV and sidecar `run` writes for it, with the matching status.
+        # As `run` trains through the same loop, a cell's length is also
+        # checked on its own: all steps when it converges, and where the
+        # plain reference loop stops when it diverges.
+        payload, group = sweep
+        with tempfile.TemporaryDirectory() as tmp, \
+                np.errstate(over="ignore", invalid="ignore"):
+            tmp = Path(tmp)
+            sweep_cfg = write_config(tmp / "sweep.json", payload)
+            budget = optim.LOCKSTEP_BYTES
+            if group is not None:
+                built = _make_problem(_load_config(sweep_cfg, SWEEP_DEFAULTS))
+                budget = group * cell_bytes(built, payload["batch_size"], payload["steps"])
+            with mock.patch.object(optim, "LOCKSTEP_BYTES", budget):
+                code, _, _ = _main_quietly(["sweep", "--config", sweep_cfg,
+                                            "--out", str(tmp / "sweep")])
+            rows = list(csv.DictReader((tmp / "sweep" / "summary.csv").read_text()
+                                       .splitlines()))
+            assert len(rows) == (len(payload["strategies"]) * len(payload["r_values"])
+                                 * len(payload["seeds"]))
+            shared = {k: v for k, v in payload.items()
+                      if k not in ("strategies", "r_values", "seeds")}
+            failed = False
+            for row in rows:
+                r = json.loads(row["r"])
+                run_cfg = write_config(tmp / "run.json",
+                                       dict(shared, strategy=row["strategy"], schedule="constant",
+                                            r_initial=r, r_final=r, seed=int(row["seed"])))
+                run_code, out, err = _main_quietly(["run", "--config", run_cfg,
+                                                    "--out", str(tmp / "run.csv")])
+                name = f"{row['strategy']}_r{row['r']}_seed{row['seed']}.csv"
+                if row["status"].startswith("error: "):
+                    failed = True
+                    assert run_code == EXIT_CONFIG
+                    assert err == f"config error: {row['status'][len('error: '):]}\n"
+                    assert not (tmp / "sweep" / name).exists()
+                    continue
+                written = (tmp / "run.csv").read_bytes()
+                assert (tmp / "sweep" / name).read_bytes() == written
+                assert (tmp / "sweep" / (name + ".meta.json")).read_bytes() \
+                    == (tmp / "run.csv.meta.json").read_bytes()
+                (tmp / "run.csv").unlink()
+                recorded = written.count(b"\n") - 1
+                if row["status"] == "ok":
+                    assert run_code == EXIT_OK and recorded == max(payload["steps"], 1)
+                    continue
+                assert row["status"] == "diverged" and run_code == EXIT_DIVERGED
+                cfg = _load_config(run_cfg, RUN_DEFAULTS)
+                problem = _make_problem(cfg)
+                want = _reference_run_training(
+                    problem, _make_reweight_config(cfg), _make_stepsize(cfg, problem),
+                    cfg["batch_size"], cfg["steps"], seed=cfg["seed"], momentum=cfg["momentum"])
+                assert want.diverged and recorded == len(want.columns["step"])
+                assert out.startswith(f"diverged at step {want.divergence_step};")
+            assert code == (EXIT_CONFIG if failed else EXIT_OK)
 
 
 class TestVerify:

@@ -20,8 +20,6 @@ from reweight.diagnostics import delta_t, grad_gap_term, mu_t
 from reweight.optim import (
     COLUMNS,
     DIVERGENCE_LOSS,
-    DivergenceError,
-    OptimizerState,
     StepSizeRule,
     Trajectory,
     cell_bytes,
@@ -40,68 +38,57 @@ from reweight.problems import (
 )
 
 
-def make_state(theta, eta, z=None):
-    theta = np.asarray(theta, dtype=float)
-    return OptimizerState(theta=theta, z=z, step=0, eta=eta)
-
-
 def constant_schedule(r=1.0):
     return TemperatureSchedule(kind="constant", r_initial=r)
 
 
 class TestGdStep:
     def test_zero_gradients_fixed_point(self):
-        s = make_state([1.0, -2.0], eta=0.1)
-        s2 = gd_step(s, np.zeros((3, 2)), np.full(3, 1 / 3))
-        np.testing.assert_array_equal(s2.theta, s.theta)
-        assert s2.step == 1
+        theta = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(gd_step(theta, 0.1, np.zeros((3, 2)), np.full(3, 1 / 3)),
+                                      theta)
 
     def test_uniform_weights_average_gradient(self):
         g = np.array([[2.0], [4.0]])
-        s = gd_step(make_state([1.0], eta=0.1), g, [0.5, 0.5])
-        np.testing.assert_allclose(s.theta, [1.0 - 0.1 * 3.0])
+        theta = gd_step(np.array([1.0]), 0.1, g, [0.5, 0.5])
+        np.testing.assert_allclose(theta, [1.0 - 0.1 * 3.0])
 
     def test_hand_arithmetic(self):
         g = np.array([[2.0], [4.0]])
-        s = gd_step(make_state([1.0], eta=0.1), g, [0.25, 0.75])
-        np.testing.assert_allclose(s.theta, [0.65])
+        np.testing.assert_allclose(gd_step(np.array([1.0]), 0.1, g, [0.25, 0.75]), [0.65])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            gd_step(make_state([1.0], eta=0.1), np.zeros((3, 1)), [0.5, 0.5])
+            gd_step(np.array([1.0]), 0.1, np.zeros((3, 1)), [0.5, 0.5])
 
 
 class TestMomentumStep:
     def test_lambda_zero_is_pure_z_step(self):
         g = np.array([[1.0], [3.0]])
-        s = make_state([5.0], eta=0.1, z=np.array([2.0]))
-        s2 = momentum_step(s, g, [0.5, 0.5], lambda_next=0.0)
-        np.testing.assert_allclose(s2.z, [2.0 - 0.1 * 2.0])
-        np.testing.assert_array_equal(s2.theta, s2.z)
+        theta, z = momentum_step(np.array([5.0]), np.array([2.0]), 0.1, g, [0.5, 0.5],
+                                 lambda_next=0.0)
+        np.testing.assert_allclose(z, [2.0 - 0.1 * 2.0])
+        np.testing.assert_array_equal(theta, z)
 
     def test_zero_grad_with_z_equal_theta_fixed_point(self):
-        s = make_state([1.5], eta=0.1, z=np.array([1.5]))
-        s2 = momentum_step(s, np.zeros((2, 1)), [0.5, 0.5], lambda_next=3.0)
-        np.testing.assert_allclose(s2.theta, [1.5])
-        np.testing.assert_allclose(s2.z, [1.5])
+        theta, z = momentum_step(np.array([1.5]), np.array([1.5]), 0.1, np.zeros((2, 1)),
+                                 [0.5, 0.5], lambda_next=3.0)
+        np.testing.assert_allclose(theta, [1.5])
+        np.testing.assert_allclose(z, [1.5])
 
     def test_hand_arithmetic(self):
         # weighted gradient sum 2 with eta 0.1: z' = 0.8,
         # theta' = (0.5/1.5) * 1 + (1/1.5) * 0.8 = 0.8667
         g = np.array([[2.0]])
-        s = make_state([1.0], eta=0.1, z=np.array([1.0]))
-        s2 = momentum_step(s, g, [1.0], lambda_next=0.5)
-        np.testing.assert_allclose(s2.z, [0.8])
-        np.testing.assert_allclose(s2.theta, [1.0 / 3.0 + (2.0 / 3.0) * 0.8])
-
-    def test_missing_z_rejected(self):
-        with pytest.raises(ValidationError):
-            momentum_step(make_state([1.0], eta=0.1), np.zeros((1, 1)), [1.0], 0.5)
+        theta, z = momentum_step(np.array([1.0]), np.array([1.0]), 0.1, g, [1.0],
+                                 lambda_next=0.5)
+        np.testing.assert_allclose(z, [0.8])
+        np.testing.assert_allclose(theta, [1.0 / 3.0 + (2.0 / 3.0) * 0.8])
 
     def test_negative_lambda_rejected(self):
-        s = make_state([1.0], eta=0.1, z=np.array([1.0]))
         with pytest.raises(ConfigError):
-            momentum_step(s, np.zeros((1, 1)), [1.0], lambda_next=-0.1)
+            momentum_step(np.array([1.0]), np.array([1.0]), 0.1, np.zeros((1, 1)), [1.0],
+                          lambda_next=-0.1)
 
 
 class TestTheoryStepsize:
@@ -308,9 +295,8 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
     rng = np.random.default_rng(seed)
-    theta0 = problem.theta_init()
-    state = OptimizerState(theta=theta0, z=theta0.copy() if momentum else None,
-                           step=0, eta=eta)
+    theta = theta0 = problem.theta_init()
+    z = theta0.copy()
     has_opt_losses = hasattr(problem, "losses_at_opt")
     has_test = hasattr(problem, "test_loss")
     theta_star = getattr(problem, "theta_star", None)
@@ -334,17 +320,17 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         return idx
 
     def record_step(t, idx, f, w, r_value):
-        g = problem.loss_grad(state.theta, idx)[1]
+        g = problem.loss_grad(theta, idx)[1]
         row = dict(step=t, train_loss=float(f.mean()), r=r_value, w_max=float(w.max()),
                    w_min=float(w.min()), grad_gap=grad_gap_term((g**2).sum(axis=1), w))
         if has_test:
-            row["test_loss"] = problem.test_loss(state.theta)
+            row["test_loss"] = problem.test_loss(theta)
         if has_opt_losses:
             row["delta_t"] = delta_t(f, problem.losses_at_opt(idx), w)
         if prev_theta is not None:
             row["mu_t"] = mu_t(f, problem.losses(prev_theta, idx), w)
         if theta_star is not None:
-            row["theta_dist_sq"] = float(np.sum((state.theta - theta_star) ** 2))
+            row["theta_dist_sq"] = float(np.sum((theta - theta_star) ** 2))
         for name, value in row.items():
             columns[name].append(value)
         batch_indices.append(idx.copy())
@@ -354,7 +340,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
 
     for t in range(steps):
         idx = next_batch()
-        f = problem.losses(state.theta, idx)
+        f = problem.losses(theta, idx)
         if not np.all(np.isfinite(f)) or f.max() > DIVERGENCE_LOSS:
             diverged, divergence_step = True, t
             break
@@ -363,21 +349,21 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         if stepsize.kind == "convex_theory" and w.max() > 2.0 / batch_size + 1e-12:
             raise ConfigError(f"step {t}: observed w_max exceeds 2/b")
         g = record_step(t, idx, f, w, r_value)
-        prev = state.theta
-        try:
-            if momentum:
-                state = momentum_step(state, g, w, lambda_next=(t + 1) / 2.0)
-            else:
-                state = gd_step(state, g, w)
-        except DivergenceError as exc:
-            diverged, divergence_step = True, exc.step
+        if momentum:
+            new, z = momentum_step(theta, z, eta, g, w, lambda_next=(t + 1) / 2.0)
+            finite = np.isfinite(new).all() and np.isfinite(z).all()
+        else:
+            new = gd_step(theta, eta, g, w)
+            finite = np.isfinite(new).all()
+        if not finite:
+            diverged, divergence_step = True, t
             break
-        prev_theta = prev
-        thetas.append(state.theta.copy())
+        prev_theta, theta = theta, new
+        thetas.append(theta.copy())
 
     if steps == 0:
         idx = next_batch()
-        f = problem.losses(state.theta, idx)
+        f = problem.losses(theta, idx)
         w = compute_batch_weights(f, reweight_config, 0)
         record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
 
