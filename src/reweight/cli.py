@@ -10,9 +10,9 @@ Subcommands:
 Configs are flat key-value JSON files, checked at load time against
 CONFIG_KEYS (type and range per key); an unreadable file, bad JSON, an
 unknown key or a bad value exits with code 2 and a message naming the path
-or key. A --seed override is checked the same way. Every output gets a
-sidecar <out>.meta.json with the fully resolved config so results are
-reproducible from their artifacts alone.
+or key. A --seed override and --out are checked the same way, before any
+problem is built. Every output gets a sidecar <out>.meta.json with the
+fully resolved config so results are reproducible from their artifacts alone.
 
 A sweep config holds the run keys except strategy, seed, schedule, r_initial
 and r_final, which every cell sets itself, plus the lists strategies,
@@ -43,7 +43,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .core import MODES, ConfigError, ReweightConfig, TemperatureSchedule
-from .optim import COLUMNS, StepSizeRule, Trajectory, run_cells
+from .optim import COLUMNS, StepSizeRule, run_cells
 from .problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -141,6 +141,10 @@ def _check_value(key, value):
     # json.load accepts the non-standard constants NaN, Infinity and -Infinity.
     if not all(math.isfinite(x) for x in items if isinstance(x, float)):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    # A repeated item would train the same sweep cells twice; 1 and 1.0 repeat.
+    repeated = [x for i, x in enumerate(items) if x in items[:i]]
+    if repeated:
+        raise ConfigError(f"config key {key!r} repeats {repeated[0]!r}, got {value!r}")
     op = {">": operator.gt, ">=": operator.ge}[bound[0]] if bound else None
     if op and not all(x is None or op(x, int(bound[1])) for x in items):
         raise ConfigError(f"config key {key!r} must be {' '.join(bound)}, got {value!r}")
@@ -171,6 +175,13 @@ def _load_config(path, defaults, seed=None):
         _check_value("seed", seed)
         cfg["seed"] = seed
     return cfg
+
+
+def _check_out_file(path):
+    """Raise ConfigError unless the directory of the output file exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write --out {path!r}: no directory {folder!r}")
 
 
 def _write_meta(out_path, cfg):
@@ -258,14 +269,9 @@ def _write_csv(out_path, header, columns):
         fh.writelines(",".join(row) + "\r\n" for row in zip(*(_fields(c, rows) for c in cols)))
 
 
-def _write_cell(out_path, cfg, traj: Trajectory):
-    """Write a trajectory's CSV and its sidecar."""
-    _write_csv(out_path, COLUMNS, traj.columns)
-    _write_meta(out_path, cfg)
-
-
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args.config, GEN_DEFAULTS, args.seed)
+    _check_out_file(args.out)
     data = _dataset(cfg, cfg["seed"])
     rows, p = data.X.shape
     columns = {f"x_{j}": data.X[:, j] for j in range(p)}
@@ -278,11 +284,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, RUN_DEFAULTS, args.seed)
+    _check_out_file(args.out)
     problem = _make_problem(cfg)
     (traj,) = _run_cells(cfg, problem, [(_make_reweight_config(cfg), cfg["seed"])])
     if isinstance(traj, Exception):
         raise traj
-    _write_cell(args.out, cfg, traj)
+    _write_csv(args.out, COLUMNS, traj.columns)
+    _write_meta(args.out, cfg)
     steps = len(traj.columns["step"])
     if traj.diverged:
         print(f"diverged at step {traj.divergence_step}; wrote {steps} steps to {args.out}")
@@ -306,7 +314,9 @@ def _summary_row(cell, out_dir, outcome):
     row = [cell["strategy"], cell["r_initial"], cell["seed"]]
     if isinstance(outcome, Exception):
         return row + ["", "", f"error: {outcome}"]
-    _write_cell(os.path.join(out_dir, f"{row[0]}_r{row[1]}_seed{row[2]}.csv"), cell, outcome)
+    out_path = os.path.join(out_dir, f"{row[0]}_r{row[1]}_seed{row[2]}.csv")
+    _write_csv(out_path, COLUMNS, outcome.columns)
+    _write_meta(out_path, cell)
     test_losses = outcome.columns.get("test_loss", np.empty(0)).tolist()
     final = test_losses[-1] if test_losses else ""
     auc = float(np.mean(test_losses)) if test_losses else ""
@@ -315,7 +325,10 @@ def _summary_row(cell, out_dir, outcome):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_DEFAULTS)
-    os.makedirs(args.out, exist_ok=True)
+    try:  # an existing directory is reused
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out directory {args.out!r}: {exc.strerror}") from None
     shared = {k: v for k, v in cfg.items() if k not in ("strategies", "r_values", "seeds")}
     cells = [dict(shared, strategy=strategy, r_initial=r, r_final=r, schedule="constant",
                   seed=seed)

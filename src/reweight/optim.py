@@ -16,8 +16,9 @@ fused loss_grad, computes the weights once per distinct config on that
 config's contiguous rows, and applies one update. Each row samples its
 batches with its own generator, and every row's arithmetic is bit for bit
 that of a run on its own. A row whose losses blow up, whose weights fail,
-or whose update is not finite leaves the stack; the others go on.
-run_training is the one-cell call.
+or whose update is not finite leaves the stack; the others go on. The loop
+has one shape: a single run, run_training or the CLI's `run`, is a one-row
+stack.
 
 The same loss_grad call also returns the previous iterates' losses on the
 step's rows, for mu_t. The diagnostics are computed from those arrays as one
@@ -89,20 +90,17 @@ class StepSizeRule:
             raise ConfigError("horizon_T must be >= 1")
 
 
-def theory_stepsize(rule: StepSizeRule, w_max: float | None = None, batch: int | None = None) -> float:
+def theory_stepsize(rule: StepSizeRule) -> float:
     """Resolve a StepSizeRule to a concrete eta.
 
     Under convex_theory the returned 1/(8L) must satisfy
-    eta <= 1/(4 * batch * L * w_max); this holds exactly when w_max <= 2/batch
-    and is enforced when (w_max, batch) are supplied.
+    eta <= 1/(4 * batch * L * w_max); this holds exactly when w_max <= 2/batch,
+    which _w_max_error checks for a cap and the training loop for the
+    observed weights.
     """
     if rule.kind == "fixed":
         return rule.eta
     if rule.kind == "convex_theory":
-        if w_max is not None and batch is not None:
-            error = _w_max_error(w_max, batch)
-            if error:
-                raise error
         return 1.0 / (8.0 * rule.L)
     return 1.0 / (8.0 * rule.L * np.sqrt(rule.horizon_T))
 
@@ -222,10 +220,9 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
         raise ConfigError("batch_size must be in [1, n_samples]")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
-    eta = theory_stepsize(stepsize)
     size = max(1, LOCKSTEP_BYTES // cell_bytes(problem, batch_size, steps, history))
-    return _run_groups(list(cells), size, problem, stepsize, eta, batch_size, steps,
-                       momentum, history)
+    return _run_groups(list(cells), size, problem, stepsize, batch_size, steps, momentum,
+                       history)
 
 
 def _run_groups(cells, size, *args):
@@ -243,13 +240,11 @@ class _Group:
 
     A row leaves the stack one way, through _stop: on a loss blow-up or a
     weight error before the update (then the other rows retake the same
-    step), or on a non-finite update. A group of one cell drops the row
-    axis: its arrays are those of a single run, which every function it
-    calls takes as the one-row case of a stack (and computes with fewer,
-    cheaper numpy calls).
+    step), or on a non-finite update. A group of one cell is a one-row
+    stack, like any other.
     """
 
-    def __init__(self, cells, problem, stepsize, eta, batch_size, steps, momentum, history):
+    def __init__(self, cells, problem, stepsize, batch_size, steps, momentum, history):
         self.problem, self.cells, self.stepsize = problem, cells, stepsize
         self.b, self.steps, self.momentum, self.history = batch_size, steps, momentum, history
         G, self.n, rows = len(cells), problem.n_samples, max(steps, 1)
@@ -259,12 +254,11 @@ class _Group:
                 if config.cap is not None:
                     self.errors[i] = _w_max_error(config.cap, batch_size)
         self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
-        self.single = G == len(self.active) == 1
         self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
         self.orders = self._shuffle()
         theta0 = problem.theta_init()
-        self.eta = eta
-        self.theta = theta0.copy() if self.single else np.repeat(theta0[None], len(self.active), 0)
+        self.eta = theory_stepsize(stepsize)
+        self.theta = np.repeat(theta0[None], len(self.active), 0)
         self.z = self.theta.copy() if momentum else None
         self.prev_theta = None
         self.spans = self._spans()
@@ -291,7 +285,7 @@ class _Group:
     def _shuffle(self):
         """A new epoch's sample order for every active row."""
         orders = [rng.permutation(self.n) for rng in self.rngs]
-        return orders[0] if self.single else np.array(orders).reshape(-1, self.n)
+        return np.array(orders).reshape(-1, self.n)
 
     def _spans(self):
         """(config, lo, hi) for each run of active rows with one config."""
@@ -309,16 +303,13 @@ class _Group:
         last iterate (their rows of theta), recorded step count and
         divergence step (errors are recorded by the caller), then drop them
         from every per-row attribute."""
-        rows = np.atleast_1d(rows)
         cells = self.active[rows]
-        self.final[cells] = theta.reshape(len(rows), -1)[rows]
+        self.final[cells] = theta[rows]
         self.recorded[cells] = recorded
         for i in cells:
             self.divergence_step[i] = step
         keep = ~rows
         self.active = self.active[keep]
-        if not len(self.active):
-            return
         self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
         self.orders = self.orders[keep]
         self.theta, self.z, self.prev_theta = (
@@ -332,11 +323,10 @@ class _Group:
         weights are zero)."""
         parts, errors = [], {}
         for config, lo, hi in self.spans:
-            rows = f if self.single else f[lo:hi]
             try:
-                parts.append(compute_batch_weights(rows, config, t))
+                parts.append(compute_batch_weights(f[lo:hi], config, t))
             except (ConfigError, ValidationError) as exc:
-                parts.append(np.zeros_like(rows))
+                parts.append(np.zeros_like(f[lo:hi]))
                 errors.update(dict.fromkeys(range(lo, hi), exc))
         return (parts[0] if len(parts) == 1 else np.concatenate(parts)), errors
 
@@ -354,7 +344,7 @@ class _Group:
             if pos + b > n:
                 self.orders = self._shuffle()
                 pos = 0
-            idx = self.orders[..., pos:pos + b]
+            idx = self.orders[:, pos:pos + b]
             theta = self.theta
             f, g, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
@@ -363,16 +353,13 @@ class _Group:
                 continue
             w, errors = self._weights(f, t)
             w_max = w.max(axis=-1)
-            if w_limit is not None and (w_max > w_limit).any():
-                for row, over in enumerate(np.atleast_1d(w_max)):
-                    if over > w_limit:
-                        errors.setdefault(row, _w_max_error(over, b, f"step {t}: observed "))
+            if w_limit is not None:
+                for row in np.flatnonzero(w_max > w_limit):
+                    errors.setdefault(row, _w_max_error(w_max[row], b, f"step {t}: observed "))
             if errors:
-                failed = np.zeros(len(self.active), dtype=bool)
                 for row, exc in errors.items():
-                    failed[row] = True
                     self.errors[self.active[row]] = exc
-                self._stop(failed, theta, 0)
+                self._stop(np.isin(range(len(self.active)), list(errors)), theta, 0)
                 continue
             pos += b
             rows = self.rows
@@ -407,9 +394,8 @@ class _Group:
             if not finite.all():
                 self._stop(~finite.all(axis=-1), theta, t + 1, step=t)
             t += 1
-        if len(self.active):
-            self.final[self.active] = self.theta
-            self.recorded[self.active] = max(self.steps, 1)
+        self.final[self.active] = self.theta
+        self.recorded[self.active] = max(self.steps, 1)
 
         for i in range(len(self.cells)):
             yield self.errors[i] or self._trajectory(i)

@@ -143,6 +143,20 @@ class TestConfigErrors:
         assert f"config key {key!r} must be finite, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_missing_out_directory_exits_config(self, tmp_path, capsys, monkeypatch, command):
+        # The path is checked before any problem or dataset is built.
+        def unreachable(*args):
+            raise AssertionError("built a problem before checking --out")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        monkeypatch.setattr(cli, "_dataset", unreachable)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        assert (f"config error: cannot write --out {str(out)!r}: "
+                f"no directory {str(out.parent)!r}") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
     def test_every_default_has_a_valid_table_entry(self, defaults):
         for key, value in defaults.items():
@@ -404,7 +418,7 @@ class TestSweep:
                           r_values=[1.0, 0.1], seeds=[3]),
         # an integer r keeps its type: r2 cells write r = 2, like `run`
         "nonconvex": dict(problem="nonconvex", M=48, d=5, lr=0.05,
-                          r_values=[2.0, 0.5, 2], seeds=[0, 2]),
+                          r_values=[2, 0.5, 1.0], seeds=[0, 2]),
     }
 
     @pytest.mark.parametrize("budget", [None, 1, "3cells"])
@@ -587,6 +601,36 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--out", str(tmp_path / "out"), "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value, item", [
+        ("strategies", ["uniform", "linupper", "uniform"], "'uniform'"),
+        ("r_values", [1, 1.0], "1.0"),
+        ("seeds", [0, 0], "0"),
+    ])
+    def test_repeated_list_item_exits_config(self, tmp_path, capsys, key, value, item):
+        # A repeated item would train the same cells twice and, for seeds,
+        # write two summary rows for one CSV.
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, **{key: value}))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        assert f"config key {key!r} repeats {item}, got {value!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_existing_file_as_out_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0]))
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: cannot make --out directory {str(out)!r}" \
+            in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    def test_existing_directory_as_out_is_reused(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0], steps=2))
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.csv").exists()
 
 
 # Small problems whose sample counts are not a multiple of most batch sizes,

@@ -98,9 +98,8 @@ class TestTheoryStepsize:
     def test_convex_theory_bound_tight(self):
         # L=1, w_max = 2/M: eta = 1/8 equals 1/(4 M L (2/M)) exactly.
         M = 16
-        eta = theory_stepsize(
-            StepSizeRule(kind="convex_theory", L=1.0), w_max=2.0 / M, batch=M
-        )
+        assert optim._w_max_error(2.0 / M, M) is None
+        eta = theory_stepsize(StepSizeRule(kind="convex_theory", L=1.0))
         assert eta == 0.125
         assert eta == 1.0 / (4.0 * M * 1.0 * (2.0 / M))
 
@@ -111,9 +110,7 @@ class TestTheoryStepsize:
     def test_excess_w_max_rejected(self):
         M = 12
         with pytest.raises(ConfigError):
-            theory_stepsize(
-                StepSizeRule(kind="convex_theory", L=1.0), w_max=3.0 / M, batch=M
-            )
+            raise optim._w_max_error(3.0 / M, M)
 
     def test_rule_validation(self):
         with pytest.raises(ConfigError):
@@ -272,6 +269,23 @@ class TestRunTraining:
                 steps=1,
             )
 
+    def test_one_cell_is_a_one_row_stack(self, quadratic_problem):
+        # A single run takes the loop's one shape: every loss_grad call gets
+        # a (1, d) iterate stack, (1, b) indices and a (1, d) previous stack.
+        shapes = []
+
+        class Spy(QuadraticProblem):
+            def loss_grad(self, theta, idx, prev=None):
+                shapes.append((theta.shape, np.shape(idx), np.shape(prev)))
+                return super().loss_grad(theta, idx, prev)
+
+        assert quadratic_problem.dim == 8
+        for momentum in (False, True):
+            shapes.clear()
+            run_training(Spy(quadratic_problem.suite), ReweightConfig(), StepSizeRule(eta=0.01),
+                         batch_size=4, steps=6, momentum=momentum)
+            assert shapes == [((1, 8), (1, 4), ())] + [((1, 8), (1, 4), (1, 8))] * 5
+
     def test_convex_theory_checks_observed_w_max(self, quadratic_problem):
         # Softmax weights at low r concentrate far above 2/b, which the
         # configured cap (none here) cannot reveal; the observed w_max does.
@@ -293,7 +307,10 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
     proxy delta from one losses call per step. Kept as the reference that
     run_training must reproduce exactly."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
-    eta = theory_stepsize(stepsize, w_max=cap_bound, batch=batch_size)
+    error = optim._w_max_error(cap_bound, batch_size)
+    if stepsize.kind == "convex_theory" and error:
+        raise error
+    eta = theory_stepsize(stepsize)
     rng = np.random.default_rng(seed)
     theta = theta0 = problem.theta_init()
     z = theta0.copy()
