@@ -769,6 +769,14 @@ class TestVerify:
         assert "[FAIL]" not in report
         assert "tol" in report  # per-check tolerances are listed
 
+    def test_stdout_is_pinned(self, capsys):
+        # Every check's worst value, digit for digit: a change to how the
+        # checks or the oracle compute must not move a printed number unless
+        # it is declared by updating verify_stdout.txt.
+        assert main(["verify"]) == EXIT_OK
+        pinned = (Path(__file__).parent / "verify_stdout.txt").read_text()
+        assert capsys.readouterr().out == pinned
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--threads", "2"],
                                       ["--config", "cfg.json"]])
     def test_unused_flags_rejected(self, flag, capsys):
