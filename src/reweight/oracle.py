@@ -78,7 +78,7 @@ def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.n
 
 def _objective(w, gaps, r):
     wl = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
-    return float(-(w @ gaps) + r * wl.sum())
+    return float(-np.einsum("...i,...i->...", w, gaps) + r * wl.sum())
 
 
 def brute_force_optimal_weights(gaps, r: float, cap: float, tol: float = 1e-9) -> np.ndarray:
