@@ -178,10 +178,13 @@ def _load_config(path, defaults, seed=None):
 
 
 def _check_out_file(path):
-    """Raise ConfigError unless the directory of the output file exists."""
+    """Raise ConfigError unless path can be written as a file: its directory
+    exists and it is not a directory itself."""
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write --out {path!r}: no directory {folder!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write --out {path!r}: it is a directory")
 
 
 def _write_meta(out_path, cfg):

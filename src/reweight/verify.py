@@ -27,33 +27,59 @@ __all__ = ["run_all", "check_prop1_agreement", "check_kkt", "check_gradients",
            "check_delta_sign", "check_cap_enforcement", "check_degenerate_limit"]
 
 
-def check_prop1_agreement(n_instances: int = 200, seed: int = 0, tol: float = 1e-6):
-    """Closed-form (sort-and-threshold) weights vs projected-descent oracle, max-norm."""
+def _by_batch_size(draws):
+    """Group (b, *arrays) draws by b, in order of first appearance: yields
+    b and one stacked array per drawn quantity, rows in draw order."""
+    groups = {}
+    for b, *values in draws:
+        groups.setdefault(b, []).append(values)
+    for b, rows in groups.items():
+        yield (b, *map(np.array, zip(*rows)))
+
+
+def _worst(values, initial: float = 0.0) -> float:
+    """The largest of initial and the values, NaN if any is NaN (Python's max
+    would drop a NaN that does not come first)."""
+    return float(np.max(values, initial=initial))
+
+
+def _within(worst: float, tol: float) -> bool:
+    """A check passes only on a finite worst value within its tolerance."""
+    return bool(np.isfinite(worst)) and worst <= tol
+
+
+def _oracle_draws(n_instances, seed, b_low):
+    """The (b, r, gaps) instances of the prop1 and KKT checks, b from b_low
+    to 8 and cap 2/b."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(n_instances):
-        b = int(rng.integers(2, 9))
+        b = int(rng.integers(b_low, 9))
         r = float(10.0 ** rng.uniform(-1, 1))
+        yield b, r, rng.uniform(-1.0, 1.0, size=b)
+
+
+def check_prop1_agreement(n_instances: int = 200, seed: int = 0, tol: float = 1e-6):
+    """Closed-form (sort-and-threshold) weights vs projected-descent oracle,
+    max-norm. The instances of one batch size are solved as one stack."""
+    diffs = []
+    for b, r, h in _by_batch_size(_oracle_draws(n_instances, seed, 2)):
         cap = 2.0 / b
-        h = rng.uniform(-1.0, 1.0, size=b)
         w_fast = capped_optimal_weights(h, r, cap)
         w_oracle = brute_force_optimal_weights(h, r, cap)
-        worst = max(worst, float(np.abs(w_fast - w_oracle).max()))
-    return worst <= tol, f"prop1 agreement: max |diff| = {worst:.2e} (tol {tol:.0e})"
+        diffs.append(np.abs(w_fast - w_oracle).max())
+    worst = _worst(diffs)
+    return _within(worst, tol), f"prop1 agreement: max |diff| = {worst:.2e} (tol {tol:.0e})"
 
 
 def check_kkt(n_instances: int = 50, seed: int = 1, tol: float = 1e-6):
     """Oracle stationarity: interior coordinates share a common multiplier."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_instances):
-        b = int(rng.integers(3, 9))
-        r = float(10.0 ** rng.uniform(-1, 1))
+    residuals = []
+    for b, r, h in _by_batch_size(_oracle_draws(n_instances, seed, 3)):
         cap = 2.0 / b
-        h = rng.uniform(-1.0, 1.0, size=b)
         w = brute_force_optimal_weights(h, r, cap)
-        worst = max(worst, kkt_residual(w, h, r, cap))
-    return worst <= tol, f"oracle KKT residual: max = {worst:.2e} (tol {tol:.0e})"
+        residuals += [kkt_residual(*row, cap) for row in zip(w, h, r)]
+    worst = _worst(residuals)
+    return _within(worst, tol), f"oracle KKT residual: max = {worst:.2e} (tol {tol:.0e})"
 
 
 def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
@@ -63,7 +89,7 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
     The losses loss_grad returns, at the iterate and at prev, must also equal
     `losses` bit for bit. By default the regression, quadratic and
     non-convex problems are checked."""
-    worst = 0.0
+    errors = []
     exact = True
     # Below this gradient magnitude the comparison is effectively absolute:
     # central differences on near-flat regions are dominated by cancellation
@@ -74,13 +100,14 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
         fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
         err = np.abs(g[:, 0] - fd).max(axis=1)
         rel = err / np.maximum(np.abs(fd).max(axis=1), grad_floor)
-        worst = max(worst, float(rel.max()))
+        errors.append(rel.max())
         exact &= (np.array_equal(f, problem.losses(theta, idx))
                   and np.array_equal(f_prev, problem.losses(prev, idx)))
+    worst = _worst(errors)
     msg = f"gradient check: max rel err = {worst:.2e} (tol {rel_tol:.0e})"
     if not exact:
         msg += "; loss_grad's losses differ from losses()"
-    return worst <= rel_tol and exact, msg
+    return _within(worst, rel_tol) and exact, msg
 
 
 def gradient_points(n_points: int = 100, seed: int = 2, problems=None):
@@ -109,42 +136,56 @@ def gradient_points(n_points: int = 100, seed: int = 2, problems=None):
 def check_delta_sign(n_batches: int = 500, seed: int = 3, tol: float = 1e-12):
     """delta_t <= 0 whenever weights are monotone nondecreasing in the gap."""
     rng = np.random.default_rng(seed)
-    worst = -np.inf
+    deltas = []
     for _ in range(n_batches):
         b = int(rng.integers(2, 33))
         gaps = np.sort(rng.uniform(0.0, 5.0, size=b))
         w = np.sort(rng.uniform(0.0, 1.0, size=b))
         w /= w.sum()
-        worst = max(worst, delta_t(gaps, np.zeros(b), w))
-    return worst <= tol, f"delta sign (comonotone): max delta = {worst:.2e} (tol {tol:.0e})"
+        deltas.append(delta_t(gaps, np.zeros(b), w))
+    worst = _worst(deltas, initial=-np.inf)
+    return (_within(worst, tol),
+            f"delta sign (comonotone): max delta = {worst:.2e} (tol {tol:.0e})")
 
 
 def check_cap_enforcement(n_batches: int = 500, seed: int = 4, tol: float = 1e-12):
-    """Capped-optimal weights never exceed the cap."""
+    """Capped-optimal weights never exceed the cap. The batches of one size
+    are weighted as one stack, the shape training weights them in."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_batches):
-        b = int(rng.integers(2, 33))
+
+    def draws():
+        for _ in range(n_batches):
+            b = int(rng.integers(2, 33))
+            r = float(10.0 ** rng.uniform(-2, 2))
+            yield b, r, rng.exponential(1.0, size=b)
+
+    excess = []
+    for b, r, losses in _by_batch_size(draws()):
         cap = 2.0 / b
-        r = float(10.0 ** rng.uniform(-2, 2))
-        losses = rng.exponential(1.0, size=b)
         w = capped_optimal_weights(normalize_losses(losses), r, cap)
-        worst = max(worst, float(w.max() - cap))
-    return worst <= tol, f"cap enforcement: max excess = {worst:.2e} (tol {tol:.0e})"
+        excess.append((w.max(axis=-1) - cap).max())
+    worst = _worst(excess)
+    return _within(worst, tol), f"cap enforcement: max excess = {worst:.2e} (tol {tol:.0e})"
 
 
 def check_degenerate_limit(n_batches: int = 50, seed: int = 5, tol: float = 1e-3):
-    """r -> 0 with cap = 2/b puts weight 2/b on the top half of the batch."""
+    """r -> 0 with cap = 2/b puts weight 2/b on the top half of the batch.
+    The batches of one size are weighted as one stack."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_batches):
-        b = int(rng.integers(2, 17)) * 2  # even batch: exact top-half solution
+
+    def draws():
+        for _ in range(n_batches):
+            b = int(rng.integers(2, 17)) * 2  # even batch: exact top-half solution
+            yield b, rng.permutation(np.linspace(-1, 1, b))
+
+    diffs = []
+    for b, h in _by_batch_size(draws()):
         cap = 2.0 / b
-        h = rng.permutation(np.linspace(-1, 1, b))
         w = capped_optimal_weights(h, 1e-6, cap)
-        expect = np.where(h >= np.median(h), cap, 0.0)
-        worst = max(worst, float(np.abs(w - expect).max()))
-    return worst <= tol, f"degenerate limit: max |diff| = {worst:.2e} (tol {tol:.0e})"
+        expect = np.where(h >= np.median(h, axis=-1, keepdims=True), cap, 0.0)
+        diffs.append(np.abs(w - expect).max())
+    worst = _worst(diffs)
+    return _within(worst, tol), f"degenerate limit: max |diff| = {worst:.2e} (tol {tol:.0e})"
 
 
 CHECKS = [

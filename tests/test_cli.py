@@ -157,6 +157,23 @@ class TestConfigErrors:
                 f"no directory {str(out.parent)!r}") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_directory_as_out_exits_config(self, tmp_path, capsys, monkeypatch, command):
+        # Rejected before any problem or dataset is built, not by the write
+        # after a whole run; the directory is left as it was.
+        def unreachable(*args):
+            raise AssertionError("built a problem before checking --out")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        monkeypatch.setattr(cli, "_dataset", unreachable)
+        out = tmp_path / "existing"
+        out.mkdir()
+        assert main([command, "--out", str(out)]) == EXIT_CONFIG
+        assert (f"config error: cannot write --out {str(out)!r}: it is a directory"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
     def test_every_default_has_a_valid_table_entry(self, defaults):
         for key, value in defaults.items():
@@ -784,6 +801,36 @@ class TestVerify:
             main(["verify", *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_nan_oracle_solves_negative_control(self, monkeypatch):
+        # Every other oracle solve is NaN. Python's max would drop a NaN
+        # that does not come first, and no coordinate of an all-NaN w is
+        # interior, so the KKT residual would read 0.0.
+        solve = verify.brute_force_optimal_weights
+
+        def every_other_nan(gaps, r, cap):
+            w = solve(gaps, r, cap)
+            w[1::2] = np.nan
+            return w
+
+        monkeypatch.setattr(verify, "brute_force_optimal_weights", every_other_nan)
+        for check in (verify.check_prop1_agreement, verify.check_kkt):
+            ok, msg = check()
+            assert not ok
+            assert "max |diff| = nan" in msg or "max = nan" in msg
+
+    def test_nan_capped_weights_negative_control(self, monkeypatch):
+        # The closed form returns NaN at b = 2 only.
+        weigh = verify.capped_optimal_weights
+
+        def nan_at_two(h, r, cap):
+            w = weigh(h, r, cap)
+            return np.full_like(w, np.nan) if w.shape[-1] == 2 else w
+
+        monkeypatch.setattr(verify, "capped_optimal_weights", nan_at_two)
+        ok, msg = verify.check_cap_enforcement()
+        assert not ok
+        assert "max excess = nan" in msg
 
     def test_wrong_sign_gradient_negative_control(self):
         problem = tampered(RegressionProblem, grad=lambda g: -g)(

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reweight import verify
 from reweight.core import ConfigError, capped_optimal_weights
 from reweight.oracle import (
     brute_force_optimal_weights,
@@ -59,6 +61,49 @@ def _kink_bisection(v, cap, floor=0.0, scale=1.0):
     if s_lo > s_hi:
         lam += (s_lo - 1.0) / (s_lo - s_hi) * (kinks[hi] - kinks[lo])
     return np.clip(v - lam * scale, floor, cap)
+
+
+def _one_step_at_a_time_oracle(gaps, r, cap, tol=1e-9):
+    """Reference oracle: the projected-Newton descent of one instance with a
+    backtracking search that tries one step at a time, as the oracle ran
+    before it solved stacks. The stacked oracle must give each row its
+    result bit for bit."""
+    def objective(w):
+        wl = np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)
+        return float(-np.einsum("i,i->", w, gaps) + r * wl.sum())
+
+    b = gaps.size
+    w = np.full(b, 1.0 / b)
+    obj = objective(w)
+    for _ in range(200):
+        grad = -gaps + r * (1.0 + np.log(w))
+        moved = np.abs(project_capped_simplex(w - 1e-4 * grad, cap, 1e-10) - w).max()
+        if moved / 1e-4 < tol:
+            break
+        improved = False
+        scale = w / r
+        step = 1.0
+        while step > 1e-16:
+            cand = project_capped_simplex(w - step * scale * grad, cap, 1e-10, step * scale)
+            cand_obj = objective(cand)
+            if cand_obj < obj - 1e-18:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            norm = np.abs(grad).max()
+            step = 1.0 / norm if norm > 0 else 0.0
+            while step * norm > 1e-16:
+                cand = project_capped_simplex(w - step * grad, cap, 1e-10)
+                cand_obj = objective(cand)
+                if cand_obj < obj - 1e-18:
+                    improved = True
+                    break
+                step *= 0.5
+        if not improved:
+            break
+        w, obj = cand, cand_obj
+    return w
 
 
 def _random_scale(rng, b):
@@ -219,6 +264,42 @@ class TestKinkSearch:
                 np.testing.assert_array_equal(project_capped_simplex(v, cap, floor, s),
                                               _kink_bisection(v, cap, floor, s))
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-10])
+    @pytest.mark.parametrize("scale_kind", ["unit", "row", "vector"])
+    def test_stacked_rows_equal_kink_bisection(self, floor, scale_kind):
+        # Rows of one stack bracket their roots in different rounds once
+        # b > 32, and each keeps its own bracket and metric.
+        rng = np.random.default_rng(11)
+        for b in (1, 2, 16, 31, 32, 33, 40, 64, 65, 200):
+            for cap in (1.0 / b, float(rng.uniform(1.0 / b, 1.0)), 1.0):
+                v = rng.normal(scale=3.0, size=(12, b))
+                v[::3] = np.round(v[::3])  # many tied kinks
+                if scale_kind == "unit":
+                    scale = 1.0
+                elif scale_kind == "row":
+                    scale = 10.0 ** rng.uniform(-12.0, 0.0, size=(12, 1))
+                else:
+                    scale = _random_scale(rng, (12, b))
+                out = project_capped_simplex(v, cap, floor, scale)
+                assert out.shape == v.shape
+                rows = np.broadcast_to(scale, v.shape)
+                for row, vi, si in zip(out, v, rows):
+                    np.testing.assert_array_equal(row, _kink_bisection(vi, cap, floor, si))
+
+    def test_stacked_edges_equal_kink_bisection(self):
+        rng = np.random.default_rng(12)
+        for b in (2, 32, 33, 200):
+            v = rng.normal(size=(5, b))
+            scale = _random_scale(rng, (5, b))
+            for cap, floor, s in [(1.0 / b, 1.0 / b, 1.0), (1.0 / b, 0.0, scale),
+                                  ((1.0 - 1e-13) / b, 1e-10, scale)]:
+                out = project_capped_simplex(v, cap, floor, s)
+                for row, vi, si in zip(out, v, np.broadcast_to(s, v.shape)):
+                    np.testing.assert_array_equal(row, _kink_bisection(vi, cap, floor, si))
+
+    def test_empty_stack(self):
+        assert project_capped_simplex(np.empty((0, 4)), 0.5).shape == (0, 4)
+
     def test_memory_is_linear_in_b(self):
         # A round holds a (64, b) array and never a (2b, b) one: at b = 20000
         # the latter alone would take 6.4 GB.
@@ -267,11 +348,67 @@ class TestBruteForceWeights:
             w = brute_force_optimal_weights(h, r, 2.0 / b)
             assert kkt_residual(w, h, r, 2.0 / b) <= 1e-6
 
+    def test_kkt_residual_of_nonfinite_weights_is_nan(self):
+        # No coordinate of an all-NaN w counts as interior, so without the
+        # finiteness check the residual would read 0.0 and pass.
+        h = np.array([0.3, -0.9, 0.8, -0.1])
+        assert np.isnan(kkt_residual(np.full(4, np.nan), h, 1.0, 0.5))
+        assert np.isnan(kkt_residual(np.full(4, 0.25), np.array([0.0, np.inf, 0.0, 0.0]),
+                                     1.0, 0.5))
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ConfigError):
             brute_force_optimal_weights([0.0, 1.0], r=0.0, cap=1.0)
         with pytest.raises(ConfigError):
             brute_force_optimal_weights([0.0, 1.0], r=1.0, cap=0.2)
+
+
+@st.composite
+def oracle_stacks(draw):
+    """An (R, b) stack of capped-weights instances with gaps in [-1, 1], one
+    temperature per row in [1e-2, 1e2] and a cap from 1/b (cap * b == 1,
+    every weight pinned) to 1 (no cap)."""
+    b = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=b, max_size=b),
+                         min_size=n, max_size=n))
+    log_r = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    cap = draw(st.sampled_from([1.0 / b, 2.0 / b, 0.5 + 0.5 / b, 1.0]))
+    return np.array(gaps), 10.0 ** np.array(log_r), cap
+
+
+class TestStackedOracle:
+    @example((np.zeros((2, 4)), np.array([1e-2, 1e2]), 0.25))
+    @example((np.array([[0.3, -0.9, 0.8, -0.1], [0.5, 0.5, -1.0, -1.0]]),
+              np.array([1e-2, 3.0]), 0.5))
+    @given(oracle_stacks())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_every_row_equals_its_one_row_call(self, stack):
+        gaps, r, cap = stack
+        w = brute_force_optimal_weights(gaps, r, cap)
+        assert w.shape == gaps.shape
+        for row, h, ri in zip(w, gaps, r):
+            np.testing.assert_array_equal(row, brute_force_optimal_weights(h, ri, cap))
+
+    @pytest.mark.parametrize("n_instances,seed,b_low", [(200, 0, 2), (50, 1, 3)])
+    def test_verify_instances_equal_one_step_at_a_time_search(self, n_instances, seed,
+                                                              b_low):
+        # The prop1 and KKT checks' own instances, one stack per batch size:
+        # the ladder in one call takes the step a one-at-a-time search takes.
+        for b, r, h in verify._by_batch_size(verify._oracle_draws(n_instances, seed, b_low)):
+            w = brute_force_optimal_weights(h, r, 2.0 / b)
+            for row, hi, ri in zip(w, h, r):
+                np.testing.assert_array_equal(row,
+                                              _one_step_at_a_time_oracle(hi, ri, 2.0 / b))
+
+    def test_scalar_r_for_a_stack(self):
+        gaps = np.random.default_rng(13).uniform(-1.0, 1.0, size=(3, 5))
+        np.testing.assert_array_equal(brute_force_optimal_weights(gaps, 0.7, 0.4),
+                                      brute_force_optimal_weights(gaps, np.full(3, 0.7), 0.4))
+
+    def test_any_nonpositive_r_rejected(self):
+        with pytest.raises(ConfigError):
+            brute_force_optimal_weights(np.zeros((2, 3)), np.array([1.0, 0.0]), 0.5)
 
 
 class TestFiniteDiff:
