@@ -48,7 +48,7 @@ _ROUND_SIZE = 1 << 13
 
 # The backtracking line search's steps 1, 1/2, ..., 2**-53: every halving
 # of 1 above 1e-16, each exact.
-_HALVINGS = np.ldexp(1.0, -np.arange(54))
+_HALVINGS = np.array([2.0 ** -k for k in range(54)])
 
 
 def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.ndarray:
