@@ -163,7 +163,7 @@ def check_cap_enforcement(n_batches: int = 500, seed: int = 4, tol: float = 1e-1
     for b, r, losses in _by_batch_size(draws()):
         cap = 2.0 / b
         w = capped_optimal_weights(normalize_losses(losses), r, cap)
-        excess.append((w.max(axis=-1) - cap).max())
+        excess.append(w.max() - cap)
     worst = _worst(excess)
     return _within(worst, tol), f"cap enforcement: max excess = {worst:.2e} (tol {tol:.0e})"
 
