@@ -139,6 +139,13 @@ def _check_r(r) -> None:
         raise ConfigError("temperature r must be positive")
 
 
+def _cap_error(cap: float, b: int) -> ConfigError | None:
+    """The error of a cap that b weights cannot meet, cap*b < 1, else None."""
+    if cap * b < 1.0 - 1e-12:
+        return ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
+    return None
+
+
 def _normalize(f: np.ndarray, alpha: float) -> np.ndarray:
     f_min = np.minimum.reduce(f, axis=-1, keepdims=True)
     f_max = np.maximum.reduce(f, axis=-1, keepdims=True)
@@ -201,8 +208,8 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     _check_r(r)
     h = np.asarray(h, dtype=float)
     b = h.shape[-1]
-    if cap * b < 1.0 - 1e-12:
-        raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
+    if error := _cap_error(cap, b):
+        raise error
 
     z = h / _row_r(r)
     order = np.argsort(-z, axis=-1, kind="stable")

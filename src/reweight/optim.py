@@ -15,9 +15,12 @@ each step gathers every row's batch, evaluates the problem once through its
 fused loss_grad, computes the weights once per distinct config on that
 config's contiguous rows, and applies one update. Each row samples its
 batches with its own generator, and every row's arithmetic is bit for bit
-that of a run on its own. A row whose losses blow up, whose weights fail,
-or whose update is not finite leaves the stack; the others go on. The loop
-has one shape: a single run, run_training or the CLI's `run`, is a one-row
+that of a run on its own. A cell whose cap is infeasible (cap*b < 1), or
+above 2/b under convex_theory, fails before step 0 and never enters the
+stack. A row whose losses blow up, whose observed w_max exceeds 2/b under
+convex_theory, or whose update is not finite leaves the stack; the others
+go on. A diverging run's overflows raise no numpy warnings. The loop has
+one shape: a single run, run_training or the CLI's `run`, is a one-row
 stack.
 
 The same loss_grad call also returns the previous iterates' losses on the
@@ -38,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, ReweightConfig, ValidationError, compute_batch_weights, schedule_r
+from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error,
+                   compute_batch_weights, schedule_r)
 from .diagnostics import gap_sum
 
 __all__ = [
@@ -206,9 +210,11 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
 
     cells is a sequence of (ReweightConfig, seed) pairs; the cells share
     everything else. The iterator yields, in cell order, each cell's
-    Trajectory, or the ConfigError or ValidationError that stopped it (an
-    infeasible cap, or an observed w_max above 2/b under convex_theory).
-    Errors common to every cell, such as a bad batch size, are raised here.
+    Trajectory, or the ConfigError that stopped it. An infeasible cap
+    (cap*b < 1), or a cap above 2/b under convex_theory, fails a cell before
+    step 0; an observed w_max above 2/b under convex_theory stops it at that
+    step. Errors common to every cell, such as a bad batch size, are raised
+    here.
 
     Cells run in groups of LOCKSTEP_BYTES // cell_bytes(...) rows, and a
     group's outcomes are yielded after it finishes. Without history a cell
@@ -217,9 +223,10 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
     next, and a finished group is freed before the next one starts.
     """
     if batch_size < 1 or batch_size > problem.n_samples:
-        raise ConfigError("batch_size must be in [1, n_samples]")
+        raise ConfigError(f"batch_size {batch_size} is not in [1, {problem.n_samples}] "
+                          "(the problem's n_samples)")
     if steps < 0:
-        raise ConfigError("steps must be nonnegative")
+        raise ConfigError(f"steps {steps} is negative")
     size = max(1, LOCKSTEP_BYTES // cell_bytes(problem, batch_size, steps, history))
     return _run_groups(list(cells), size, problem, stepsize, batch_size, steps, momentum,
                        history)
@@ -238,10 +245,11 @@ class _Group:
     per-row state is theta, z (with momentum) and prev_theta, and each
     row's generator and epoch order.
 
-    A row leaves the stack one way, through _stop: on a loss blow-up or a
-    weight error before the update (then the other rows retake the same
-    step), or on a non-finite update. A group of one cell is a one-row
-    stack, like any other.
+    A cell whose cap fails is never a row. A row leaves the stack one way,
+    through _stop: on a loss blow-up or an observed w_max above 2/b before
+    the update (then the other rows retake the same step), or on a
+    non-finite update. A group of one cell is a one-row stack, like any
+    other.
     """
 
     def __init__(self, cells, problem, stepsize, batch_size, steps, momentum, history):
@@ -249,10 +257,11 @@ class _Group:
         self.b, self.steps, self.momentum, self.history = batch_size, steps, momentum, history
         G, self.n, rows = len(cells), problem.n_samples, max(steps, 1)
         self.errors = [None] * G
-        if stepsize.kind == "convex_theory":  # the default cap 2/b meets the bound
-            for i, (config, _) in enumerate(cells):
-                if config.cap is not None:
-                    self.errors[i] = _w_max_error(config.cap, batch_size)
+        theory = stepsize.kind == "convex_theory"
+        for i, (config, _) in enumerate(cells):
+            if config.cap is not None:  # the default cap 2/b is feasible and meets the bound
+                self.errors[i] = _cap_error(config.cap, batch_size) or (
+                    _w_max_error(config.cap, batch_size) if theory else None)
         self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
         self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
         self.orders = self._shuffle()
@@ -319,19 +328,19 @@ class _Group:
 
     def _weights(self, f, t):
         """Weights of every active row, one compute_batch_weights call per
-        config, and {row: error} for the rows of a config that raised (their
-        weights are zero)."""
-        parts, errors = [], {}
-        for config, lo, hi in self.spans:
-            try:
-                parts.append(compute_batch_weights(f[lo:hi], config, t))
-            except (ConfigError, ValidationError) as exc:
-                parts.append(np.zeros_like(f[lo:hi]))
-                errors.update(dict.fromkeys(range(lo, hi), exc))
-        return (parts[0] if len(parts) == 1 else np.concatenate(parts)), errors
+        config."""
+        parts = [compute_batch_weights(f[lo:hi], config, t) for config, lo, hi in self.spans]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def run(self):
         """Train the group, then yield each cell's outcome in cell order."""
+        # A diverging row overflows before the loop's guards stop it: no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._train()
+        for i in range(len(self.cells)):
+            yield self.errors[i] or self._trajectory(i)
+
+    def _train(self):
         problem, b, n = self.problem, self.b, self.n
         cols, inv_b = self.cols, 1.0 / b
         updating = self.steps > 0
@@ -351,15 +360,13 @@ class _Group:
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
                 self._stop(bad, theta, t, step=t)
                 continue
-            w, errors = self._weights(f, t)
+            w = self._weights(f, t)
             w_max = w.max(axis=-1)
-            if w_limit is not None:
-                for row in np.flatnonzero(w_max > w_limit):
-                    errors.setdefault(row, _w_max_error(w_max[row], b, f"step {t}: observed "))
-            if errors:
-                for row, exc in errors.items():
-                    self.errors[self.active[row]] = exc
-                self._stop(np.isin(range(len(self.active)), list(errors)), theta, 0)
+            if w_limit is not None and (over := w_max > w_limit).any():
+                for row in np.flatnonzero(over):
+                    self.errors[self.active[row]] = _w_max_error(w_max[row], b,
+                                                                 f"step {t}: observed ")
+                self._stop(over, theta, 0)
                 continue
             pos += b
             rows = self.rows
@@ -396,9 +403,6 @@ class _Group:
             t += 1
         self.final[self.active] = self.theta
         self.recorded[self.active] = max(self.steps, 1)
-
-        for i in range(len(self.cells)):
-            yield self.errors[i] or self._trajectory(i)
 
     def _trajectory(self, i) -> Trajectory:
         problem, (config, _) = self.problem, self.cells[i]

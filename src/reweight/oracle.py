@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError
+from .core import _cap_error, _check_r
 
 __all__ = [
     "project_capped_simplex",
@@ -70,8 +70,8 @@ def project_capped_simplex(v, cap: float, floor: float = 0.0, scale=1.0) -> np.n
     """
     v = np.asarray(v, dtype=float)
     b = v.shape[-1]
-    if cap * b < 1.0 - 1e-12:
-        raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
+    if error := _cap_error(cap, b):
+        raise error
     rows = v.reshape(-1, b)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), v.shape).reshape(-1, b)
     out = np.empty_like(rows)
@@ -163,10 +163,7 @@ def brute_force_optimal_weights(gaps, r, cap: float, tol: float = 1e-9) -> np.nd
     b = gaps.shape[-1]
     rows = gaps.reshape(-1, b)
     r = np.broadcast_to(np.asarray(r, dtype=float), len(rows))
-    if (r <= 0).any():
-        raise ConfigError("temperature r must be positive")
-    if cap * b < 1.0 - 1e-12:
-        raise ConfigError(f"infeasible cap: cap*b = {cap * b:.6g} < 1")
+    _check_r(r)
 
     w = np.full(rows.shape, 1.0 / b)
     obj = _objective(w, rows, r)

@@ -337,10 +337,28 @@ class TestRun:
         # The step-0 losses overflow: the run diverges before any weighting.
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0, noise_c=1e300))
         out = tmp_path / "x.csv"
-        with np.errstate(over="ignore"):
-            assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
         assert "diverged at step 0; wrote 0 steps" in capsys.readouterr().out
         assert out.read_text().splitlines() == [",".join(COLUMNS)]
+
+    def test_infeasible_cap_precedes_step_zero_divergence(self, tmp_path, capsys):
+        # The cap fails before step 0, so the overflowing losses are never
+        # evaluated: a config error, not a divergence.
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0, noise_c=1e300,
+                                                       strategy="capped", cap=0.01))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: infeasible cap: cap*b = 0.08 < 1\n"
+        assert not out.exists()
+
+    def test_batch_size_above_n_samples_names_both(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(problem="quadratic", M=16, d=3, batch_size=32, steps=5))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: batch_size 32 is not in [1, 16] "
+                                           "(the problem's n_samples)\n")
+        assert not out.exists()
 
     def test_zero_steps_records_initial_evaluation(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0))
@@ -590,8 +608,7 @@ class TestSweep:
                            dict(SMALL_RUN, steps=0, noise_c=1e300, strategies=["uniform"],
                                 seeds=[0]))
         out_dir = tmp_path / "out"
-        with np.errstate(over="ignore"):
-            assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_OK
         rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
         assert [r["status"] for r in rows] == ["diverged"]
 

@@ -13,6 +13,7 @@ from reweight.core import (
     ReweightConfig,
     TemperatureSchedule,
     ValidationError,
+    capped_optimal_weights,
     compute_batch_weights,
     schedule_r,
 )
@@ -29,6 +30,7 @@ from reweight.optim import (
     run_training,
     theory_stepsize,
 )
+from reweight.oracle import brute_force_optimal_weights, project_capped_simplex
 from reweight.problems import (
     NonconvexProblem,
     QuadraticProblem,
@@ -250,24 +252,30 @@ class TestRunTraining:
 
     def test_zero_steps_divergence_recorded(self):
         # The step-0 losses overflow; the run stops before weighting them.
-        with np.errstate(over="ignore"):
-            problem = RegressionProblem(gen_regression(p=4, n=16, m=0, noise_c=1e300,
-                                                       n_test=4))
-            traj = run_training(problem, ReweightConfig(), StepSizeRule(eta=1e-2),
-                                batch_size=8, steps=0)
+        problem = RegressionProblem(gen_regression(p=4, n=16, m=0, noise_c=1e300, n_test=4))
+        traj = run_training(problem, ReweightConfig(), StepSizeRule(eta=1e-2),
+                            batch_size=8, steps=0)
         assert traj.diverged and traj.divergence_step == 0
         assert all(len(col) == 0 for col in traj.columns.values())
         assert traj.thetas.shape == (1, 5)
 
     def test_bad_batch_size_rejected(self, quadratic_problem):
-        with pytest.raises(ConfigError):
-            run_training(
-                quadratic_problem,
-                ReweightConfig(mode="uniform"),
-                StepSizeRule(kind="fixed", eta=0.01),
-                batch_size=0,
-                steps=1,
-            )
+        # The message names the value and the problem's sample count.
+        for batch_size in (0, 33):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"batch_size {batch_size} is not in [1, 32] (the problem's n_samples)")):
+                run_training(
+                    quadratic_problem,
+                    ReweightConfig(mode="uniform"),
+                    StepSizeRule(kind="fixed", eta=0.01),
+                    batch_size=batch_size,
+                    steps=1,
+                )
+
+    def test_negative_steps_rejected(self, quadratic_problem):
+        with pytest.raises(ConfigError, match="steps -1 is negative"):
+            run_training(quadratic_problem, ReweightConfig(mode="uniform"),
+                         StepSizeRule(kind="fixed", eta=0.01), batch_size=8, steps=-1)
 
     def test_one_cell_is_a_one_row_stack(self, quadratic_problem):
         # A single run takes the loop's one shape: every loss_grad call gets
@@ -601,6 +609,29 @@ class TestLockstepMatchesReference:
                               batch_size=8, steps=30, momentum=True)
         assert "observed w_max" in str(outcomes[1]) and "w_max = 0.5" in str(outcomes[3])
 
+    def test_infeasible_cap_never_enters_the_stack(self, monkeypatch):
+        # The cap fails before step 0: the first loss_grad sees only the
+        # other rows, and they train as they would alone.
+        problem = RegressionProblem(gen_regression(p=8, n=64, m=16, seed=2, n_test=8))
+        cells = [(ReweightConfig(), 0), (ReweightConfig(mode="capped", cap=0.1), 1),
+                 (ReweightConfig(mode="uniform"), 2)]
+        args = (StepSizeRule(eta=1e-2), 8, 20)
+        solo = [next(run_cells(problem, [cell], *args)) for cell in cells]
+        stacks, loss_grad = [], problem.loss_grad
+
+        def spy(theta, idx, prev=None):
+            stacks.append(len(theta))
+            return loss_grad(theta, idx, prev)
+
+        monkeypatch.setattr(problem, "loss_grad", spy)
+        outcomes = list(run_cells(problem, cells, *args))
+        assert stacks[0] == 2 and set(stacks) == {2}
+        assert isinstance(outcomes[1], ConfigError)
+        assert str(outcomes[1]) == str(solo[1]) == "infeasible cap: cap*b = 0.8 < 1"
+        for i in (0, 2):
+            assert column_text(outcomes[i]) == column_text(solo[i])
+            np.testing.assert_array_equal(outcomes[i].final_theta, solo[i].final_theta)
+
     def test_nonconvex_proxy_delta(self):
         problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
         cells = [(ReweightConfig(mode=s, schedule=constant_schedule(0.5)), seed)
@@ -625,6 +656,24 @@ class TestLockstepMatchesReference:
         monkeypatch.setattr(optim, "LOCKSTEP_BYTES", 1)
         for a, b in zip(together, run_cells(*args)):
             assert column_text(a) == column_text(b)
+
+
+def test_infeasible_cap_has_one_message(small_regression):
+    # The closed form, the projection, the oracle and a training cell all
+    # reject cap*b < 1 through one check, with one message.
+    cap, b = 0.1, 8
+    calls = [lambda: capped_optimal_weights(np.zeros(b), 1.0, cap),
+             lambda: project_capped_simplex(np.full(b, 1.0 / b), cap),
+             lambda: brute_force_optimal_weights(np.zeros(b), 1.0, cap)]
+    messages = []
+    for call in calls:
+        with pytest.raises(ConfigError) as caught:
+            call()
+        messages.append(str(caught.value))
+    (cell,) = run_cells(small_regression, [(ReweightConfig(mode="capped", cap=cap), 0)],
+                        StepSizeRule(eta=1e-2), b, 5)
+    assert isinstance(cell, ConfigError)
+    assert messages == [str(cell)] * 3 == ["infeasible cap: cap*b = 0.8 < 1"] * 3
 
 
 def whole_history_proxy(problem, config, traj, b):
