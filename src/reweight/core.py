@@ -17,6 +17,11 @@ ReweightConfig to weights:
 All functions are pure. They take one batch as a 1-D array or a stack of
 batches as an (S, b) array and work row by row: each row of a stacked call
 is bit for bit the 1-D call on that row.
+
+A stack whose rows follow different configs is weighted in one pass by
+_span_weights, which the training loop calls: it normalizes the stack once
+per distinct alpha, scores each scored span and tempers every scored row in
+one call. compute_batch_weights is its checked, one-config case.
 """
 
 from __future__ import annotations
@@ -237,9 +242,11 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
 
 def _scored(score):
     """A mode that scores the normalized losses h in [-alpha, alpha] and
-    tempers the scores."""
+    tempers the scores; the entry keeps the score as its `score`, which
+    _span_weights applies span by span."""
     def weights(f, r, config):
         return temper_weights(score(_normalize(f, config.alpha), config.alpha), r)
+    weights.score = score
     return weights
 
 
@@ -270,14 +277,54 @@ MODES = {
 }
 
 
+def _span_weights(f, spans, step):
+    """Weights of the loss stack f, (S, b), whose rows lo:hi follow config for
+    each (config, lo, hi) in spans, at one training step. Unchecked: f must
+    be finite, and the spans must cover its rows in order.
+
+    A lone span is its MODES entry on the whole of f, and step may then give
+    one step per row. Otherwise f is normalized once per distinct alpha,
+    each scored span is scored on its rows, and every scored row is tempered
+    in one call, with one r, or one per row when the spans' r differ; the
+    other spans keep their own rule. Every step works row by row, so each
+    span's rows are bit for bit its own MODES call.
+    """
+    if len(spans) == 1:
+        config = spans[0][0]
+        return MODES[config.mode](f, schedule_r(step, config.schedule), config)
+    w = np.empty(f.shape)
+    normalized, scored = {}, []
+    for config, lo, hi in spans:
+        rule, r = MODES[config.mode], schedule_r(step, config.schedule)
+        score, alpha = getattr(rule, "score", None), config.alpha
+        if score is None:
+            w[lo:hi] = rule(f[lo:hi], r, config)
+            continue
+        if alpha not in normalized:
+            normalized[alpha] = _normalize(f, alpha)
+        w[lo:hi] = score(normalized[alpha][lo:hi], alpha)
+        scored.append((lo, hi, r))
+    if scored:
+        r = scored[0][2]
+        if any(span_r != r for *_, span_r in scored):
+            r = np.concatenate([np.full(hi - lo, span_r, dtype=float)
+                                for lo, hi, span_r in scored])
+        first, last = scored[0][0], scored[-1][1]
+        rows = slice(first, last)
+        if last - first > sum(hi - lo for lo, hi, _ in scored):  # a rule's span in between
+            rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in scored])
+        w[rows] = temper_weights(w[rows], r)
+    return w
+
+
 def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
     """Weights for one batch, or a stack of batches, at a given training
     step: the config's MODES entry applied to the validated losses at the
-    schedule's temperature.
+    schedule's temperature, the one-span case of the stacked weighting.
 
     Deterministic function of (losses, config, step). losses is (b,) or
     (S, b); for a stack, step may also give one step per row (the rows'
     temperatures then follow the schedule row by row).
     """
     f = _as_loss_array(losses)
-    return MODES[config.mode](f, schedule_r(step, config.schedule), config)
+    return _span_weights(f, [(config, 0, len(f))], step)

@@ -12,25 +12,27 @@ There is one training loop, run_cells. It trains cells that share a
 problem, batch size, step count, step-size rule and momentum flag and
 differ in reweighting config and seed, as the rows of one iterate stack:
 each step gathers every row's batch, evaluates the problem once through its
-fused loss_grad, computes the weights once per distinct config on that
-config's contiguous rows, and applies one update. Each row samples its
-batches with its own generator, and every row's arithmetic is bit for bit
-that of a run on its own. A cell whose cap is infeasible (cap*b < 1), or
-above 2/b under convex_theory, fails before step 0 and never enters the
-stack. A row whose losses blow up, whose observed w_max exceeds 2/b under
-convex_theory, or whose update is not finite leaves the stack; the others
-go on. A diverging run's overflows raise no numpy warnings. The loop has
-one shape: a single run, run_training or the CLI's `run`, is a one-row
-stack.
+fused loss_grad, weights the whole stack in one pass over the configs'
+contiguous row spans (core._span_weights: one normalization per alpha and
+one tempered softmax for all scored rows), and applies one update. Each row
+samples its batches with its own generator, and every row's arithmetic is
+bit for bit that of a run on its own. A cell whose cap is infeasible
+(cap*b < 1), or above 2/b under convex_theory, fails before step 0 and
+never enters the stack. A row whose losses blow up, whose observed w_max
+exceeds 2/b under convex_theory, or whose update is not finite leaves the
+stack; the others go on. A diverging run's overflows raise no numpy
+warnings. The loop has one shape: a single run, run_training or the CLI's
+`run`, is a one-row stack.
 
-The same loss_grad call also returns the previous iterates' losses on the
-step's rows, for mu_t. The diagnostics are computed from those arrays as one
-value per row and go into preallocated per-cell column arrays, one per CSV
-column in COLUMNS, beside the batch indices and losses; a cell's Trajectory
-takes its columns as views of them. Where a problem has no optimal losses,
-the proxy delta_t is one array computed at the end, from one losses call at
-the final iterate over all samples and the weights recomputed from the
-stored losses, _PROXY_BLOCK steps at a time.
+The same loss_grad call also returns the per-sample squared gradient norms,
+for grad_gap, and the previous iterates' losses on the step's rows, for
+mu_t. The diagnostics are computed from those arrays as one value per row
+and go into preallocated per-cell column arrays, one per CSV column in
+COLUMNS, beside the batch indices and losses; a cell's Trajectory takes its
+columns as views of them. Where a problem has no optimal losses, the proxy
+delta_t is one array computed at the end, from one losses call at the final
+iterate over all samples and the weights recomputed from the stored losses,
+_PROXY_BLOCK steps at a time.
 
 Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error,
-                   compute_batch_weights, schedule_r)
+                   _span_weights, compute_batch_weights, schedule_r)
 from .diagnostics import gap_sum
 
 __all__ = [
@@ -326,20 +328,17 @@ class _Group:
         self.spans = self._spans()
         self.rows = self.active
 
-    def _weights(self, f, t):
-        """Weights of every active row, one compute_batch_weights call per
-        config."""
-        parts = [compute_batch_weights(f[lo:hi], config, t) for config, lo, hi in self.spans]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
     def run(self):
         """Train the group, then yield each cell's outcome in cell order."""
-        # A diverging row overflows before the loop's guards stop it: no warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._train()
+        self._train()
         for i in range(len(self.cells)):
             yield self.errors[i] or self._trajectory(i)
 
+    # A diverging row overflows before the loop's guards stop it, and the
+    # proxy delta_t's losses overflow at a huge final iterate: no warning.
+    # _train and _proxy_delta return before run yields, so the state never
+    # spans a yield.
+    @np.errstate(over="ignore", invalid="ignore")
     def _train(self):
         problem, b, n = self.problem, self.b, self.n
         cols, inv_b = self.cols, 1.0 / b
@@ -355,12 +354,12 @@ class _Group:
                 pos = 0
             idx = self.orders[:, pos:pos + b]
             theta = self.theta
-            f, g, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
+            f, g, g_sq, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
                 self._stop(bad, theta, t, step=t)
                 continue
-            w = self._weights(f, t)
+            w = _span_weights(f, self.spans, t)  # f is finite: the guard checked it
             w_max = w.max(axis=-1)
             if w_limit is not None and (over := w_max > w_limit).any():
                 for row in np.flatnonzero(over):
@@ -380,7 +379,7 @@ class _Group:
                 cols["delta_t"][rows, t] = gap_sum(u, f - problem.losses_at_opt(idx))
             if f_prev is not None:
                 cols["mu_t"][rows, t] = gap_sum(u, f - f_prev)
-            cols["grad_gap"][rows, t] = gap_sum(u, (g**2).sum(axis=-1))
+            cols["grad_gap"][rows, t] = gap_sum(u, g_sq)
             if "theta_dist_sq" in cols:
                 cols["theta_dist_sq"][rows, t] = ((theta - problem.theta_star) ** 2).sum(axis=-1)
             self.indices[rows, t] = idx
@@ -405,8 +404,7 @@ class _Group:
         self.recorded[self.active] = max(self.steps, 1)
 
     def _trajectory(self, i) -> Trajectory:
-        problem, (config, _) = self.problem, self.cells[i]
-        T, b = self.recorded[i], self.b
+        config, T = self.cells[i][0], self.recorded[i]
         diverged = self.divergence_step[i] is not None
         indices, losses = self.indices[i, :T], self.losses[i, :T]
         columns = {name: col[i, :T] for name, col in self.cols.items()}
@@ -415,24 +413,32 @@ class _Group:
         columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
         proxy = "delta_t" not in columns and not diverged
         if proxy:
-            # The final iterate's losses stand in for the optimal ones, from
-            # one losses call over a view of all samples (no gathered copy),
-            # indexed by the batch history, with the weights recomputed from
-            # the losses. Both work row by row, so computing a block of steps
-            # at a time gives each step the whole-run result bit for bit.
-            f_final = problem.losses(self.final[i], slice(None))
-            delta = columns["delta_t"] = np.empty(T)
-            for lo in range(0, T, _PROXY_BLOCK):
-                rows = slice(lo, lo + _PROXY_BLOCK)
-                f = losses[rows]
-                w = compute_batch_weights(f, config, columns["step"][rows])
-                delta[rows] = np.add.reduce((1.0 / b - w) * (f - f_final[indices[rows]]), axis=1)
+            columns["delta_t"] = self._proxy_delta(i, T)
         weights = self.batch_weights[i, :T] if self.history else None
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]
         return Trajectory(columns=columns, thetas=thetas, batch_indices=indices,
                           batch_losses=losses, batch_weights=weights, diverged=diverged,
                           divergence_step=self.divergence_step[i], delta_is_proxy=proxy)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _proxy_delta(self, i, T):
+        """Cell i's proxy delta_t over its T steps. The final iterate's losses
+        stand in for the optimal ones, from one losses call over a view of
+        all samples (no gathered copy), indexed by the batch history, with
+        the weights recomputed from the losses. Both work row by row, so
+        computing a block of steps at a time gives each step the whole-run
+        result bit for bit."""
+        config, b = self.cells[i][0], self.b
+        indices, losses = self.indices[i, :T], self.losses[i, :T]
+        f_final = self.problem.losses(self.final[i], slice(None))
+        delta, steps = np.empty(T), np.arange(T)
+        for lo in range(0, T, _PROXY_BLOCK):
+            rows = slice(lo, lo + _PROXY_BLOCK)
+            f = losses[rows]
+            w = compute_batch_weights(f, config, steps[rows])
+            delta[rows] = np.add.reduce((1.0 / b - w) * (f - f_final[indices[rows]]), axis=1)
+        return delta
 
 
 def run_training(

@@ -8,13 +8,18 @@ Three families:
   * a bounded non-convex per-sample loss 1 - exp(-residual^2).
 
 Each problem exposes the vectorized `loss_grad(theta, idx, prev=None) ->
-(losses, grads, prev_losses)` that training calls once per step: it gathers
-the rows once, computes the residual once, and, given the previous iterate
-prev, also that iterate's losses on the same rows (None without prev).
+(losses, grads, grad_sq, prev_losses)` that training calls once per step: it
+gathers the rows once, computes the residual once, returns the per-sample
+squared gradient norms ||g_i||^2, and, given the previous iterate prev, also
+that iterate's losses on the same rows (None without prev).
 `losses(theta, idx)` gives the losses alone by the same arithmetic, and L is
 the exact smoothness constant. The regression and non-convex problems are
 linear models that differ only in their per-sample loss of the residual, so
-they share one implementation of both methods.
+they share one implementation of both methods. Their gradient is
+phi'(r_i) x_i, so ||g_i||^2 = phi'(r_i)^2 ||x_i||^2 (Goodfellow, "Efficient
+per-example gradient computations", arXiv:1510.01799), with ||x_i||^2 kept
+once per problem; it equals (g**2).sum(-1) up to rounding. The quadratic
+problem sums its gradients' squares.
 
 Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
 of iterates (S, d) with one row of indices each, (S, b); losses then come
@@ -155,12 +160,14 @@ def _matvec(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
 class _LinearProblem:
     """Linear model with per-sample loss phi(r) of the residual
     r = row' theta - target. A subclass passes its rows and targets and gives
-    `_phi(r) -> (phi(r), phi'(r))`; no common minimizer exists."""
+    `_phi(r) -> (phi(r), phi'(r))`; no common minimizer exists. The squared
+    row norms ||x_i||^2 are computed once."""
 
     theta_star = None
 
     def __init__(self, rows: np.ndarray, targets: np.ndarray):
         self._rows, self._targets = rows, targets
+        self._row_sq = (rows**2).sum(axis=1)
         self.n_samples, self.dim = rows.shape
 
     def theta_init(self) -> np.ndarray:
@@ -173,7 +180,7 @@ class _LinearProblem:
         rows, y = self._rows[idx], self._targets[idx]
         f, df = self._phi(_matvec(rows, theta) - y)
         f_prev = None if prev is None else self._phi(_matvec(rows, prev) - y)[0]
-        return f, df[..., None] * rows, f_prev
+        return f, df[..., None] * rows, df * df * self._row_sq[idx], f_prev
 
 
 class RegressionProblem(_LinearProblem):
@@ -189,7 +196,7 @@ class RegressionProblem(_LinearProblem):
 
     def __init__(self, data: RegressionDataset):
         super().__init__(np.hstack([data.X, np.ones((data.X.shape[0], 1))]), data.y)
-        self.L = float((self._rows**2).sum(axis=1).max())
+        self.L = float(self._row_sq.max())
         # [X_test 1 y_test] = QR with orthonormal Q, so the test residual norm
         # ||X1 theta - y|| equals ||R[:, :-1] theta - R[:, -1]||: at most
         # (p+2) rows stand in for the whole test split.
@@ -231,7 +238,8 @@ class QuadraticProblem:
     def loss_grad(self, theta, idx, prev=None):
         A = self.suite.A[idx]
         f, Adev = self._loss_grad(A, theta)
-        return f, Adev, None if prev is None else self._loss_grad(A, prev)[0]
+        f_prev = None if prev is None else self._loss_grad(A, prev)[0]
+        return f, Adev, (Adev**2).sum(axis=-1), f_prev
 
     def _loss_grad(self, A, theta):
         dev = np.asarray(theta, float) - self.theta_star
@@ -254,7 +262,7 @@ class NonconvexProblem(_LinearProblem):
         self.theta_true = rng.standard_normal(dim)
         super().__init__(X, X @ self.theta_true + 0.1 * rng.standard_normal(n_samples))
         # |d^2/dr^2 (1 - exp(-r^2))| <= 2, so L_i <= 2 ||x_i||^2
-        self.L = float(2.0 * (X**2).sum(axis=1).max())
+        self.L = float(2.0 * self._row_sq.max())
 
     @staticmethod
     def _phi(r):

@@ -87,27 +87,36 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
     """Each problem's loss_grad vs central finite differences of its losses,
     relative error, on one sample at each of a stack of random iterates.
     The losses loss_grad returns, at the iterate and at prev, must also equal
-    `losses` bit for bit. By default the regression, quadratic and
-    non-convex problems are checked."""
+    `losses` bit for bit, and its squared gradient norms must equal
+    (g**2).sum(-1) of its own gradients to 1e-12 relative to the larger of
+    the two. By default the regression, quadratic and non-convex problems
+    are checked."""
     errors = []
-    exact = True
+    exact = norms = True
     # Below this gradient magnitude the comparison is effectively absolute:
     # central differences on near-flat regions are dominated by cancellation
     # noise ~1e-10, which is why gradient_points avoids them.
     grad_floor = 1e-3
+    # The linear problems' phi'(r)^2 ||x||^2 rounds differently from the
+    # squares of phi'(r) x, by a few ulps.
+    norm_tol = 1e-12
     for problem, theta, prev, idx in gradient_points(n_points, seed, problems):
-        f, g, f_prev = problem.loss_grad(theta, idx, prev)
+        f, g, g_sq, f_prev = problem.loss_grad(theta, idx, prev)
         fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
         err = np.abs(g[:, 0] - fd).max(axis=1)
         rel = err / np.maximum(np.abs(fd).max(axis=1), grad_floor)
         errors.append(rel.max())
         exact &= (np.array_equal(f, problem.losses(theta, idx))
                   and np.array_equal(f_prev, problem.losses(prev, idx)))
+        direct = (g**2).sum(axis=-1)
+        norms &= bool((np.abs(g_sq - direct) <= norm_tol * np.maximum(g_sq, direct)).all())
     worst = _worst(errors)
     msg = f"gradient check: max rel err = {worst:.2e} (tol {rel_tol:.0e})"
     if not exact:
         msg += "; loss_grad's losses differ from losses()"
-    return _within(worst, rel_tol) and exact, msg
+    if not norms:
+        msg += "; loss_grad's squared gradient norms differ from its gradients'"
+    return _within(worst, rel_tol) and exact and norms, msg
 
 
 def gradient_points(n_points: int = 100, seed: int = 2, problems=None):

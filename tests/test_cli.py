@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -340,6 +343,22 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
         assert "diverged at step 0; wrote 0 steps" in capsys.readouterr().out
         assert out.read_text().splitlines() == [",".join(COLUMNS)]
+
+    def test_huge_final_iterate_warns_nothing(self, tmp_path):
+        # The update overflows nothing the loop checks, but the final iterate
+        # is so large that the proxy delta_t's losses at it overflow. Run as
+        # the CI smoke step runs it, with numpy warnings made errors.
+        cfg = write_config(tmp_path / "cfg.json", dict(problem="nonconvex", M=16, d=3,
+                                                       lr=1e308, batch_size=8, steps=20,
+                                                       strategy="dro_kl"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "reweight.cli", "run", "--config", cfg,
+                               "--out", str(tmp_path / "x.csv")],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout.startswith("converged; wrote 20 steps")
 
     def test_infeasible_cap_precedes_step_zero_divergence(self, tmp_path, capsys):
         # The cap fails before step 0, so the overflowing losses are never
@@ -876,6 +895,23 @@ class TestVerify:
         assert not ok
         assert "differ from losses()" in msg
 
+    GRAD_SQ_PROBLEMS = {
+        "regression": (RegressionProblem, lambda: (gen_regression(p=6, n=24, m=8, n_test=1),)),
+        "quadratic": (QuadraticProblem, lambda: (gen_quadratic_suite(M=16, d=6),)),
+        "nonconvex": (NonconvexProblem, lambda: (32, 6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAD_SQ_PROBLEMS))
+    def test_perturbed_grad_sq_negative_control(self, name):
+        # The gradients and losses are right; only the squared norms are off,
+        # by 1e-10 relative. 1e-14 is inside the check's 1e-12 bound.
+        base, args = self.GRAD_SQ_PROBLEMS[name]
+        for scale, passes in ((1.0 + 1e-10, False), (1.0 + 1e-14, True)):
+            problem = tampered(base, grad_sq=lambda s: scale * s)(*args())
+            ok, msg = verify.check_gradients(problems=[problem])
+            assert ok == passes, msg
+            assert msg.endswith("squared gradient norms differ from its gradients'") != passes
+
     def test_scaled_nonconvex_gradient_negative_control(self):
         problem = tampered(NonconvexProblem, grad=lambda g: (1.0 + 1e-4) * g)(
             n_samples=32, dim=6, seed=2)
@@ -909,13 +945,14 @@ class TestVerify:
             verify.run_all(**{name: 1.0}, n_points=1)
 
 
-def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f):
+def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f,
+             grad_sq=lambda s: s):
     """A subclass of the problem class base whose loss_grad passes each of its
-    three results through the given function."""
+    four results through the given function."""
 
     class Tampered(base):
         def loss_grad(self, theta, idx, prev=None):
-            f, g, f_prev = super().loss_grad(theta, idx, prev)
-            return losses(f), grad(g), prev_losses(f_prev)
+            f, g, g_sq, f_prev = super().loss_grad(theta, idx, prev)
+            return losses(f), grad(g), grad_sq(g_sq), prev_losses(f_prev)
 
     return Tampered

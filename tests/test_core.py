@@ -20,6 +20,7 @@ from reweight.core import (
     normalize_losses,
     schedule_r,
     temper_weights,
+    _span_weights,
 )
 from reweight.oracle import brute_force_optimal_weights
 
@@ -550,3 +551,76 @@ class TestRowWiseWeights:
     def test_per_row_schedule_rejects_negative_steps(self):
         with pytest.raises(ValidationError):
             schedule_r(np.array([0, -1]), TemperatureSchedule())
+
+
+SCORED_MODES = ["linupper", "quadratic", "extremes"]
+STEP = 6  # the step every stacked draw is weighted at
+
+
+@st.composite
+def span_configs(draw, modes):
+    """A config of one of the given modes at alpha 1 or 0.5, on a constant
+    schedule at one of a sweep's r_values or a step_drop schedule whose
+    warmup is at, just before or just after STEP, with an explicit cap or
+    dro_tau half the time."""
+    mode = draw(st.sampled_from(modes))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([1.0, 0.5, 2, 1e-3]))
+        schedule = TemperatureSchedule(kind="constant", r_initial=r, r_final=r)
+    else:
+        schedule = TemperatureSchedule(kind="step_drop",
+                                       r_initial=draw(st.sampled_from([100.0, 3])),
+                                       r_final=draw(st.sampled_from([1.0, 0.25])),
+                                       warmup_steps=STEP + draw(st.sampled_from([-1, 0, 1])))
+    extra = {}
+    if mode == "capped" and draw(st.booleans()):
+        extra["cap"] = draw(st.sampled_from([0.25, 0.5, 1.0]))  # cap*b >= 1 for b >= 4
+    if mode == "dro_kl" and draw(st.booleans()):
+        extra["dro_tau"] = draw(st.sampled_from([0.7, 3.0]))
+    return ReweightConfig(mode=mode, alpha=draw(st.sampled_from([1.0, 0.5])),
+                          schedule=schedule, **extra)
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A loss stack and its (config, lo, hi) spans: any modes before and
+    after a scored span, a capped or uniform span, and another scored span,
+    so that every draw tempers a gathered set of rows."""
+    any_mode = span_configs(list(MODES))
+    configs = (draw(st.lists(any_mode, max_size=2))
+               + [draw(span_configs(SCORED_MODES)), draw(span_configs(["capped", "uniform"])),
+                  draw(span_configs(SCORED_MODES))]
+               + draw(st.lists(any_mode, max_size=2)))
+    spans, lo = [], 0
+    for config in configs:
+        hi = lo + draw(st.integers(1, 3))
+        spans.append((config, lo, hi))
+        lo = hi
+    b = draw(st.integers(4, 33))
+    losses = _stacked_losses(lo, b, seed=draw(st.integers(0, 2**16)))
+    return losses * draw(st.sampled_from([1e-3, 1.0, 1e4])), spans
+
+
+class TestStackedWeights:
+    """The training loop weights a stack of mixed configs in one pass; each
+    span's rows must equal that span's own compute_batch_weights call bit
+    for bit."""
+
+    @given(mixed_stacks())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_spans_equal_their_own_calls(self, stack):
+        losses, spans = stack
+        w = _span_weights(losses, spans, STEP)
+        want = np.concatenate([compute_batch_weights(losses[lo:hi], config, STEP)
+                               for config, lo, hi in spans])
+        assert w.tobytes() == want.tobytes()
+
+    def test_infeasible_cap_raises_as_its_own_call(self):
+        losses = _stacked_losses(4, 8, seed=2)
+        capped = ReweightConfig(mode="capped", cap=0.1)
+        spans = [(ReweightConfig(), 0, 2), (capped, 2, 4)]
+        with pytest.raises(ConfigError) as own:
+            compute_batch_weights(losses[2:], capped, STEP)
+        with pytest.raises(ConfigError) as stacked:
+            _span_weights(losses, spans, STEP)
+        assert str(stacked.value) == str(own.value) == "infeasible cap: cap*b = 0.8 < 1"

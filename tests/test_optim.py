@@ -345,9 +345,9 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         return idx
 
     def record_step(t, idx, f, w, r_value):
-        g = problem.loss_grad(theta, idx)[1]
+        _, g, g_sq, _ = problem.loss_grad(theta, idx)
         row = dict(step=t, train_loss=float(f.mean()), r=r_value, w_max=float(w.max()),
-                   w_min=float(w.min()), grad_gap=grad_gap_term((g**2).sum(axis=1), w))
+                   w_min=float(w.min()), grad_gap=grad_gap_term(g_sq, w))
         if has_test:
             row["test_loss"] = problem.test_loss(theta)
         if has_opt_losses:
@@ -460,7 +460,8 @@ class _BlowUpProblem:
 
     def loss_grad(self, theta, idx, prev=None):
         f_prev = None if prev is None else self.losses(prev, idx)
-        return self.losses(theta, idx), self.grads(theta, idx), f_prev
+        g = self.grads(theta, idx)
+        return self.losses(theta, idx), g, (g**2).sum(axis=-1), f_prev
 
 
 class TestFusedRunMatchesReference:
@@ -719,6 +720,42 @@ class TestBlockwiseProxy:
         assert diverged.divergence_step > optim._PROXY_BLOCK
         assert "delta_t" not in diverged.columns and not diverged.delta_is_proxy
         assert not ok.diverged and ok.delta_is_proxy and len(ok.columns["delta_t"]) == 600
+
+
+class TestGradGapFromNorms:
+    """grad_gap takes ||g_i||^2 from loss_grad. On the linear problems that
+    is phi'(r_i)^2 ||x_i||^2, which must stay within 1e-12 sum_i |u_i|
+    ||g_i||^2 of the formula on the gradients' own squares; the quadratic
+    problem returns that formula, so its column must not move a bit."""
+
+    PROBLEMS = {
+        "regression": (lambda: RegressionProblem(gen_regression(p=8, n=120, m=30, seed=4,
+                                                                n_test=8)), 1e-2),
+        "nonconvex": (lambda: NonconvexProblem(n_samples=96, dim=6, seed=4), 0.05),
+        "quadratic": (lambda: QuadraticProblem(gen_quadratic_suite(M=32, d=8, seed=4)), 0.01),
+    }
+
+    @pytest.mark.parametrize("momentum", [False, True])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_grad_gap_against_squared_gradients(self, name, momentum):
+        make, eta = self.PROBLEMS[name]
+        problem, b = make(), 8
+        config = ReweightConfig(mode="extremes", schedule=constant_schedule(0.5))
+        traj = run_training(problem, config, StepSizeRule(eta=eta), batch_size=b, steps=300,
+                            seed=4, momentum=momentum)
+        assert not traj.diverged
+        # Every step's gradients at once, as a stack of its iterates: each row
+        # is bit for bit the loop's one-row call.
+        g = problem.loss_grad(traj.thetas[:-1], traj.batch_indices)[1]
+        sq, u = (g**2).sum(axis=-1), 1.0 / b - traj.batch_weights
+        formula = np.add.reduce(u * sq, axis=-1)
+        got = traj.columns["grad_gap"]
+        if name == "quadratic":
+            assert got.tobytes() == formula.tobytes()
+        else:
+            scale = np.add.reduce(np.abs(u) * sq, axis=-1)
+            assert np.all(np.abs(got - formula) <= 1e-12 * scale)
+            assert not np.array_equal(got, formula)  # the norms do come from the identity
 
 
 def test_sweep_toy_groups_hold_two_strategies():

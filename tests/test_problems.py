@@ -110,14 +110,14 @@ def one_sample_regression(x, y):
 class TestRegressionLossGrad:
     # theta is (W, b): the bias is the trailing coordinate.
     def test_perfect_fit(self):
-        loss, grad, _ = one_sample_regression([2.0], 2.0).loss_grad(
+        loss, grad, _, _ = one_sample_regression([2.0], 2.0).loss_grad(
             np.array([1.0, 0.0]), np.array([0]))
         assert loss[0] == 0.0
         np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
     def test_hand_arithmetic(self):
         # r = 2 * 1 + 0 - 0: loss r^2/2 = 2, gradient r * (x, 1) = (4, 2).
-        loss, grad, _ = one_sample_regression([2.0], 0.0).loss_grad(
+        loss, grad, _, _ = one_sample_regression([2.0], 0.0).loss_grad(
             np.array([1.0, 0.0]), np.array([0]))
         assert loss[0] == 2.0
         np.testing.assert_array_equal(grad[0], [4.0, 2.0])
@@ -253,7 +253,7 @@ class TestNonconvexLoss:
     def test_zero_residual(self):
         problem = NonconvexProblem(n_samples=1, dim=2)
         problem._rows, problem._targets = np.ones((1, 2)), np.zeros(1)
-        loss, grad, _ = problem.loss_grad(np.zeros(2), np.array([0]))
+        loss, grad, _, _ = problem.loss_grad(np.zeros(2), np.array([0]))
         assert loss[0] == 0.0
         np.testing.assert_array_equal(grad[0], [0.0, 0.0])
 
@@ -261,7 +261,7 @@ class TestNonconvexLoss:
         problem = NonconvexProblem(n_samples=100, dim=3, seed=1)
         rng = np.random.default_rng(1)
         theta = rng.standard_normal((100, 3)) * 10.0 ** rng.uniform(-1, 2, size=(100, 1))
-        loss, _, _ = problem.loss_grad(theta, np.arange(100)[:, None])
+        loss = problem.loss_grad(theta, np.arange(100)[:, None])[0]
         # Supremum 1 is attained in floating point when exp(-r^2) underflows.
         assert np.all((0.0 <= loss) & (loss <= 1.0))
 
@@ -308,6 +308,29 @@ def test_losses_over_all_samples_by_slice(make_problem):
 
 
 @MAKE_PROBLEMS
+def test_grad_sq_is_the_squared_gradient_norm(make_problem):
+    # loss_grad's ||g_i||^2 equals (g**2).sum(-1) of its own gradients to
+    # 1e-12 relative (bit for bit on the quadratic problem, which sums the
+    # squares), for one iterate and for a stack, whose rows are bit for bit
+    # the one-iterate calls.
+    problem = make_problem()
+    rng = np.random.default_rng(11)
+    for b in (1, 5, 16):
+        for scale in (1e-3, 1.0, 1e3):
+            theta = scale * rng.standard_normal((3, problem.dim))
+            idx = np.array([rng.choice(problem.n_samples, size=b, replace=False)
+                            for _ in range(3)])
+            _, g, g_sq, _ = problem.loss_grad(theta, idx)
+            direct = (g**2).sum(axis=-1)
+            if isinstance(problem, QuadraticProblem):
+                assert g_sq.tobytes() == direct.tobytes()
+            assert np.all(np.abs(g_sq - direct) <= 1e-12 * np.maximum(g_sq, direct))
+            for row in range(3):
+                one = problem.loss_grad(theta[row], idx[row])[2]
+                assert one.tobytes() == g_sq[row].tobytes()
+
+
+@MAKE_PROBLEMS
 def test_loss_grad_equals_separate_methods(make_problem):
     # Training takes its losses and mu_t's previous-iterate losses from the
     # fused path and its proxy delta_t from `losses`; they must agree
@@ -324,9 +347,9 @@ def test_loss_grad_equals_separate_methods(make_problem):
                 prev = scale * rng.standard_normal(shape)
                 idx = np.array([rng.choice(problem.n_samples, size=b, replace=False)
                                 for _ in range(S or 1)]).reshape(shape[:-1] + (b,))
-                losses, _, none = problem.loss_grad(theta, idx)
+                losses, _, _, none = problem.loss_grad(theta, idx)
                 assert none is None
                 np.testing.assert_array_equal(losses, problem.losses(theta, idx))
-                losses_again, _, prev_losses = problem.loss_grad(theta, idx, prev)
+                losses_again, _, _, prev_losses = problem.loss_grad(theta, idx, prev)
                 np.testing.assert_array_equal(losses_again, losses)
                 np.testing.assert_array_equal(prev_losses, problem.losses(prev, idx))
