@@ -370,7 +370,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok = verify_mod.run_all(verbose=True)
+    ok = verify_mod.run_all()
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

@@ -27,6 +27,8 @@ one call. compute_batch_weights is its checked, one-config case.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,20 @@ class ConfigError(ValueError):
     """Raised when a configuration value is inconsistent or out of range."""
 
 
+def _check_fields(config, positive=(), counts=()) -> None:
+    """Raise ConfigError naming the first field of config out of range: each
+    name in positive must be a finite number > 0 (or None), and each
+    (name, low) in counts an integer >= low."""
+    for name in positive:
+        value = getattr(config, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    for name, low in counts:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TemperatureSchedule:
     """Temperature r over training steps.
@@ -72,10 +88,7 @@ class TemperatureSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "step_drop"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.r_initial <= 0 or self.r_final <= 0:
-            raise ConfigError("temperature values must be strictly positive")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be nonnegative")
+        _check_fields(self, ("r_initial", "r_final"), [("warmup_steps", 0)])
 
 
 def schedule_r(step, schedule: TemperatureSchedule):
@@ -113,14 +126,10 @@ class ReweightConfig:
         if self.mode not in MODES:
             raise ConfigError(f"unknown weighting mode {self.mode!r}; expected one of "
                               f"{', '.join(MODES)}")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
         for name, reader in (("cap", "capped"), ("dro_tau", "dro_kl")):
-            value = getattr(self, name)
-            if value is not None and self.mode != reader:
+            if getattr(self, name) is not None and self.mode != reader:
                 raise ConfigError(f"{name} is read only by mode {reader!r}, not {self.mode!r}")
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive")
+        _check_fields(self, ("alpha", "cap", "dro_tau"))
 
 
 def _as_loss_array(losses) -> np.ndarray:
@@ -323,8 +332,12 @@ def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
     schedule's temperature, the one-span case of the stacked weighting.
 
     Deterministic function of (losses, config, step). losses is (b,) or
-    (S, b); for a stack, step may also give one step per row (the rows'
-    temperatures then follow the schedule row by row).
+    (S, b); step is a scalar, or for a stack one step per row, (S,) (the
+    rows' temperatures then follow the schedule row by row). Any other step
+    shape is a ValidationError.
     """
     f = _as_loss_array(losses)
+    if np.shape(step) not in ((), f.shape[:-1]):
+        raise ValidationError(f"step of shape {np.shape(step)} does not fit losses of "
+                              f"shape {f.shape}: give one step, or one per row of a stack")
     return _span_weights(f, [(config, 0, len(f))], step)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error,
+from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error, _check_fields,
                    _span_weights, compute_batch_weights, schedule_r)
 from .diagnostics import gap_sum
 
@@ -77,7 +77,7 @@ class StepSizeRule:
 
     fixed: use eta as given. convex_theory: eta = 1/(8L), valid when the
     max weight stays <= 2/M. sqrt_horizon: eta = 1/(8L sqrt(T)) for a known
-    horizon T.
+    horizon T. Every field is checked, whichever the kind reads.
     """
 
     kind: str = "fixed"
@@ -88,12 +88,7 @@ class StepSizeRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "convex_theory", "sqrt_horizon"):
             raise ConfigError(f"unknown step-size rule {self.kind!r}")
-        if self.kind == "fixed" and self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.kind != "fixed" and self.L <= 0:
-            raise ConfigError("smoothness constant L must be positive")
-        if self.kind == "sqrt_horizon" and self.horizon_T < 1:
-            raise ConfigError("horizon_T must be >= 1")
+        _check_fields(self, ("eta", "L"), [("horizon_T", 1)])
 
 
 def theory_stepsize(rule: StepSizeRule) -> float:

@@ -143,7 +143,7 @@ def _line_search(w, obj, gaps, r, grad, rows, steps, metric, cap):
     return np.delete(rows, ok)
 
 
-def brute_force_optimal_weights(gaps, r, cap: float, tol: float = 1e-9) -> np.ndarray:
+def brute_force_optimal_weights(gaps, r, cap: float) -> np.ndarray:
     """Minimize -sum w_i gap_i + r sum w_i log w_i over the capped simplex.
 
     gaps is one instance (b,) with a scalar r, or a stack of instances
@@ -156,8 +156,8 @@ def brute_force_optimal_weights(gaps, r, cap: float, tol: float = 1e-9) -> np.nd
     scales the gradient by the inverse diagonal Hessian w/r and projects in
     that same metric (projected Newton), falling back to a plain Euclidean
     gradient step when no halving of the Newton step improves. A row stops
-    when its projected-gradient residual is below `tol` or no improving step
-    exists.
+    when its projected-gradient residual is below 1e-9 or no improving
+    step exists.
     """
     gaps = np.asarray(gaps, dtype=float)
     b = gaps.shape[-1]
@@ -173,7 +173,7 @@ def brute_force_optimal_weights(gaps, r, cap: float, tol: float = 1e-9) -> np.nd
         wl = w[live]
         grad = -rows[live] + r[live, None] * (1.0 + np.log(wl))
         moved = np.abs(project_capped_simplex(wl - probe * grad, cap, _W_FLOOR) - wl).max(axis=1)
-        go = ~(moved / probe < tol)
+        go = ~(moved / probe < 1e-9)
         live, wl, grad = live[go], wl[go], grad[go]
         if not live.size:
             break
@@ -217,14 +217,14 @@ def kkt_residual(w, gaps, r: float, cap: float) -> float:
     return float(np.abs(station - station.mean()).max())
 
 
-def finite_diff_grad(loss_fn, theta, epsilon: float = 1e-6) -> np.ndarray:
-    """Central finite differences: (f(x + e) - f(x - e)) / (2 eps) per coordinate.
+def finite_diff_grad(loss_fn, theta) -> np.ndarray:
+    """Central finite differences: (f(x + e) - f(x - e)) / (2 e) per
+    coordinate, with e = 1e-6.
 
     theta may be a stack of points (..., d) for a loss_fn that returns one
     loss per point; each round moves coordinate j of every point at once.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = 1e-6
     theta = np.asarray(theta, dtype=float)
     grad = np.empty_like(theta)
     for j in range(theta.shape[-1]):

@@ -1,14 +1,14 @@
 """Self-contained verification suite behind the `verify` CLI subcommand.
 
 Each check pits a production code path against an independent brute-force
-oracle and reports the tolerance it used. The gradient check takes the
-problems it checks as an argument, so a problem with a deliberately broken
-`loss_grad` can be used as a negative control.
+oracle. Its count, seed and tolerance are constants: the tolerance is
+printed in its line, and `tests/verify_stdout.txt` pins every line. The
+gradient check takes the problems it checks as an argument, so a problem
+with a deliberately broken `loss_grad` can be used as a negative control;
+`run_all()` takes no arguments.
 """
 
 from __future__ import annotations
-
-import inspect
 
 import numpy as np
 
@@ -37,15 +37,12 @@ def _by_batch_size(draws):
         yield (b, *map(np.array, zip(*rows)))
 
 
-def _worst(values, initial: float = 0.0) -> float:
-    """The largest of initial and the values, NaN if any is NaN (Python's max
-    would drop a NaN that does not come first)."""
-    return float(np.max(values, initial=initial))
-
-
-def _within(worst: float, tol: float) -> bool:
-    """A check passes only on a finite worst value within its tolerance."""
-    return bool(np.isfinite(worst)) and worst <= tol
+def _verdict(label: str, values, tol: float, initial: float = 0.0):
+    """A check's (passed, line). Its worst value is the largest of initial
+    and the values, NaN if any is NaN (Python's max would drop a NaN that
+    does not come first); it passes only if finite and within tol."""
+    worst = float(np.max(values, initial=initial))
+    return bool(np.isfinite(worst)) and worst <= tol, f"{label} = {worst:.2e} (tol {tol:.0e})"
 
 
 def _oracle_draws(n_instances, seed, b_low):
@@ -58,32 +55,34 @@ def _oracle_draws(n_instances, seed, b_low):
         yield b, r, rng.uniform(-1.0, 1.0, size=b)
 
 
-def check_prop1_agreement(n_instances: int = 200, seed: int = 0, tol: float = 1e-6):
+# The _oracle_draws(n_instances, seed, b_low) of the prop1 and KKT checks.
+PROP1_DRAWS = (200, 0, 2)
+KKT_DRAWS = (50, 1, 3)
+
+
+def check_prop1_agreement():
     """Closed-form (sort-and-threshold) weights vs projected-descent oracle,
     max-norm. The instances of one batch size are solved as one stack."""
     diffs = []
-    for b, r, h in _by_batch_size(_oracle_draws(n_instances, seed, 2)):
+    for b, r, h in _by_batch_size(_oracle_draws(*PROP1_DRAWS)):
         cap = 2.0 / b
         w_fast = capped_optimal_weights(h, r, cap)
         w_oracle = brute_force_optimal_weights(h, r, cap)
         diffs.append(np.abs(w_fast - w_oracle).max())
-    worst = _worst(diffs)
-    return _within(worst, tol), f"prop1 agreement: max |diff| = {worst:.2e} (tol {tol:.0e})"
+    return _verdict("prop1 agreement: max |diff|", diffs, 1e-6)
 
 
-def check_kkt(n_instances: int = 50, seed: int = 1, tol: float = 1e-6):
+def check_kkt():
     """Oracle stationarity: interior coordinates share a common multiplier."""
     residuals = []
-    for b, r, h in _by_batch_size(_oracle_draws(n_instances, seed, 3)):
+    for b, r, h in _by_batch_size(_oracle_draws(*KKT_DRAWS)):
         cap = 2.0 / b
         w = brute_force_optimal_weights(h, r, cap)
         residuals += [kkt_residual(*row, cap) for row in zip(w, h, r)]
-    worst = _worst(residuals)
-    return _within(worst, tol), f"oracle KKT residual: max = {worst:.2e} (tol {tol:.0e})"
+    return _verdict("oracle KKT residual: max", residuals, 1e-6)
 
 
-def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
-                    problems=None):
+def check_gradients(problems=None):
     """Each problem's loss_grad vs central finite differences of its losses,
     relative error, on one sample at each of a stack of random iterates.
     The losses loss_grad returns, at the iterate and at prev, must also equal
@@ -100,7 +99,7 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
     # The linear problems' phi'(r)^2 ||x||^2 rounds differently from the
     # squares of phi'(r) x, by a few ulps.
     norm_tol = 1e-12
-    for problem, theta, prev, idx in gradient_points(n_points, seed, problems):
+    for problem, theta, prev, idx in gradient_points(problems):
         f, g, g_sq, f_prev = problem.loss_grad(theta, idx, prev)
         fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
         err = np.abs(g[:, 0] - fd).max(axis=1)
@@ -110,23 +109,23 @@ def check_gradients(n_points: int = 100, seed: int = 2, rel_tol: float = 1e-5,
                   and np.array_equal(f_prev, problem.losses(prev, idx)))
         direct = (g**2).sum(axis=-1)
         norms &= bool((np.abs(g_sq - direct) <= norm_tol * np.maximum(g_sq, direct)).all())
-    worst = _worst(errors)
-    msg = f"gradient check: max rel err = {worst:.2e} (tol {rel_tol:.0e})"
+    ok, msg = _verdict("gradient check: max rel err", errors, 1e-5)
     if not exact:
         msg += "; loss_grad's losses differ from losses()"
     if not norms:
         msg += "; loss_grad's squared gradient norms differ from its gradients'"
-    return _within(worst, rel_tol) and exact and norms, msg
+    return ok and exact and norms, msg
 
 
-def gradient_points(n_points: int = 100, seed: int = 2, problems=None):
+def gradient_points(problems=None):
     """The (problem, theta, prev, idx) stacks check_gradients evaluates: per
-    problem, n_points iterates and previous iterates (n_points, d) with one
-    sample index each. Iterates are standard normal, except for the
-    non-convex problem, whose unit-scale iterates would put about a third of
-    the points in the flat tails of 1 - exp(-r^2); its iterates are normal
-    with standard deviation 0.2 around the parameter that generated its
-    targets, where residuals are small but gradients are not."""
+    problem, 100 iterates and previous iterates (100, d) with one sample
+    index each. Iterates are standard normal, except for the non-convex
+    problem, whose unit-scale iterates would put about a third of the points
+    in the flat tails of 1 - exp(-r^2); its iterates are normal with
+    standard deviation 0.2 around the parameter that generated its targets,
+    where residuals are small but gradients are not."""
+    n_points, seed = 100, 2
     if problems is None:
         problems = [
             RegressionProblem(gen_regression(p=6, n=24, m=8, seed=seed, n_test=1)),
@@ -142,28 +141,26 @@ def gradient_points(n_points: int = 100, seed: int = 2, problems=None):
         yield problem, theta, prev, idx
 
 
-def check_delta_sign(n_batches: int = 500, seed: int = 3, tol: float = 1e-12):
+def check_delta_sign():
     """delta_t <= 0 whenever weights are monotone nondecreasing in the gap."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     deltas = []
-    for _ in range(n_batches):
+    for _ in range(500):
         b = int(rng.integers(2, 33))
         gaps = np.sort(rng.uniform(0.0, 5.0, size=b))
         w = np.sort(rng.uniform(0.0, 1.0, size=b))
         w /= w.sum()
         deltas.append(delta_t(gaps, np.zeros(b), w))
-    worst = _worst(deltas, initial=-np.inf)
-    return (_within(worst, tol),
-            f"delta sign (comonotone): max delta = {worst:.2e} (tol {tol:.0e})")
+    return _verdict("delta sign (comonotone): max delta", deltas, 1e-12, initial=-np.inf)
 
 
-def check_cap_enforcement(n_batches: int = 500, seed: int = 4, tol: float = 1e-12):
+def check_cap_enforcement():
     """Capped-optimal weights never exceed the cap. The batches of one size
     are weighted as one stack, the shape training weights them in."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(4)
 
     def draws():
-        for _ in range(n_batches):
+        for _ in range(500):
             b = int(rng.integers(2, 33))
             r = float(10.0 ** rng.uniform(-2, 2))
             yield b, r, rng.exponential(1.0, size=b)
@@ -173,17 +170,16 @@ def check_cap_enforcement(n_batches: int = 500, seed: int = 4, tol: float = 1e-1
         cap = 2.0 / b
         w = capped_optimal_weights(normalize_losses(losses), r, cap)
         excess.append(w.max() - cap)
-    worst = _worst(excess)
-    return _within(worst, tol), f"cap enforcement: max excess = {worst:.2e} (tol {tol:.0e})"
+    return _verdict("cap enforcement: max excess", excess, 1e-12)
 
 
-def check_degenerate_limit(n_batches: int = 50, seed: int = 5, tol: float = 1e-3):
+def check_degenerate_limit():
     """r -> 0 with cap = 2/b puts weight 2/b on the top half of the batch.
     The batches of one size are weighted as one stack."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
 
     def draws():
-        for _ in range(n_batches):
+        for _ in range(50):
             b = int(rng.integers(2, 17)) * 2  # even batch: exact top-half solution
             yield b, rng.permutation(np.linspace(-1, 1, b))
 
@@ -193,8 +189,7 @@ def check_degenerate_limit(n_batches: int = 50, seed: int = 5, tol: float = 1e-3
         w = capped_optimal_weights(h, 1e-6, cap)
         expect = np.where(h >= np.median(h, axis=-1, keepdims=True), cap, 0.0)
         diffs.append(np.abs(w - expect).max())
-    worst = _worst(diffs)
-    return _within(worst, tol), f"degenerate limit: max |diff| = {worst:.2e} (tol {tol:.0e})"
+    return _verdict("degenerate limit: max |diff|", diffs, 1e-3)
 
 
 CHECKS = [
@@ -207,21 +202,11 @@ CHECKS = [
 ]
 
 
-def run_all(verbose: bool = False, **overrides) -> bool:
-    """Run every check; returns True only if all pass.
-
-    Keyword overrides (e.g. problems=...) are forwarded to the checks that
-    take a parameter of that name, which lets tests inject broken
-    implementations. An override that no check takes is a TypeError.
-    """
-    params = {check: inspect.signature(check).parameters for check in CHECKS}
-    unknown = sorted(set(overrides).difference(*params.values()))
-    if unknown:
-        raise TypeError(f"no check takes the override(s) {', '.join(unknown)}")
+def run_all() -> bool:
+    """Run every check and print its line; returns True only if all pass."""
     all_ok = True
     for check in CHECKS:
-        ok, msg = check(**{k: v for k, v in overrides.items() if k in params[check]})
+        ok, msg = check()
         all_ok &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {msg}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {msg}")
     return all_ok

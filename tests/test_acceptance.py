@@ -228,8 +228,8 @@ def test_criterion_7_cap_monitoring():
 
 
 def test_criterion_8_gradient_correctness():
-    ok, msg = check_gradients(n_points=100, rel_tol=1e-5)
-    report(8, ok, msg)
+    ok, msg = check_gradients()
+    report(8, ok and "(tol 1e-05)" in msg, msg)
 
 
 def test_criterion_9_high_temperature_reduction():

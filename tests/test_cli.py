@@ -871,13 +871,19 @@ class TestVerify:
     def test_wrong_sign_gradient_negative_control(self):
         problem = tampered(RegressionProblem, grad=lambda g: -g)(
             gen_regression(p=6, n=24, m=8, seed=0, n_test=1))
-        ok, msg = verify.check_gradients(n_points=5, problems=[problem])
+        ok, msg = verify.check_gradients(problems=[problem])
         assert not ok
 
-    def test_run_all_forwards_overrides(self):
-        problem = tampered(RegressionProblem, grad=lambda g: 0.5 * g)(
-            gen_regression(p=6, n=24, m=8, seed=0, n_test=1))
-        assert verify.run_all(problems=[problem], n_points=5) is False
+    def test_failing_check_fails_run_all(self, monkeypatch, capsys):
+        # One failing check fails the suite; every other check still runs
+        # and prints its line.
+        checks = list(verify.CHECKS)
+        checks[2] = lambda: (False, "gradient check: failed on purpose")
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        assert verify.run_all() is False
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "[FAIL] gradient check: failed on purpose"
+        assert len(lines) == 6 and sum(line.startswith("[PASS]") for line in lines) == 5
 
     def test_scaled_quadratic_gradient_negative_control(self):
         problem = tampered(QuadraticProblem, grad=lambda g: (1.0 + 1e-4) * g)(
@@ -936,13 +942,14 @@ class TestVerify:
         ok, msg = verify.check_gradients(problems=problems)
         assert ok, msg
 
-    @pytest.mark.parametrize("name", ["worst", "regresion_grad"])
+    @pytest.mark.parametrize("name", ["worst", "regresion_grad", "tol", "rel_tol",
+                                      "n_instances"])
     def test_run_all_rejects_unknown_override(self, name):
-        # `worst` is a local variable of several checks, not a parameter;
-        # a misspelt override must not be dropped, or a negative control
-        # with a typo would pass.
+        # run_all takes nothing: a check's count, seed and tolerance are fixed
+        # bars, and a misspelt override must not be dropped, or a negative
+        # control with a typo would pass.
         with pytest.raises(TypeError, match=name):
-            verify.run_all(**{name: 1.0}, n_points=1)
+            verify.run_all(**{name: 1.0})
 
 
 def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f,

@@ -22,6 +22,7 @@ from reweight.core import (
     temper_weights,
     _span_weights,
 )
+from reweight.optim import StepSizeRule
 from reweight.oracle import brute_force_optimal_weights
 
 
@@ -413,6 +414,17 @@ class TestComputeBatchWeights:
         assert np.abs(w_warm - 1 / 3).max() <= 1e-6
         assert w_late.max() > 0.4
 
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("losses,steps,shapes", [
+        (np.arange(4.0), np.arange(2), r"\(2,\) does not fit losses of shape \(4,\)"),
+        (np.ones((3, 4)), np.arange(5), r"\(5,\) does not fit losses of shape \(3, 4\)"),
+    ], ids=["batch", "stack"])
+    def test_step_not_one_per_batch_rejected(self, mode, losses, steps, shapes):
+        # One step per batch or stack row: two steps for one batch used to
+        # give a (2, 4) array in some modes and a (4,) array in others.
+        with pytest.raises(ValidationError, match=f"^step of shape {shapes}"):
+            compute_batch_weights(losses, ReweightConfig(mode=mode), steps)
+
     @given(
         losses=finite_losses,
         mode=st.sampled_from(list(MODES)),
@@ -482,6 +494,45 @@ class TestReweightConfigValidation:
             ReweightConfig(mode="capped", cap=0.0)
         with pytest.raises(ConfigError):
             ReweightConfig(mode="dro_kl", dro_tau=-2.0)
+
+
+class TestConfigFields:
+    """Every float field of the config objects must be a finite number > 0
+    and every count an integer, as the CLI requires of its config keys; each
+    error names the field."""
+
+    REALS = [
+        (ReweightConfig, {}, "alpha"),
+        (ReweightConfig, {"mode": "capped"}, "cap"),
+        (ReweightConfig, {"mode": "dro_kl"}, "dro_tau"),
+        (TemperatureSchedule, {}, "r_initial"),
+        (TemperatureSchedule, {}, "r_final"),
+        (StepSizeRule, {"kind": "fixed"}, "eta"),
+        (StepSizeRule, {"kind": "convex_theory"}, "L"),
+    ]
+    COUNTS = [
+        (TemperatureSchedule, {"kind": "step_drop"}, "warmup_steps"),
+        (StepSizeRule, {"kind": "sqrt_horizon"}, "horizon_T"),
+    ]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("cls,base,name", REALS)
+    def test_non_finite_rejected(self, cls, base, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number > 0, "
+                                              f"got {value!r}$"):
+            cls(**base, **{name: value})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, float("nan")])
+    @pytest.mark.parametrize("cls,base,name", COUNTS)
+    def test_non_integer_count_rejected(self, cls, base, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= [01], "
+                                              f"got {value!r}$"):
+            cls(**base, **{name: value})
+
+    @pytest.mark.parametrize("cls,base,name", REALS + COUNTS)
+    def test_finite_numbers_and_integers_accepted(self, cls, base, name):
+        for value in (np.int64(3), 3):
+            assert getattr(cls(**base, **{name: value}), name) == 3
 
 
 def _stacked_losses(S, b, seed):

@@ -390,12 +390,12 @@ class TestStackedOracle:
         for row, h, ri in zip(w, gaps, r):
             np.testing.assert_array_equal(row, brute_force_optimal_weights(h, ri, cap))
 
-    @pytest.mark.parametrize("n_instances,seed,b_low", [(200, 0, 2), (50, 1, 3)])
-    def test_verify_instances_equal_one_step_at_a_time_search(self, n_instances, seed,
-                                                              b_low):
+    @pytest.mark.parametrize("draws", [verify.PROP1_DRAWS, verify.KKT_DRAWS],
+                             ids=lambda draws: "-".join(map(str, draws)))
+    def test_verify_instances_equal_one_step_at_a_time_search(self, draws):
         # The prop1 and KKT checks' own instances, one stack per batch size:
         # the ladder in one call takes the step a one-at-a-time search takes.
-        for b, r, h in verify._by_batch_size(verify._oracle_draws(n_instances, seed, b_low)):
+        for b, r, h in verify._by_batch_size(verify._oracle_draws(*draws)):
             w = brute_force_optimal_weights(h, r, 2.0 / b)
             for row, hi, ri in zip(w, h, r):
                 np.testing.assert_array_equal(row,
@@ -414,17 +414,13 @@ class TestStackedOracle:
 class TestFiniteDiff:
     def test_quadratic_is_exact_to_roundoff(self):
         theta = np.array([1.0, 0.0, 0.0])
-        g = finite_diff_grad(lambda t: float(t @ t), theta, epsilon=1e-5)
+        g = finite_diff_grad(lambda t: float(t @ t), theta)
         np.testing.assert_allclose(g, [2.0, 0.0, 0.0], atol=1e-8)
 
     def test_linear_function(self):
         c = np.array([3.0, -2.0, 0.5])
         g = finite_diff_grad(lambda t: float(c @ t), np.zeros(3))
         np.testing.assert_allclose(g, c, atol=1e-8)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: 0.0, np.zeros(2), epsilon=0.0)
 
     def test_stack_rows_equal_separate_calls(self):
         # A stack (S, d) with a row-wise loss differences each row exactly as
