@@ -42,7 +42,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import MODES, ConfigError, ReweightConfig, TemperatureSchedule
+from .core import ConfigError, ReweightConfig, TemperatureSchedule
 from .optim import COLUMNS, StepSizeRule, run_cells
 from .problems import (
     NonconvexProblem,
@@ -220,8 +220,6 @@ def _make_reweight_config(cfg):
         warmup_steps=cfg["warmup_steps"],
     )
     name = cfg["strategy"]
-    if name not in MODES:
-        raise ConfigError(f"unknown strategy {name!r}")
     # cap and dro_tau are shared keys (a sweep gives every cell the same
     # ones); each goes to the one mode that reads it.
     return ReweightConfig(mode=name, alpha=cfg["alpha"], schedule=schedule,

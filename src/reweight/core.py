@@ -92,9 +92,10 @@ class TemperatureSchedule:
 
 
 def schedule_r(step, schedule: TemperatureSchedule):
-    """Temperature for a given step, or an array of temperatures for a
-    numpy array of steps."""
-    if isinstance(step, np.ndarray):
+    """Temperature for a given step, or an array of temperatures for any
+    non-scalar steps (an array, a list)."""
+    if not np.isscalar(step):
+        step = np.asarray(step)
         if (step < 0).any():
             raise ValidationError("step must be nonnegative")
         warmup = schedule.warmup_steps if schedule.kind == "step_drop" else np.inf

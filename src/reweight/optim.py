@@ -4,9 +4,9 @@ The update is theta' = theta - eta * sum_i w_i g_i with weights from the
 core module. The momentum variant keeps the auxiliary sequence
 z' = z - eta * sum_i w_i g_i and mixes theta' = (lam/(1+lam)) theta +
 (1/(1+lam)) z', with the default schedule lam_{t+1} = (t+1)/2. Both are
-plain array functions, gd_step(theta, eta, g, w) -> theta' and
-momentum_step(theta, z, eta, g, w, lam) -> (theta', z'), on one iterate or
-a stack of iterates, one per row.
+plain array functions of the summed gradient grad = sum_i w_i g_i,
+gd_step(theta, eta, grad) -> theta' and momentum_step(theta, z, eta, grad,
+lam) -> (theta', z'), on one iterate or a stack of iterates, one per row.
 
 There is one training loop, run_cells. It trains cells that share a
 problem, batch size, step count, step-size rule and momentum flag and
@@ -14,15 +14,16 @@ differ in reweighting config and seed, as the rows of one iterate stack:
 each step gathers every row's batch, evaluates the problem once through its
 fused loss_grad, weights the whole stack in one pass over the configs'
 contiguous row spans (core._span_weights: one normalization per alpha and
-one tempered softmax for all scored rows), and applies one update. Each row
-samples its batches with its own generator, and every row's arithmetic is
-bit for bit that of a run on its own. A cell whose cap is infeasible
-(cap*b < 1), or above 2/b under convex_theory, fails before step 0 and
-never enters the stack. A row whose losses blow up, whose observed w_max
-exceeds 2/b under convex_theory, or whose update is not finite leaves the
-stack; the others go on. A diverging run's overflows raise no numpy
-warnings. The loop has one shape: a single run, run_training or the CLI's
-`run`, is a one-row stack.
+one tempered softmax for all scored rows), has the problem sum each row's
+weighted gradient (weighted_grad: no per-sample gradient is stored) and
+applies one update. Each row samples its batches with its own generator,
+and every row's arithmetic is bit for bit that of a run on its own. A cell
+whose cap is infeasible (cap*b < 1), or above 2/b under convex_theory,
+fails before step 0 and never enters the stack. A row whose losses blow up,
+whose observed w_max exceeds 2/b under convex_theory, or whose update is
+not finite leaves the stack; the others go on. A diverging run's overflows
+raise no numpy warnings. The loop has one shape: a single run,
+run_training or the CLI's `run`, is a one-row stack.
 
 The same loss_grad call also returns the per-sample squared gradient norms,
 for grad_gap, and the previous iterates' losses on the step's rows, for
@@ -121,32 +122,30 @@ def _w_max_error(w_max: float, batch: int, where: str = "") -> ConfigError | Non
     return None
 
 
-def _weighted_grad(gradients, weights) -> np.ndarray:
-    """sum_i w_i g_i per row: (b,) weights with (b, d) gradients, or (S, b)
-    with (S, b, d)."""
-    g = np.asarray(gradients, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if g.ndim != w.ndim + 1 or g.shape[:-1] != w.shape:
-        raise ValidationError("gradients must be (b, d), or (S, b, d), matching the weights")
-    return np.matmul(w[..., None, :], g)[..., 0, :]
+def _summed(theta, grad) -> np.ndarray:
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != np.shape(theta):
+        raise ValidationError(f"gradient of shape {grad.shape} does not match theta's "
+                              f"{np.shape(theta)}")
+    return grad
 
 
-def gd_step(theta, eta: float, gradients, weights) -> np.ndarray:
-    """theta' = theta - eta * sum_i w_i g_i, for one iterate or each row of
-    a stack."""
-    return theta - eta * _weighted_grad(gradients, weights)
+def gd_step(theta, eta: float, grad) -> np.ndarray:
+    """theta' = theta - eta * grad, grad = sum_i w_i g_i shaped like theta:
+    one iterate or each row of a stack."""
+    return theta - eta * _summed(theta, grad)
 
 
-def momentum_step(theta, z, eta: float, gradients, weights, lambda_next: float):
+def momentum_step(theta, z, eta: float, grad, lambda_next: float):
     """Heavy-ball update in (z, theta) form, for one iterate or each row of
-    a stack; returns (theta', z').
+    a stack, with grad as in gd_step; returns (theta', z').
 
-    z' = z - eta * sum_i w_i g_i;
+    z' = z - eta * grad;
     theta' = lam/(1+lam) * theta + 1/(1+lam) * z'  with lam = lambda_next.
     """
     if lambda_next < 0:
         raise ConfigError("lambda_next must be nonnegative")
-    z = z - eta * _weighted_grad(gradients, weights)
+    z = z - eta * _summed(theta, grad)
     return (lambda_next / (1.0 + lambda_next)) * theta + z / (1.0 + lambda_next), z
 
 
@@ -349,7 +348,7 @@ class _Group:
                 pos = 0
             idx = self.orders[:, pos:pos + b]
             theta = self.theta
-            f, g, g_sq, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
+            f, parts, g_sq, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
                 self._stop(bad, theta, t, step=t)
@@ -384,10 +383,11 @@ class _Group:
             if not updating:
                 break
             self.prev_theta = theta
+            grad = problem.weighted_grad(parts, w)
             if self.momentum:
-                self.theta, self.z = momentum_step(theta, self.z, self.eta, g, w, (t + 1) / 2.0)
+                self.theta, self.z = momentum_step(theta, self.z, self.eta, grad, (t + 1) / 2.0)
             else:
-                self.theta = gd_step(theta, self.eta, g, w)
+                self.theta = gd_step(theta, self.eta, grad)
             if self.history:  # _trajectory cuts a diverged row's off
                 self.thetas[rows, t + 1] = self.theta
             # A non-finite z makes theta non-finite, so theta tells for both.

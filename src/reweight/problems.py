@@ -8,24 +8,24 @@ Three families:
   * a bounded non-convex per-sample loss 1 - exp(-residual^2).
 
 Each problem exposes the vectorized `loss_grad(theta, idx, prev=None) ->
-(losses, grads, grad_sq, prev_losses)` that training calls once per step: it
-gathers the rows once, computes the residual once, returns the per-sample
-squared gradient norms ||g_i||^2, and, given the previous iterate prev, also
-that iterate's losses on the same rows (None without prev).
+(losses, parts, grad_sq, prev_losses)` that training calls once per step: it
+gathers the rows once, computes the residual once, returns what
+`weighted_grad(parts, w)` needs to form sum_i w_i g_i without storing any
+g_i, the squared gradient norms ||g_i||^2, and, given the previous iterate
+prev, that iterate's losses on the same rows (None without prev).
 `losses(theta, idx)` gives the losses alone by the same arithmetic, and L is
 the exact smoothness constant. The regression and non-convex problems are
 linear models that differ only in their per-sample loss of the residual, so
-they share one implementation of both methods. Their gradient is
-phi'(r_i) x_i, so ||g_i||^2 = phi'(r_i)^2 ||x_i||^2 (Goodfellow, "Efficient
-per-example gradient computations", arXiv:1510.01799), with ||x_i||^2 kept
-once per problem; it equals (g**2).sum(-1) up to rounding. The quadratic
-problem sums its gradients' squares.
+they share one implementation. Their gradient is phi'(r_i) x_i: parts are
+(phi'(r), rows), the sum is (w phi'(r))' rows, and ||g_i||^2 =
+phi'(r_i)^2 ||x_i||^2 (Goodfellow, arXiv:1510.01799), with ||x_i||^2 kept
+once per problem. The quadratic problem's parts are its gradients.
 
 Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
 of iterates (S, d) with one row of indices each, (S, b); losses then come
-back as (S, b) and gradients as (S, b, d). Residuals are formed by a batched
-matmul, which gives each row bit for bit the result of the single-iterate
-call, so a stacked run reproduces its separate runs exactly.
+back as (S, b) and weighted gradients as (S, d). Residuals and sums are
+formed by batched matmuls, which give each row bit for bit the result of the
+single-iterate call, so a stacked run reproduces its separate runs exactly.
 
 The regression problem's `test_loss` factors its test split once,
 [X_test 1 y_test] = QR, and evaluates the residual norm through R, which has
@@ -180,7 +180,13 @@ class _LinearProblem:
         rows, y = self._rows[idx], self._targets[idx]
         f, df = self._phi(_matvec(rows, theta) - y)
         f_prev = None if prev is None else self._phi(_matvec(rows, prev) - y)[0]
-        return f, df[..., None] * rows, df * df * self._row_sq[idx], f_prev
+        return f, (df, rows), df * df * self._row_sq[idx], f_prev
+
+    @staticmethod
+    def weighted_grad(parts, w) -> np.ndarray:
+        """sum_i w_i phi'(r_i) x_i, (d,) or (S, d) as w is (b,) or (S, b)."""
+        df, rows = parts
+        return np.matmul((w * df)[..., None, :], rows)[..., 0, :]
 
 
 class RegressionProblem(_LinearProblem):
@@ -240,6 +246,11 @@ class QuadraticProblem:
         f, Adev = self._loss_grad(A, theta)
         f_prev = None if prev is None else self._loss_grad(A, prev)[0]
         return f, Adev, (Adev**2).sum(axis=-1), f_prev
+
+    @staticmethod
+    def weighted_grad(Adev, w) -> np.ndarray:
+        """sum_i w_i A_i (theta - theta*), (d,) or (S, d) as w is (b,) or (S, b)."""
+        return np.matmul(w[..., None, :], Adev)[..., 0, :]
 
     def _loss_grad(self, A, theta):
         dev = np.asarray(theta, float) - self.theta_star

@@ -4,8 +4,8 @@ Each check pits a production code path against an independent brute-force
 oracle. Its count, seed and tolerance are constants: the tolerance is
 printed in its line, and `tests/verify_stdout.txt` pins every line. The
 gradient check takes the problems it checks as an argument, so a problem
-with a deliberately broken `loss_grad` can be used as a negative control;
-`run_all()` takes no arguments.
+with a deliberately broken `loss_grad` or `weighted_grad` can be used as a
+negative control; `run_all()` takes no arguments.
 """
 
 from __future__ import annotations
@@ -83,13 +83,14 @@ def check_kkt():
 
 
 def check_gradients(problems=None):
-    """Each problem's loss_grad vs central finite differences of its losses,
-    relative error, on one sample at each of a stack of random iterates.
-    The losses loss_grad returns, at the iterate and at prev, must also equal
-    `losses` bit for bit, and its squared gradient norms must equal
-    (g**2).sum(-1) of its own gradients to 1e-12 relative to the larger of
-    the two. By default the regression, quadratic and non-convex problems
-    are checked."""
+    """Each problem's gradient as the update forms it, weighted_grad of
+    loss_grad's parts at weight 1 on one sample (exactly that sample's g), vs
+    central finite differences of its losses, relative error, at each of a
+    stack of random iterates. The losses loss_grad returns, at the iterate
+    and at prev, must also equal `losses` bit for bit, and its squared
+    gradient norms (g**2).sum(-1) to 1e-12 relative to the larger of the
+    two. By default the regression, quadratic and non-convex problems are
+    checked."""
     errors = []
     exact = norms = True
     # Below this gradient magnitude the comparison is effectively absolute:
@@ -100,14 +101,15 @@ def check_gradients(problems=None):
     # squares of phi'(r) x, by a few ulps.
     norm_tol = 1e-12
     for problem, theta, prev, idx in gradient_points(problems):
-        f, g, g_sq, f_prev = problem.loss_grad(theta, idx, prev)
+        f, parts, g_sq, f_prev = problem.loss_grad(theta, idx, prev)
+        g = problem.weighted_grad(parts, np.ones(idx.shape))
         fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
-        err = np.abs(g[:, 0] - fd).max(axis=1)
+        err = np.abs(g - fd).max(axis=1)
         rel = err / np.maximum(np.abs(fd).max(axis=1), grad_floor)
         errors.append(rel.max())
         exact &= (np.array_equal(f, problem.losses(theta, idx))
                   and np.array_equal(f_prev, problem.losses(prev, idx)))
-        direct = (g**2).sum(axis=-1)
+        g_sq, direct = g_sq[:, 0], (g**2).sum(axis=-1)
         norms &= bool((np.abs(g_sq - direct) <= norm_tol * np.maximum(g_sq, direct)).all())
     ok, msg = _verdict("gradient check: max rel err", errors, 1e-5)
     if not exact:

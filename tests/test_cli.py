@@ -33,6 +33,7 @@ from reweight.cli import (
 )
 from reweight.core import (
     MODES,
+    ConfigError,
     capped_optimal_weights,
     compute_batch_weights,
     normalize_losses,
@@ -261,7 +262,10 @@ class TestMakeReweightConfig:
                 temper_weights(self.LOSSES, cfg["r_final"]).tobytes()
 
     def test_unknown_strategy_is_named(self):
-        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        # ReweightConfig names the mode and the modes there are.
+        with pytest.raises(ConfigError, match="unknown weighting mode 'bogus'; expected one "
+                                              "of uniform, linupper, quadratic, extremes, "
+                                              "capped, dro_kl$"):
             _make_reweight_config(dict(RUN_DEFAULTS, strategy="bogus"))
 
 
@@ -292,10 +296,11 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
             == EXIT_CONFIG
 
-    def test_unknown_strategy_exits_config(self, tmp_path):
+    def test_unknown_strategy_exits_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, strategy="bogus"))
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
             == EXIT_CONFIG
+        assert "unknown weighting mode 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("steps", "50"),          # integer key given a string
@@ -954,12 +959,16 @@ class TestVerify:
 
 def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f,
              grad_sq=lambda s: s):
-    """A subclass of the problem class base whose loss_grad passes each of its
-    four results through the given function."""
+    """A subclass of the problem class base whose loss_grad passes its
+    losses, squared gradient norms and previous losses through the given
+    functions, and whose weighted_grad passes its sum through grad."""
 
     class Tampered(base):
         def loss_grad(self, theta, idx, prev=None):
-            f, g, g_sq, f_prev = super().loss_grad(theta, idx, prev)
-            return losses(f), grad(g), grad_sq(g_sq), prev_losses(f_prev)
+            f, parts, g_sq, f_prev = super().loss_grad(theta, idx, prev)
+            return losses(f), parts, grad_sq(g_sq), prev_losses(f_prev)
+
+        def weighted_grad(self, parts, w):
+            return grad(super().weighted_grad(parts, w))
 
     return Tampered

@@ -343,6 +343,21 @@ class TestScheduleR:
         with pytest.raises(ValidationError):
             schedule_r(-1, TemperatureSchedule())
 
+    @pytest.mark.parametrize("steps", [[0, 10], (0, 10), np.arange(0, 20, 10)],
+                             ids=["list", "tuple", "array"])
+    def test_any_non_scalar_step_is_an_array(self, steps):
+        # A list or tuple of steps is an array of steps, in schedule_r and in
+        # a stacked compute_batch_weights.
+        sched = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=1.0,
+                                    warmup_steps=10)
+        np.testing.assert_array_equal(schedule_r(steps, sched), [100.0, 1.0])
+        config = ReweightConfig(schedule=sched)
+        losses = np.arange(8.0).reshape(2, 4)
+        assert compute_batch_weights(losses, config, steps).tobytes() \
+            == compute_batch_weights(losses, config, np.array([0, 10])).tobytes()
+        with pytest.raises(ValidationError):
+            schedule_r(list(steps) + [-1], sched)
+
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ConfigError):
             TemperatureSchedule(kind="cosine")

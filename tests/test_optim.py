@@ -38,6 +38,7 @@ from reweight.problems import (
     gen_quadratic_suite,
     gen_regression,
 )
+from test_problems import per_sample_gradients
 
 
 def constant_schedule(r=1.0):
@@ -47,50 +48,55 @@ def constant_schedule(r=1.0):
 class TestGdStep:
     def test_zero_gradients_fixed_point(self):
         theta = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(gd_step(theta, 0.1, np.zeros((3, 2)), np.full(3, 1 / 3)),
-                                      theta)
+        np.testing.assert_array_equal(gd_step(theta, 0.1, np.zeros(2)), theta)
 
     def test_uniform_weights_average_gradient(self):
-        g = np.array([[2.0], [4.0]])
-        theta = gd_step(np.array([1.0]), 0.1, g, [0.5, 0.5])
-        np.testing.assert_allclose(theta, [1.0 - 0.1 * 3.0])
+        # The problem sums the weighted gradients; the step takes the sum.
+        grad = QuadraticProblem.weighted_grad(np.array([[2.0], [4.0]]), np.array([0.5, 0.5]))
+        np.testing.assert_allclose(gd_step(np.array([1.0]), 0.1, grad), [1.0 - 0.1 * 3.0])
 
     def test_hand_arithmetic(self):
-        g = np.array([[2.0], [4.0]])
-        np.testing.assert_allclose(gd_step(np.array([1.0]), 0.1, g, [0.25, 0.75]), [0.65])
+        grad = QuadraticProblem.weighted_grad(np.array([[2.0], [4.0]]), np.array([0.25, 0.75]))
+        np.testing.assert_allclose(gd_step(np.array([1.0]), 0.1, grad), [0.65])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            gd_step(np.array([1.0]), 0.1, np.zeros((3, 1)), [0.5, 0.5])
+        # A gradient stack, or a summed gradient that would broadcast against
+        # a stack of iterates, is not the iterate's shape.
+        for theta, grad in ((np.array([1.0]), np.zeros((3, 1))),
+                            (np.ones((2, 1)), np.zeros(1))):
+            with pytest.raises(ValidationError, match="does not match theta's"):
+                gd_step(theta, 0.1, grad)
 
 
 class TestMomentumStep:
     def test_lambda_zero_is_pure_z_step(self):
-        g = np.array([[1.0], [3.0]])
-        theta, z = momentum_step(np.array([5.0]), np.array([2.0]), 0.1, g, [0.5, 0.5],
+        theta, z = momentum_step(np.array([5.0]), np.array([2.0]), 0.1, np.array([2.0]),
                                  lambda_next=0.0)
         np.testing.assert_allclose(z, [2.0 - 0.1 * 2.0])
         np.testing.assert_array_equal(theta, z)
 
     def test_zero_grad_with_z_equal_theta_fixed_point(self):
-        theta, z = momentum_step(np.array([1.5]), np.array([1.5]), 0.1, np.zeros((2, 1)),
-                                 [0.5, 0.5], lambda_next=3.0)
+        theta, z = momentum_step(np.array([1.5]), np.array([1.5]), 0.1, np.zeros(1),
+                                 lambda_next=3.0)
         np.testing.assert_allclose(theta, [1.5])
         np.testing.assert_allclose(z, [1.5])
 
     def test_hand_arithmetic(self):
-        # weighted gradient sum 2 with eta 0.1: z' = 0.8,
+        # summed gradient 2 with eta 0.1: z' = 0.8,
         # theta' = (0.5/1.5) * 1 + (1/1.5) * 0.8 = 0.8667
-        g = np.array([[2.0]])
-        theta, z = momentum_step(np.array([1.0]), np.array([1.0]), 0.1, g, [1.0],
+        theta, z = momentum_step(np.array([1.0]), np.array([1.0]), 0.1, np.array([2.0]),
                                  lambda_next=0.5)
         np.testing.assert_allclose(z, [0.8])
         np.testing.assert_allclose(theta, [1.0 / 3.0 + (2.0 / 3.0) * 0.8])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            momentum_step(np.array([1.0]), np.array([1.0]), 0.1, np.zeros((1, 1)), [1.0],
-                          lambda_next=-0.1)
+            momentum_step(np.array([1.0]), np.array([1.0]), 0.1, np.zeros(1), lambda_next=-0.1)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="does not match theta's"):
+            momentum_step(np.array([1.0]), np.array([1.0]), 0.1, np.zeros((2, 1)),
+                          lambda_next=0.5)
 
 
 class TestTheoryStepsize:
@@ -312,8 +318,9 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
     """The training loop before the fused step: separate losses and gradient
     calls, diagnostics through the public diagnostics functions, list
     histories turned into the trajectory's column arrays at the end, and a
-    proxy delta from one losses call per step. Kept as the reference that
-    run_training must reproduce exactly."""
+    proxy delta from one losses call per step. The update sums the weighted
+    gradient through the problem's weighted_grad, as the loop does. Kept as
+    the reference that run_training must reproduce exactly."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     error = optim._w_max_error(cap_bound, batch_size)
     if stepsize.kind == "convex_theory" and error:
@@ -345,7 +352,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         return idx
 
     def record_step(t, idx, f, w, r_value):
-        _, g, g_sq, _ = problem.loss_grad(theta, idx)
+        _, parts, g_sq, _ = problem.loss_grad(theta, idx)
         row = dict(step=t, train_loss=float(f.mean()), r=r_value, w_max=float(w.max()),
                    w_min=float(w.min()), grad_gap=grad_gap_term(g_sq, w))
         if has_test:
@@ -361,7 +368,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         batch_indices.append(idx.copy())
         batch_losses.append(f.copy())
         batch_weights.append(w.copy())
-        return g
+        return problem.weighted_grad(parts, w)
 
     for t in range(steps):
         idx = next_batch()
@@ -373,12 +380,12 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         w = compute_batch_weights(f, reweight_config, t)
         if stepsize.kind == "convex_theory" and w.max() > 2.0 / batch_size + 1e-12:
             raise ConfigError(f"step {t}: observed w_max exceeds 2/b")
-        g = record_step(t, idx, f, w, r_value)
+        grad = record_step(t, idx, f, w, r_value)
         if momentum:
-            new, z = momentum_step(theta, z, eta, g, w, lambda_next=(t + 1) / 2.0)
+            new, z = momentum_step(theta, z, eta, grad, lambda_next=(t + 1) / 2.0)
             finite = np.isfinite(new).all() and np.isfinite(z).all()
         else:
-            new = gd_step(theta, eta, g, w)
+            new = gd_step(theta, eta, grad)
             finite = np.isfinite(new).all()
         if not finite:
             diverged, divergence_step = True, t
@@ -462,6 +469,10 @@ class _BlowUpProblem:
         f_prev = None if prev is None else self.losses(prev, idx)
         g = self.grads(theta, idx)
         return self.losses(theta, idx), g, (g**2).sum(axis=-1), f_prev
+
+    @staticmethod
+    def weighted_grad(g, w):
+        return np.matmul(w[..., None, :], g)[..., 0, :]
 
 
 class TestFusedRunMatchesReference:
@@ -746,7 +757,7 @@ class TestGradGapFromNorms:
         assert not traj.diverged
         # Every step's gradients at once, as a stack of its iterates: each row
         # is bit for bit the loop's one-row call.
-        g = problem.loss_grad(traj.thetas[:-1], traj.batch_indices)[1]
+        g = per_sample_gradients(problem.loss_grad(traj.thetas[:-1], traj.batch_indices)[1])
         sq, u = (g**2).sum(axis=-1), 1.0 / b - traj.batch_weights
         formula = np.add.reduce(u * sq, axis=-1)
         got = traj.columns["grad_gap"]
@@ -756,6 +767,85 @@ class TestGradGapFromNorms:
             scale = np.add.reduce(np.abs(u) * sq, axis=-1)
             assert np.all(np.abs(got - formula) <= 1e-12 * scale)
             assert not np.array_equal(got, formula)  # the norms do come from the identity
+
+
+LINEAR_PROBLEMS = {
+    "regression": lambda: RegressionProblem(gen_regression(p=16, n=64, m=16, seed=6,
+                                                           n_test=8)),
+    "nonconvex": lambda: NonconvexProblem(n_samples=64, dim=16, seed=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_PROBLEMS))
+def test_loop_forms_no_gradient_stack(name, monkeypatch):
+    # The linear problems hand the loop phi'(r) and the gathered rows, which
+    # weighted_grad sums as (w phi'(r))' rows: the only (S, b, d) array in
+    # what loss_grad returns is the rows themselves, never the per-sample
+    # gradients phi'(r_i) x_i.
+    problem, b = LINEAR_PROBLEMS[name](), 8
+    returned, loss_grad = [], problem.loss_grad
+
+    def spy(theta, idx, prev=None):
+        returned.append((idx, loss_grad(theta, idx, prev)))
+        return returned[-1][1]
+
+    monkeypatch.setattr(problem, "loss_grad", spy)
+    cells = [(ReweightConfig(mode=mode), seed) for mode in SCORED_AND_UNIFORM for seed in (0, 1)]
+    list(run_cells(problem, cells, StepSizeRule(eta=1e-2), b, 20, momentum=True))
+    assert len(returned) == 20
+    for idx, out in returned:
+        arrays = [a for item in out for a in (item if isinstance(item, tuple) else (item,))]
+        stacks = [a for a in arrays if np.shape(a) == (len(cells), b, problem.dim)]
+        assert len(stacks) == 1 and stacks[0].tobytes() == problem._rows[idx].tobytes()
+
+
+def _stacked_weighted_grad(parts, w):
+    """sum_i w_i g_i by way of the per-sample gradient stack: the reference
+    arithmetic weighted_grad avoids."""
+    return np.matmul(w[..., None, :], per_sample_gradients(parts))[..., 0, :]
+
+
+class TestSummedGradientDrift:
+    """weighted_grad sums (w phi'(r))' rows on the linear problems; summing
+    w' g over the per-sample stack g_i = phi'(r_i) x_i differs from it by
+    rounding alone. On the configs/toy_regression.json problem and step size,
+    train_loss, test_loss and w_max stay within 1e-13 relative of the stacked
+    arithmetic, and mu_t, a sum of differences of near-equal losses, within
+    1e-11 of sum_i |u_i| |f_i - f_prev,i|. The quadratic problem's parts are
+    its gradients, so its sum is the stacked one: configs/quadratic_theory.json
+    runs byte for byte the same either way."""
+
+    def test_toy_regression(self, monkeypatch):
+        problem, b = RegressionProblem(gen_regression(seed=0)), 32
+        drop = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=1.0,
+                                   warmup_steps=100)
+        cells = [(ReweightConfig(mode=mode, schedule=drop), 0)
+                 for mode in ("linupper", "quadratic", "extremes")]
+        args = (problem, cells, StepSizeRule(eta=1e-3), b, 2000)
+        new = list(run_cells(*args, history=True))
+        monkeypatch.setattr(problem, "weighted_grad", _stacked_weighted_grad)
+        old = list(run_cells(*args, history=True))
+        for got, want in zip(new, old):
+            assert not np.array_equal(got.thetas, want.thetas)  # the bits do move
+            for name in ("train_loss", "test_loss", "w_max"):
+                np.testing.assert_allclose(got.columns[name], want.columns[name], rtol=1e-13,
+                                           atol=0)
+            # mu_t at step t >= 1 weighs the losses at theta_t against those
+            # at theta_{t-1} on the step's rows.
+            f, u = got.batch_losses[1:], 1.0 / b - got.batch_weights[1:]
+            f_prev = problem.losses(got.thetas[:-2], got.batch_indices[1:])
+            scale = np.add.reduce(np.abs(u) * np.abs(f - f_prev), axis=-1)
+            assert np.all(np.abs(got.columns["mu_t"] - want.columns["mu_t"]) <= 1e-11 * scale)
+
+    @pytest.mark.parametrize("momentum", [False, True])
+    def test_quadratic_theory_unchanged(self, monkeypatch, momentum):
+        problem = QuadraticProblem(gen_quadratic_suite(M=64, d=16, seed=0))
+        args = (problem, [(ReweightConfig(mode="capped"), 0)],
+                StepSizeRule(kind="convex_theory", L=problem.L), 64, 500)
+        (new,) = run_cells(*args, momentum=momentum, history=True)
+        monkeypatch.setattr(problem, "weighted_grad", _stacked_weighted_grad)
+        (old,) = run_cells(*args, momentum=momentum, history=True)
+        assert_same_run(new, old)
 
 
 def test_sweep_toy_groups_hold_two_strategies():

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,6 +28,17 @@ def gen_data_text(tmp_path, **cfg):
     path.write_text(json.dumps(cfg))
     assert main(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
     return out.read_bytes().decode()
+
+
+def per_sample_gradients(parts):
+    """The per-sample gradients g_i, (..., b, d), behind loss_grad's parts:
+    phi'(r_i) x_i from a linear problem's (phi'(r), rows), and the quadratic
+    problem's parts, which are its gradients. Training never forms this
+    stack; it sums w_i g_i through weighted_grad."""
+    if isinstance(parts, tuple):
+        df, rows = parts
+        return df[..., None] * rows
+    return parts
 
 
 def power_iteration_eigmax(A, iters=500):
@@ -110,17 +122,29 @@ def one_sample_regression(x, y):
 class TestRegressionLossGrad:
     # theta is (W, b): the bias is the trailing coordinate.
     def test_perfect_fit(self):
-        loss, grad, _, _ = one_sample_regression([2.0], 2.0).loss_grad(
-            np.array([1.0, 0.0]), np.array([0]))
+        problem = one_sample_regression([2.0], 2.0)
+        loss, parts, _, _ = problem.loss_grad(np.array([1.0, 0.0]), np.array([0]))
         assert loss[0] == 0.0
-        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
+        np.testing.assert_array_equal(problem.weighted_grad(parts, np.ones(1)), [0.0, 0.0])
 
     def test_hand_arithmetic(self):
         # r = 2 * 1 + 0 - 0: loss r^2/2 = 2, gradient r * (x, 1) = (4, 2).
-        loss, grad, _, _ = one_sample_regression([2.0], 0.0).loss_grad(
-            np.array([1.0, 0.0]), np.array([0]))
+        problem = one_sample_regression([2.0], 0.0)
+        loss, parts, _, _ = problem.loss_grad(np.array([1.0, 0.0]), np.array([0]))
         assert loss[0] == 2.0
-        np.testing.assert_array_equal(grad[0], [4.0, 2.0])
+        np.testing.assert_array_equal(problem.weighted_grad(parts, np.ones(1)), [4.0, 2.0])
+
+    def test_weighted_grad_hand_arithmetic(self):
+        # Rows x = 2 and x = 1 with targets 0 at theta = (1, 0): r = 2 and 1,
+        # gradients (4, 2) and (1, 1); weights (1/4, 3/4) sum them to
+        # (1 + 3/4, 1/2 + 3/4).
+        X, y = np.array([[2.0], [1.0]]), np.zeros(2)
+        problem = RegressionProblem(RegressionDataset(
+            X=X, y=y, n_clean=2, m_outlier=0, W_star=np.zeros(1), b_star=0.0, X_test=X,
+            y_test=y))
+        parts = problem.loss_grad(np.array([1.0, 0.0]), np.array([0, 1]))[1]
+        np.testing.assert_array_equal(problem.weighted_grad(parts, np.array([0.25, 0.75])),
+                                      [1.75, 1.25])
 
 
 def direct_test_loss(data, theta):
@@ -184,10 +208,12 @@ def test_regression_problem_does_not_keep_its_dataset():
     rng = np.random.default_rng(5)
     theta, prev = rng.standard_normal((2, 3, 9))
     idx = np.array([rng.choice(80, size=7, replace=False) for _ in range(3)])
+    w = rng.dirichlet(np.ones(7), size=3)
 
     def evaluations():
-        return (*problem.loss_grad(theta, idx, prev), problem.losses(theta, idx),
-                problem.test_loss(theta))
+        f, (df, rows), g_sq, f_prev = problem.loss_grad(theta, idx, prev)
+        return (f, df, rows, g_sq, f_prev, problem.weighted_grad((df, rows), w),
+                problem.losses(theta, idx), problem.test_loss(theta))
 
     before = evaluations()
     X, X_test = weakref.ref(data.X), weakref.ref(data.X_test)
@@ -253,9 +279,9 @@ class TestNonconvexLoss:
     def test_zero_residual(self):
         problem = NonconvexProblem(n_samples=1, dim=2)
         problem._rows, problem._targets = np.ones((1, 2)), np.zeros(1)
-        loss, grad, _, _ = problem.loss_grad(np.zeros(2), np.array([0]))
+        loss, parts, _, _ = problem.loss_grad(np.zeros(2), np.array([0]))
         assert loss[0] == 0.0
-        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
+        np.testing.assert_array_equal(problem.weighted_grad(parts, np.ones(1)), [0.0, 0.0])
 
     def test_loss_bounded(self):
         problem = NonconvexProblem(n_samples=100, dim=3, seed=1)
@@ -282,7 +308,7 @@ class TestProblemAdapters:
         idx = np.arange(64)
         for _ in range(10):
             theta = rng.standard_normal(4)
-            g = problem.loss_grad(theta, idx)[1]
+            g = per_sample_gradients(problem.loss_grad(theta, idx)[1])
             dev = np.linalg.norm(g - g.mean(axis=0), axis=1)
             # |2r e^{-r^2}| <= sqrt(2/e), so deviations stay below
             # 2 sqrt(2/e) max||x||, and L = 2 max||x||^2.
@@ -320,8 +346,8 @@ def test_grad_sq_is_the_squared_gradient_norm(make_problem):
             theta = scale * rng.standard_normal((3, problem.dim))
             idx = np.array([rng.choice(problem.n_samples, size=b, replace=False)
                             for _ in range(3)])
-            _, g, g_sq, _ = problem.loss_grad(theta, idx)
-            direct = (g**2).sum(axis=-1)
+            _, parts, g_sq, _ = problem.loss_grad(theta, idx)
+            direct = (per_sample_gradients(parts)**2).sum(axis=-1)
             if isinstance(problem, QuadraticProblem):
                 assert g_sq.tobytes() == direct.tobytes()
             assert np.all(np.abs(g_sq - direct) <= 1e-12 * np.maximum(g_sq, direct))
@@ -353,3 +379,26 @@ def test_loss_grad_equals_separate_methods(make_problem):
                 losses_again, _, _, prev_losses = problem.loss_grad(theta, idx, prev)
                 np.testing.assert_array_equal(losses_again, losses)
                 np.testing.assert_array_equal(prev_losses, problem.losses(prev, idx))
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: RegressionProblem(gen_regression(p=64, n=400, m=100, seed=8, n_test=4)),
+    lambda: NonconvexProblem(n_samples=500, dim=65, seed=8),
+], ids=["regression", "nonconvex"])
+def test_weighted_grad_needs_no_gradient_stack(make_problem):
+    # One step of a linear problem, loss_grad at a stack of iterates and
+    # previous iterates and then weighted_grad, holds the gathered rows and
+    # b-wide arrays, never a second (S, b, d) array of per-sample gradients.
+    problem, S, b = make_problem(), 10, 32
+    rng = np.random.default_rng(8)
+    theta, prev = rng.standard_normal((2, S, problem.dim))
+    idx = np.array([rng.choice(problem.n_samples, size=b, replace=False) for _ in range(S)])
+    w = rng.dirichlet(np.ones(b), size=S)
+    tracemalloc.start()
+    try:
+        grad = problem.weighted_grad(problem.loss_grad(theta, idx, prev)[1], w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (S, problem.dim)
+    assert peak < 1.5 * 8 * S * b * problem.dim
