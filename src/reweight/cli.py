@@ -19,7 +19,7 @@ and r_final, which every cell sets itself, plus the lists strategies,
 r_values and seeds. Each cell runs one strategy at a constant r with one
 seed. The sweep builds its problem and step-size rule once and trains its
 cells in lockstep through optim.run_cells: cells are rows of one training
-loop, run in groups whose histories fit a fixed memory budget. `run` is the
+loop, run in groups whose per-step columns fit a fixed memory budget. `run` is the
 one-cell case of that path, without iterate or weight history, and writes
 its trajectory and sidecar with the same code, so each cell's CSV and
 sidecar equal the ones `run` writes for the same config, byte for byte.

@@ -27,15 +27,14 @@ run_training or the CLI's `run`, is a one-row stack.
 
 The same loss_grad call also returns the per-sample squared gradient norms,
 for grad_gap, and the previous iterates' losses on the step's rows, for
-mu_t. The diagnostics are computed from those arrays as one value per row
-and go into preallocated per-cell column arrays, one per CSV column in
-COLUMNS, beside the batch indices and losses; a cell's Trajectory takes its
-columns as views of them. Where a problem has no optimal losses, the proxy
-delta_t is one array computed at the end, from one losses call at the final
-iterate over all samples and the weights recomputed from the stored losses,
-_PROXY_BLOCK steps at a time.
+mu_t; delta_t takes the problem's losses at its optimum, where it has one.
+The diagnostics are computed from those arrays as one value per row and go
+into preallocated per-cell column arrays, one per CSV column in COLUMNS; a
+cell's Trajectory takes its columns as views of them. A problem without
+optimal losses has no delta_t column.
 
-Cells run in groups sized so that their histories fit in LOCKSTEP_BYTES.
+Cells run in groups sized so that their columns and histories fit in
+LOCKSTEP_BYTES.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error, _check_fields,
-                   _span_weights, compute_batch_weights, schedule_r)
+                   _span_weights, schedule_r)
+from .core import compute_batch_weights  # noqa: F401  (bench/selftest.py reads it here)
 from .diagnostics import gap_sum
 
 __all__ = [
@@ -62,14 +62,10 @@ __all__ = [
 
 DIVERGENCE_LOSS = 1e12
 
-# History bytes one lockstep group may hold (see cell_bytes). At the sweep_toy
-# size (2000 steps, b = 32, n = 4000) a cell holds about 0.77 MB, so a group
-# runs 10 cells: two strategies of five seeds.
+# Bytes one lockstep group may hold (see cell_bytes). At the sweep_toy size
+# (2000 steps, b = 32, n = 4000) a cell holds about 0.11 MB, so the sweep's
+# 20 cells run as one group.
 LOCKSTEP_BYTES = 8 << 20
-
-# Steps of a cell's proxy delta_t computed at a time; a block's temporaries
-# are a few b-wide rows of this many steps, not of the whole run.
-_PROXY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -149,12 +145,20 @@ def momentum_step(theta, z, eta: float, grad, lambda_next: float):
     return (lambda_next / (1.0 + lambda_next)) * theta + z / (1.0 + lambda_next), z
 
 
-# The CSV columns of a trajectory, in order. A lockstep group keeps one array
-# per column but step and r, which follow from the step count and the
-# temperature schedule.
+# The CSV columns of a trajectory, in order.
 COLUMNS = ("step", "train_loss", "test_loss", "r", "w_max", "w_min", "delta_t", "mu_t",
            "grad_gap", "theta_dist_sq")
-_KEPT = tuple(name for name in COLUMNS if name not in ("step", "r"))
+
+
+def _kept(problem) -> tuple[str, ...]:
+    """The columns a lockstep group keeps an array for: not step and r, which
+    follow from the step count and the temperature schedule, and only those
+    the problem defines. test_loss needs a test split, delta_t optimal losses
+    and theta_dist_sq a known minimizer."""
+    defined = {"step": False, "r": False, "test_loss": hasattr(problem, "test_loss"),
+               "delta_t": hasattr(problem, "losses_at_opt"),
+               "theta_dist_sq": getattr(problem, "theta_star", None) is not None}
+    return tuple(name for name in COLUMNS if defined.get(name, True))
 
 
 @dataclass
@@ -162,26 +166,23 @@ class Trajectory:
     """Recorded run: the per-step diagnostics as columns, the iterate history
     (theta^0 .. theta^T), the raw batch data needed to recompute theory
     terms (one row per recorded step), and the divergence flag. A cell run
-    without history keeps only its final iterate in thetas and no batch
-    weights.
+    without history keeps only its final iterate in thetas, and its batch
+    indices, losses and weights are None.
 
     columns maps a name in COLUMNS to an array with one value per recorded
     step. A shorter column holds the last steps: mu_t starts at step 1. A
     column the problem does not define has no key: test_loss without a test
-    split, theta_dist_sq without a known minimizer, and delta_t without
-    optimal losses on a diverged run. Without optimal losses delta_t is a
-    proxy against the final iterate's losses, marked by delta_is_proxy. r
-    holds the schedule's own values, ints included.
+    split, delta_t without optimal losses and theta_dist_sq without a known
+    minimizer. r holds the schedule's own values, ints included.
     """
 
     columns: dict[str, np.ndarray]
     thetas: np.ndarray  # (T+1, d), or (1, d) without history
-    batch_indices: np.ndarray  # (T, b)
-    batch_losses: np.ndarray  # (T, b)
+    batch_indices: np.ndarray | None  # (T, b)
+    batch_losses: np.ndarray | None  # (T, b)
     batch_weights: np.ndarray | None  # (T, b)
     diverged: bool = False
     divergence_step: int | None = None
-    delta_is_proxy: bool = False
 
     @property
     def final_theta(self) -> np.ndarray:
@@ -189,15 +190,15 @@ class Trajectory:
 
 
 def cell_bytes(problem, batch_size: int, steps: int, history: bool = False) -> int:
-    """History bytes of one lockstep cell: the batch losses and indices (in
-    the smallest integer type that holds a sample index), the column arrays
-    a group keeps and the final iterate, plus the iterates and weights with
-    history."""
+    """Bytes of one lockstep cell: its column arrays (see _kept) and final
+    iterate, plus with history the iterates and the batch indices (in the
+    smallest integer type that holds a sample index), losses and weights."""
     rows, d = max(steps, 1), problem.dim
-    per_row = batch_size * (8 + np.min_scalar_type(problem.n_samples - 1).itemsize)
-    per_row += 8 * len(_KEPT)
-    extra = 8 * ((steps + 1) * d + rows * batch_size) if history else 0
-    return rows * per_row + 8 * d + extra
+    size = 8 * (rows * len(_kept(problem)) + d)
+    if history:
+        index_bytes = np.min_scalar_type(problem.n_samples - 1).itemsize
+        size += 8 * (steps + 1) * d + rows * batch_size * (16 + index_bytes)
+    return size
 
 
 def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: int,
@@ -214,9 +215,9 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
 
     Cells run in groups of LOCKSTEP_BYTES // cell_bytes(...) rows, and a
     group's outcomes are yielded after it finishes. Without history a cell
-    keeps only what its columns and proxy delta need, and its batch arrays
-    are views of its group's histories: drop each outcome before taking the
-    next, and a finished group is freed before the next one starts.
+    keeps only its columns and final iterate, which are views of its
+    group's arrays: drop each outcome before taking the next, and a finished
+    group is freed before the next one starts.
     """
     if batch_size < 1 or batch_size > problem.n_samples:
         raise ConfigError(f"batch_size {batch_size} is not in [1, {problem.n_samples}] "
@@ -230,7 +231,7 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
 
 def _run_groups(cells, size, *args):
     # Only the running group's generator refers to it, so a group's
-    # histories are freed before the next group allocates its own.
+    # arrays are freed before the next group allocates its own.
     for lo in range(0, len(cells), size):
         yield from _Group(cells[lo:lo + size], *args).run()
 
@@ -267,24 +268,18 @@ class _Group:
         self.z = self.theta.copy() if momentum else None
         self.prev_theta = None
         self.spans = self._spans()
-        # index of the active cells into the histories
+        # index of the active cells into the column and history arrays
         self.rows = slice(None) if len(self.active) == G else self.active
 
-        self.indices = np.empty((G, rows, batch_size), np.min_scalar_type(self.n - 1))
-        self.losses = np.empty((G, rows, batch_size))
-        # Only the columns the problem defines: test_loss needs a test split,
-        # delta_t optimal losses (else _trajectory computes a proxy) and
-        # theta_dist_sq a known minimizer.
-        defined = {"test_loss": hasattr(problem, "test_loss"),
-                   "delta_t": hasattr(problem, "losses_at_opt"),
-                   "theta_dist_sq": getattr(problem, "theta_star", None) is not None}
-        self.cols = {name: np.empty((G, rows)) for name in _KEPT if defined.get(name, True)}
+        self.cols = {name: np.empty((G, rows)) for name in _kept(problem)}
         self.final = np.empty((G, theta0.size))
         self.recorded = np.zeros(G, dtype=int)
         self.divergence_step = [None] * G
         if history:
             self.thetas = np.empty((G, steps + 1, theta0.size))
             self.thetas[:, 0] = theta0
+            self.indices = np.empty((G, rows, batch_size), np.min_scalar_type(self.n - 1))
+            self.losses = np.empty((G, rows, batch_size))
             self.batch_weights = np.empty((G, rows, batch_size))
 
     def _shuffle(self):
@@ -328,10 +323,8 @@ class _Group:
         for i in range(len(self.cells)):
             yield self.errors[i] or self._trajectory(i)
 
-    # A diverging row overflows before the loop's guards stop it, and the
-    # proxy delta_t's losses overflow at a huge final iterate: no warning.
-    # _train and _proxy_delta return before run yields, so the state never
-    # spans a yield.
+    # A diverging row overflows before the loop's guards stop it: no warning.
+    # _train returns before run yields, so the state never spans a yield.
     @np.errstate(over="ignore", invalid="ignore")
     def _train(self):
         problem, b, n = self.problem, self.b, self.n
@@ -376,14 +369,15 @@ class _Group:
             cols["grad_gap"][rows, t] = gap_sum(u, g_sq)
             if "theta_dist_sq" in cols:
                 cols["theta_dist_sq"][rows, t] = ((theta - problem.theta_star) ** 2).sum(axis=-1)
-            self.indices[rows, t] = idx
-            self.losses[rows, t] = f
             if self.history:
+                self.indices[rows, t] = idx
+                self.losses[rows, t] = f
                 self.batch_weights[rows, t] = w
             if not updating:
                 break
             self.prev_theta = theta
             grad = problem.weighted_grad(parts, w)
+            del parts  # free this step's gathered rows before the next step gathers its own
             if self.momentum:
                 self.theta, self.z = momentum_step(theta, self.z, self.eta, grad, (t + 1) / 2.0)
             else:
@@ -401,39 +395,16 @@ class _Group:
     def _trajectory(self, i) -> Trajectory:
         config, T = self.cells[i][0], self.recorded[i]
         diverged = self.divergence_step[i] is not None
-        indices, losses = self.indices[i, :T], self.losses[i, :T]
         columns = {name: col[i, :T] for name, col in self.cols.items()}
         columns["step"] = np.arange(T)
         columns["r"] = np.array([schedule_r(t, config.schedule) for t in range(T)], dtype=object)
         columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
-        proxy = "delta_t" not in columns and not diverged
-        if proxy:
-            columns["delta_t"] = self._proxy_delta(i, T)
-        weights = self.batch_weights[i, :T] if self.history else None
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]
-        return Trajectory(columns=columns, thetas=thetas, batch_indices=indices,
-                          batch_losses=losses, batch_weights=weights, diverged=diverged,
-                          divergence_step=self.divergence_step[i], delta_is_proxy=proxy)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _proxy_delta(self, i, T):
-        """Cell i's proxy delta_t over its T steps. The final iterate's losses
-        stand in for the optimal ones, from one losses call over a view of
-        all samples (no gathered copy), indexed by the batch history, with
-        the weights recomputed from the losses. Both work row by row, so
-        computing a block of steps at a time gives each step the whole-run
-        result bit for bit."""
-        config, b = self.cells[i][0], self.b
-        indices, losses = self.indices[i, :T], self.losses[i, :T]
-        f_final = self.problem.losses(self.final[i], slice(None))
-        delta, steps = np.empty(T), np.arange(T)
-        for lo in range(0, T, _PROXY_BLOCK):
-            rows = slice(lo, lo + _PROXY_BLOCK)
-            f = losses[rows]
-            w = compute_batch_weights(f, config, steps[rows])
-            delta[rows] = np.add.reduce((1.0 / b - w) * (f - f_final[indices[rows]]), axis=1)
-        return delta
+        batch = ([a[i, :T] for a in (self.indices, self.losses, self.batch_weights)]
+                 if self.history else [None] * 3)
+        return Trajectory(columns, thetas, *batch, diverged=diverged,
+                          divergence_step=self.divergence_step[i])
 
 
 def run_training(

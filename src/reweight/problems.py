@@ -21,6 +21,12 @@ they share one implementation. Their gradient is phi'(r_i) x_i: parts are
 phi'(r_i)^2 ||x_i||^2 (Goodfellow, arXiv:1510.01799), with ||x_i||^2 kept
 once per problem. The quadratic problem's parts are its gradients.
 
+The regression and quadratic problems give `losses_at_opt(idx)`, the losses
+f_i(theta*) at the training objective's minimizer, from which training
+computes delta_t: zero on the quadratic suite, and on the regression problem
+the losses at its least-squares solution, solved once at construction. The
+non-convex problem has no closed-form minimizer and no `losses_at_opt`.
+
 Every evaluation takes one iterate theta (d,) with indices (b,), or a stack
 of iterates (S, d) with one row of indices each, (S, b); losses then come
 back as (S, b) and weighted gradients as (S, d). Residuals and sums are
@@ -195,9 +201,9 @@ class RegressionProblem(_LinearProblem):
 
     The bias is folded in as a trailing constant-1 feature, so the
     parameter vector has length p+1 and per-sample smoothness is
-    L_i = ||x_i||^2 + 1. The problem keeps that design matrix, the targets
-    and the test split's R factor, not the dataset: its X and X_test are
-    freed once the caller drops it.
+    L_i = ||x_i||^2 + 1. The problem keeps that design matrix, the targets,
+    the losses at the training optimum and the test split's R factor, not
+    the dataset: its X and X_test are freed once the caller drops it.
     """
 
     def __init__(self, data: RegressionDataset):
@@ -211,10 +217,22 @@ class RegressionProblem(_LinearProblem):
         self._R_test = np.ascontiguousarray(R[:, :-1])
         self._r_test = np.ascontiguousarray(R[:, -1])
         self._n_test = len(data.y_test)
+        # The training objective's minimizer solves the normal equations;
+        # lstsq on the (p+1)-square Gram matrix also takes rank-deficient
+        # data. Overflowing data (a huge noise_c) gives non-finite optimal
+        # losses, which the loop never reads: its step-0 guard stops first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            X1 = self._rows
+            theta_opt = np.linalg.lstsq(X1.T @ X1, X1.T @ data.y, rcond=None)[0]
+            self._f_opt = self.losses(theta_opt, slice(None))
 
     @staticmethod
     def _phi(r):
         return 0.5 * r * r, r
+
+    def losses_at_opt(self, idx) -> np.ndarray:
+        """f_i(theta*) at the training optimum, shaped like idx."""
+        return self._f_opt[idx]
 
     def test_loss(self, theta):
         """Mean test loss 0.5 mean((X1_test theta - y_test)^2) through the test
@@ -239,7 +257,7 @@ class QuadraticProblem:
         return np.zeros(self.dim)
 
     def losses(self, theta, idx) -> np.ndarray:
-        return self.loss_grad(theta, idx)[0]
+        return self._loss_grad(self.suite.A[idx], theta)[0]
 
     def loss_grad(self, theta, idx, prev=None):
         A = self.suite.A[idx]

@@ -170,7 +170,7 @@ class TestTrajectoryCsv:
         rows = write_rows(tmp_path / "b.csv", traj.columns)
         assert field(rows, "step") == ["0", "1", "2", "3"]
         assert field(rows, "grad_gap")[1:] == ["nan"] * 3
-        assert field(rows, "delta_t") == [""] * 4  # diverged: no proxy
+        assert field(rows, "delta_t") == [""] * 4  # no optimal losses
 
     @pytest.mark.parametrize("payload, want", [
         ({"r_initial": 100, "r_final": 1}, ["100", "100", "100"]),

@@ -317,10 +317,10 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
                             seed=0, momentum=False):
     """The training loop before the fused step: separate losses and gradient
     calls, diagnostics through the public diagnostics functions, list
-    histories turned into the trajectory's column arrays at the end, and a
-    proxy delta from one losses call per step. The update sums the weighted
-    gradient through the problem's weighted_grad, as the loop does. Kept as
-    the reference that run_training must reproduce exactly."""
+    histories turned into the trajectory's column arrays at the end; delta_t
+    against the problem's optimal losses, where it has them. The update sums
+    the weighted gradient through the problem's weighted_grad, as the loop
+    does. Kept as the reference that run_training must reproduce exactly."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     error = optim._w_max_error(cap_bound, batch_size)
     if stepsize.kind == "convex_theory" and error:
@@ -400,17 +400,11 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
 
     dtypes = {"step": int, "r": object}
-    traj = Trajectory(columns={name: np.array(values, dtype=dtypes.get(name, float))
+    return Trajectory(columns={name: np.array(values, dtype=dtypes.get(name, float))
                                for name, values in columns.items()},
                       thetas=np.array(thetas), batch_indices=batch_indices,
                       batch_losses=batch_losses, batch_weights=batch_weights,
                       diverged=diverged, divergence_step=divergence_step)
-    if not has_opt_losses and not diverged:
-        traj.columns["delta_t"] = np.array([
-            delta_t(f, problem.losses(traj.final_theta, idx), w)
-            for idx, f, w in zip(batch_indices, batch_losses, batch_weights)])
-        traj.delta_is_proxy = True
-    return traj
 
 
 def column_text(traj):
@@ -420,19 +414,12 @@ def column_text(traj):
             for name, col in traj.columns.items()}
 
 
-def assert_same_run(got, want, proxy_atol=0.0):
+def assert_same_run(got, want):
     """Every column, iterate and batch history equal; columns are compared
     by column_text, so an int in place of a float or a numpy scalar in an
-    object column also fails. A proxy delta is compared to `proxy_atol` (see
-    test_proxy_delta_at_any_batch_size)."""
-    assert (got.diverged, got.divergence_step, got.delta_is_proxy) \
-        == (want.diverged, want.divergence_step, want.delta_is_proxy)
-    text, ref_text = column_text(got), column_text(want)
-    if proxy_atol and want.delta_is_proxy:
-        np.testing.assert_allclose(got.columns["delta_t"], want.columns["delta_t"],
-                                   rtol=0, atol=proxy_atol)
-        del text["delta_t"], ref_text["delta_t"]
-    assert text == ref_text
+    object column also fails."""
+    assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
+    assert column_text(got) == column_text(want)
     np.testing.assert_array_equal(got.thetas, want.thetas)
     for name in ("batch_indices", "batch_losses", "batch_weights"):
         rows, ref_rows = getattr(got, name), getattr(want, name)
@@ -490,7 +477,7 @@ class TestFusedRunMatchesReference:
                                        warmup_steps=7)
         traj = self.check(small_regression, ReweightConfig(schedule=schedule),
                           StepSizeRule(eta=1e-2), batch_size=8, steps=40, seed=2)
-        assert traj.delta_is_proxy and len(traj.columns["mu_t"]) == 39
+        assert len(traj.columns["delta_t"]) == 40 and len(traj.columns["mu_t"]) == 39
 
     def test_regression_uniform(self, small_regression):
         self.check(small_regression, ReweightConfig(mode="uniform"),
@@ -505,14 +492,15 @@ class TestFusedRunMatchesReference:
         traj = self.check(quadratic_problem, rw,
                           StepSizeRule(kind="convex_theory", L=quadratic_problem.L),
                           batch_size=8, steps=30, seed=6, momentum=True)
-        assert len(traj.columns["theta_dist_sq"]) == 30
-        assert not traj.delta_is_proxy
+        assert len(traj.columns["theta_dist_sq"]) == len(traj.columns["delta_t"]) == 30
 
-    def test_nonconvex_proxy_delta(self):
+    def test_nonconvex_has_no_delta(self):
+        # No closed-form minimizer, so no optimal losses: the gradient-norm
+        # gap is the non-convex diagnostic.
         problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
         traj = self.check(problem, ReweightConfig(schedule=constant_schedule(0.5)),
                           StepSizeRule(eta=0.05), batch_size=8, steps=30, seed=7)
-        assert traj.delta_is_proxy and len(traj.columns["delta_t"]) == 30
+        assert "delta_t" not in traj.columns and len(traj.columns["grad_gap"]) == 30
 
     def test_zero_steps(self, small_regression):
         traj = self.check(small_regression, ReweightConfig(),
@@ -534,39 +522,23 @@ class TestFusedRunMatchesReference:
         # the failed step is recorded, its iterate is not
         assert len(traj.columns["step"]) == 4 and len(traj.thetas) == 4
 
-    @pytest.mark.parametrize("batch_size", [3, 5, 6, 7])
-    def test_proxy_delta_at_any_batch_size(self, small_regression, batch_size):
-        # The proxy reads the final iterate's losses from one call over all
-        # samples, where the reference made one call per batch. OpenBLAS
-        # computes the last (b mod 4) rows of a GEMV with a different kernel,
-        # so at such batch sizes a proxy loss can differ from the reference
-        # in the last bit (up to 3e-16 in delta on this problem); every other
-        # field stays exact.
-        got = run_training(small_regression, ReweightConfig(), StepSizeRule(eta=1e-2),
-                           batch_size=batch_size, steps=40, seed=3)
-        want = _reference_run_training(small_regression, ReweightConfig(),
-                                       StepSizeRule(eta=1e-2), batch_size=batch_size,
-                                       steps=40, seed=3)
-        assert_same_run(got, want, proxy_atol=1e-12)
 
-
-def assert_same_cell(got, want, proxy_atol=0.0):
+def assert_same_cell(got, want):
     """assert_same_run for a cell run without history: only its final
-    iterate is kept, and no batch weights."""
-    assert got.batch_weights is None and got.thetas.shape == (1, want.thetas.shape[1])
+    iterate is kept, and no batch indices, losses or weights."""
+    assert (got.batch_indices, got.batch_losses, got.batch_weights) == (None, None, None)
+    assert got.thetas.shape == (1, want.thetas.shape[1])
     np.testing.assert_array_equal(got.final_theta, want.final_theta)
-    full = Trajectory(columns=got.columns, thetas=want.thetas, batch_indices=got.batch_indices,
-                      batch_losses=got.batch_losses, batch_weights=want.batch_weights,
-                      diverged=got.diverged, divergence_step=got.divergence_step,
-                      delta_is_proxy=got.delta_is_proxy)
-    assert_same_run(full, want, proxy_atol)
+    full = Trajectory(columns=got.columns, thetas=want.thetas, batch_indices=want.batch_indices,
+                      batch_losses=want.batch_losses, batch_weights=want.batch_weights,
+                      diverged=got.diverged, divergence_step=got.divergence_step)
+    assert_same_run(full, want)
 
 
 class TestLockstepMatchesReference:
     """Cells trained as rows of one loop reproduce their own runs exactly,
     including cells beside rows that diverge or fail: bit for bit the
-    one-cell run_training, and the reference loop up to the last bit of a
-    proxy delta (see test_proxy_delta_at_any_batch_size)."""
+    one-cell run_training and the reference loop."""
 
     def check(self, problem, cells, rule, batch_size, steps, momentum=False):
         args = (rule, batch_size, steps)
@@ -583,7 +555,7 @@ class TestLockstepMatchesReference:
                     with pytest.raises(ConfigError, match=re.escape(str(got))):
                         run_training(problem, rw, *args, seed=seed, momentum=momentum)
                     continue
-                same(got, want, proxy_atol=1e-12)
+                same(got, want)
                 same(got, run_training(problem, rw, *args, seed=seed, momentum=momentum))
         return outcomes
 
@@ -604,6 +576,8 @@ class TestLockstepMatchesReference:
         ]
         outcomes = self.check(problem, cells, StepSizeRule(eta=1e-2), batch_size=8, steps=60)
         assert outcomes[3].diverged and 0 < outcomes[3].divergence_step < 60
+        # the diverged cell keeps its exact delta_t on the steps it recorded
+        assert len(outcomes[3].columns["delta_t"]) == outcomes[3].divergence_step
         assert "infeasible cap" in str(outcomes[4])
 
     def test_quadratic_convex_theory_momentum(self, quadratic_problem):
@@ -644,11 +618,12 @@ class TestLockstepMatchesReference:
             assert column_text(outcomes[i]) == column_text(solo[i])
             np.testing.assert_array_equal(outcomes[i].final_theta, solo[i].final_theta)
 
-    def test_nonconvex_proxy_delta(self):
+    def test_nonconvex_has_no_delta(self):
         problem = NonconvexProblem(n_samples=64, dim=5, seed=2)
         cells = [(ReweightConfig(mode=s, schedule=constant_schedule(0.5)), seed)
                  for s in SCORED_AND_UNIFORM for seed in (0, 7)]
-        self.check(problem, cells, StepSizeRule(eta=0.05), batch_size=8, steps=30)
+        outcomes = self.check(problem, cells, StepSizeRule(eta=0.05), batch_size=8, steps=30)
+        assert all("delta_t" not in traj.columns for traj in outcomes)
 
     def test_zero_steps_and_update_divergence(self):
         cells = [(ReweightConfig(), 9), (ReweightConfig(mode="uniform"), 1)]
@@ -686,51 +661,6 @@ def test_infeasible_cap_has_one_message(small_regression):
                         StepSizeRule(eta=1e-2), b, 5)
     assert isinstance(cell, ConfigError)
     assert messages == [str(cell)] * 3 == ["infeasible cap: cap*b = 0.8 < 1"] * 3
-
-
-def whole_history_proxy(problem, config, traj, b):
-    """A cell's proxy delta_t computed over its whole batch history at once."""
-    losses = traj.batch_losses
-    f_final = problem.losses(traj.final_theta, slice(None))
-    w = compute_batch_weights(losses, config, np.arange(len(losses)))
-    return np.add.reduce((1.0 / b - w) * (losses - f_final[traj.batch_indices]), axis=1)
-
-
-class TestBlockwiseProxy:
-    """The proxy delta_t is computed a block of steps at a time; each step
-    must equal the whole-history formula bit for bit, on both sides of a
-    block edge and across a temperature drop inside a later block."""
-
-    PROBLEMS = {
-        "regression": lambda: RegressionProblem(gen_regression(p=8, n=120, m=30, seed=2,
-                                                               n_test=8)),
-        "nonconvex": lambda: NonconvexProblem(n_samples=96, dim=6, seed=2),
-    }
-
-    @pytest.mark.parametrize("steps", [1, 255, 256, 257, 1000])
-    @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_equals_whole_history(self, name, steps):
-        problem, b = self.PROBLEMS[name](), 8
-        drop = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=0.5,
-                                   warmup_steps=300)
-        cells = [(ReweightConfig(schedule=drop), 0),
-                 (ReweightConfig(mode="capped", schedule=constant_schedule(0.1)), 1),
-                 (ReweightConfig(mode="quadratic", schedule=drop), 2)]
-        outcomes = run_cells(problem, cells, StepSizeRule(eta=1e-2), b, steps)
-        for (config, _), traj in zip(cells, outcomes):
-            assert traj.delta_is_proxy and len(traj.columns["delta_t"]) == steps
-            want = whole_history_proxy(problem, config, traj, b)
-            assert traj.columns["delta_t"].tobytes() == want.tobytes()
-
-    def test_diverged_cell_has_no_proxy(self):
-        # dro_kl diverges past the first block at this lr and seed; its
-        # neighbour keeps its proxy.
-        problem = RegressionProblem(gen_regression(p=64, n=200, m=50, seed=0, n_test=16))
-        cells = [(ReweightConfig(mode="dro_kl", dro_tau=1.0), 5), (ReweightConfig(), 0)]
-        diverged, ok = run_cells(problem, cells, StepSizeRule(eta=8e-3), 8, 600)
-        assert diverged.divergence_step > optim._PROXY_BLOCK
-        assert "delta_t" not in diverged.columns and not diverged.delta_is_proxy
-        assert not ok.diverged and ok.delta_is_proxy and len(ok.columns["delta_t"]) == 600
 
 
 class TestGradGapFromNorms:
@@ -848,39 +778,84 @@ class TestSummedGradientDrift:
         assert_same_run(new, old)
 
 
-def test_sweep_toy_groups_hold_two_strategies():
-    # The budget is sized for the sweep_toy cells (gen_regression defaults,
-    # b = 32, 2000 steps): ten per group, two strategies of five seeds.
+def test_sweep_toy_runs_as_one_group():
+    # A cell keeps only its seven regression columns and its final iterate,
+    # so the budget holds all 20 sweep_toy cells (gen_regression defaults,
+    # b = 32, 2000 steps; four strategies of five seeds) in one group.
     problem = RegressionProblem(gen_regression())
-    assert optim.LOCKSTEP_BYTES // cell_bytes(problem, 32, 2000) == 10
+    assert cell_bytes(problem, 32, 2000) == 8 * (7 * 2000 + problem.dim)
+    assert optim.LOCKSTEP_BYTES // cell_bytes(problem, 32, 2000) >= 20
 
 
 def test_lockstep_memory_stays_within_budget(monkeypatch):
-    # A sweep's traced peak is the group budget plus what one group needs per
-    # step and the column arrays of the one cell being handed out. Keeping
-    # more history per cell, or a finished group alive beside the next, fails.
-    problem = RegressionProblem(gen_regression(p=16, n=400, m=100, seed=0, n_test=64))
-    b, steps, group = 8, 1000, 5
+    # A group allocates its column arrays and final iterates, LOCKSTEP_BYTES
+    # here. Beside them a step holds its gathered rows, one (S, b, d) array,
+    # and less than that again for everything else: iterates, batch orders
+    # and generators, (S, b) temporaries, test residuals and the handed-out
+    # cell's step and r columns. So a second (S, b, d) array, such as a
+    # per-sample gradient stack or the last step's rows kept alive, fails, as
+    # does any (G, T, b) history kept without `history`, or a finished group
+    # kept alive beside the next.
+    problem = RegressionProblem(gen_regression(p=64, n=48, m=16, seed=0, n_test=64))
+    b, steps, group = 32, 200, 5
     monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
     cells = [(ReweightConfig(mode=s, schedule=constant_schedule()), seed)
              for s in SCORED_AND_UNIFORM for seed in range(5)]
-    rule = StepSizeRule(eta=1e-3)
-    # one cell's column arrays; all but step, r and delta_t are views of its
-    # group's histories
-    traj = run_training(problem, cells[0][0], rule, b, steps)
-    columns = sum(col.nbytes for col in traj.columns.values())
-    # gathered rows, gradients and their products, batch orders, test
-    # residuals; and one block of a cell's proxy (its weights, 1/b - w, the
-    # gathered final losses, their gap and the product), plus its (steps,)
-    # result
-    per_step = 8 * group * (4 * b * problem.dim + problem.n_samples + 2 * 64)
-    proxy = 8 * 5 * optim._PROXY_BLOCK * b + 8 * steps
+    rows = 8 * group * b * problem.dim
     tracemalloc.start()
     try:
-        for outcome in run_cells(problem, cells, rule, b, steps):
+        for outcome in run_cells(problem, cells, StepSizeRule(eta=1e-3), b, steps):
             assert len(outcome.columns["step"]) == steps
             del outcome
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= optim.LOCKSTEP_BYTES + columns + per_step + proxy
+    assert peak < optim.LOCKSTEP_BYTES + 2 * rows
+
+
+class TestExactRegressionDelta:
+    """RegressionProblem's optimal losses are those at the least-squares
+    solution on [X 1], and the loop's delta_t is diagnostics.delta_t against
+    them."""
+
+    @staticmethod
+    def lstsq_losses(data):
+        X1 = np.hstack([data.X, np.ones((len(data.y), 1))])
+        theta = np.linalg.lstsq(X1, data.y, rcond=None)[0]
+        return 0.5 * (X1 @ theta - data.y) ** 2
+
+    @staticmethod
+    def matches(got, want):
+        return np.all(np.abs(got - want) <= 1e-11 * np.abs(want).max())
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_losses_at_opt_match_lstsq(self, seed):
+        # the sweep_toy data: gen_regression defaults
+        data = gen_regression(seed=seed)
+        problem, want = RegressionProblem(data), self.lstsq_losses(data)
+        got = problem.losses_at_opt(np.arange(problem.n_samples))
+        assert self.matches(got, want)
+        # negative control: optimal losses off by 1e-9 fail
+        assert not self.matches(got + 1e-9, want)
+        idx = np.array([[3, 0, 7], [3999, 5, 5]])
+        assert problem.losses_at_opt(idx).tobytes() == got[idx].tobytes()
+
+    def test_rank_deficient_data_interpolate(self):
+        # Fewer rows than p + 1: the optimum fits every row.
+        data = gen_regression(p=64, n=40, m=10, seed=3, n_test=8)
+        got = RegressionProblem(data).losses_at_opt(np.arange(50))
+        assert np.all(got <= 1e-20 * (0.5 * data.y**2).max())
+        assert np.all(self.lstsq_losses(data) <= 1e-20 * (0.5 * data.y**2).max())
+
+    def test_run_delta_t_from_history(self, small_regression):
+        # Rebuilt step by step from the run's own history, to 1e-12 of
+        # sum_i |u_i| |f_i - f_i*|.
+        b = 8
+        traj = run_training(small_regression, ReweightConfig(mode="extremes"),
+                            StepSizeRule(eta=1e-2), batch_size=b, steps=300, seed=1)
+        f_opt = small_regression.losses_at_opt(traj.batch_indices)
+        want = np.array([delta_t(f, f_star, w) for f, f_star, w
+                         in zip(traj.batch_losses, f_opt, traj.batch_weights)])
+        u = 1.0 / b - traj.batch_weights
+        scale = np.add.reduce(np.abs(u) * np.abs(traj.batch_losses - f_opt), axis=1)
+        assert np.all(np.abs(traj.columns["delta_t"] - want) <= 1e-12 * scale)

@@ -325,7 +325,7 @@ MAKE_PROBLEMS = pytest.mark.parametrize("make_problem", [
 
 @MAKE_PROBLEMS
 def test_losses_over_all_samples_by_slice(make_problem):
-    # The proxy delta_t takes the final iterate's losses over a view of all
+    # The regression problem takes its optimal losses over a view of all
     # samples; that must equal gathering every row by index.
     problem = make_problem()
     theta = np.random.default_rng(5).standard_normal(problem.dim)
@@ -359,8 +359,8 @@ def test_grad_sq_is_the_squared_gradient_norm(make_problem):
 @MAKE_PROBLEMS
 def test_loss_grad_equals_separate_methods(make_problem):
     # Training takes its losses and mu_t's previous-iterate losses from the
-    # fused path and its proxy delta_t from `losses`; they must agree
-    # bitwise, for every batch size (the BLAS kernels differ by row count),
+    # fused path, and the oracles and finite differences use `losses`; they
+    # must agree bitwise, for every batch size (the BLAS kernels differ by row count),
     # for large iterates and for stacks of iterates. The gradients are
     # checked against finite differences by `verify.check_gradients`.
     problem = make_problem()
