@@ -92,14 +92,7 @@ class TemperatureSchedule:
 
 
 def schedule_r(step, schedule: TemperatureSchedule):
-    """Temperature for a given step, or an array of temperatures for any
-    non-scalar steps (an array, a list)."""
-    if not np.isscalar(step):
-        step = np.asarray(step)
-        if (step < 0).any():
-            raise ValidationError("step must be nonnegative")
-        warmup = schedule.warmup_steps if schedule.kind == "step_drop" else np.inf
-        return np.where(step >= warmup, schedule.r_final, schedule.r_initial)
+    """Temperature at a given step."""
     if step < 0:
         raise ValidationError("step must be nonnegative")
     if schedule.kind == "step_drop" and step >= schedule.warmup_steps:
@@ -273,7 +266,7 @@ def _dro_kl(f, r, config):
 
 
 # Mode name -> weights(f, r, config) for validated losses f, (b,) or (S, b),
-# and the temperature r (a scalar, or one per row).
+# and the step's temperature r.
 MODES = {
     "uniform": lambda f, r, config: np.full(f.shape, 1.0 / f.shape[-1]),
     # proportional to loss, capped
@@ -292,12 +285,12 @@ def _span_weights(f, spans, step):
     each (config, lo, hi) in spans, at one training step. Unchecked: f must
     be finite, and the spans must cover its rows in order.
 
-    A lone span is its MODES entry on the whole of f, and step may then give
-    one step per row. Otherwise f is normalized once per distinct alpha,
-    each scored span is scored on its rows, and every scored row is tempered
-    in one call, with one r, or one per row when the spans' r differ; the
-    other spans keep their own rule. Every step works row by row, so each
-    span's rows are bit for bit its own MODES call.
+    A lone span is its MODES entry on the whole of f. Otherwise f is
+    normalized once per distinct alpha, each scored span is scored on its
+    rows, and every scored row is tempered in one call, with one r, or one
+    per row when the spans' r differ; the other spans keep their own rule.
+    Every step works row by row, so each span's rows are bit for bit its own
+    MODES call.
     """
     if len(spans) == 1:
         config = spans[0][0]
@@ -333,12 +326,11 @@ def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
     schedule's temperature, the one-span case of the stacked weighting.
 
     Deterministic function of (losses, config, step). losses is (b,) or
-    (S, b); step is a scalar, or for a stack one step per row, (S,) (the
-    rows' temperatures then follow the schedule row by row). Any other step
+    (S, b), and step is one scalar step for all of it; a step of any other
     shape is a ValidationError.
     """
     f = _as_loss_array(losses)
-    if np.shape(step) not in ((), f.shape[:-1]):
-        raise ValidationError(f"step of shape {np.shape(step)} does not fit losses of "
-                              f"shape {f.shape}: give one step, or one per row of a stack")
+    if np.shape(step) != ():
+        raise ValidationError(f"step of shape {np.shape(step)} is not one step: give a "
+                              f"scalar step for losses of shape {f.shape}")
     return _span_weights(f, [(config, 0, len(f))], step)

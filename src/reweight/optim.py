@@ -33,8 +33,8 @@ into preallocated per-cell column arrays, one per CSV column in COLUMNS; a
 cell's Trajectory takes its columns as views of them. A problem without
 optimal losses has no delta_t column.
 
-Cells run in groups sized so that their columns and histories fit in
-LOCKSTEP_BYTES.
+Cells run in groups sized so that their columns, epoch orders and
+histories fit in LOCKSTEP_BYTES.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ __all__ = [
 DIVERGENCE_LOSS = 1e12
 
 # Bytes one lockstep group may hold (see cell_bytes). At the sweep_toy size
-# (2000 steps, b = 32, n = 4000) a cell holds about 0.11 MB, so the sweep's
+# (2000 steps, b = 32, n = 4000) a cell holds about 0.14 MB, so the sweep's
 # 20 cells run as one group.
 LOCKSTEP_BYTES = 8 << 20
 
@@ -164,10 +164,11 @@ def _kept(problem) -> tuple[str, ...]:
 @dataclass
 class Trajectory:
     """Recorded run: the per-step diagnostics as columns, the iterate history
-    (theta^0 .. theta^T), the raw batch data needed to recompute theory
-    terms (one row per recorded step), and the divergence flag. A cell run
-    without history keeps only its final iterate in thetas, and its batch
-    indices, losses and weights are None.
+    (theta^0 .. theta^T), each recorded step's batch indices and weights,
+    and the divergence flag. Step t's batch losses are
+    problem.losses(thetas[t], batch_indices[t]), bit for bit, so they are
+    not kept. A cell run without history keeps only its final iterate in
+    thetas, and its batch indices and weights are None.
 
     columns maps a name in COLUMNS to an array with one value per recorded
     step. A shorter column holds the last steps: mu_t starts at step 1. A
@@ -179,7 +180,6 @@ class Trajectory:
     columns: dict[str, np.ndarray]
     thetas: np.ndarray  # (T+1, d), or (1, d) without history
     batch_indices: np.ndarray | None  # (T, b)
-    batch_losses: np.ndarray | None  # (T, b)
     batch_weights: np.ndarray | None  # (T, b)
     diverged: bool = False
     divergence_step: int | None = None
@@ -190,14 +190,13 @@ class Trajectory:
 
 
 def cell_bytes(problem, batch_size: int, steps: int, history: bool = False) -> int:
-    """Bytes of one lockstep cell: its column arrays (see _kept) and final
-    iterate, plus with history the iterates and the batch indices (in the
-    smallest integer type that holds a sample index), losses and weights."""
+    """Bytes of one lockstep cell: its column arrays (see _kept), final
+    iterate and epoch order, plus with history the iterates and the batch
+    indices and weights."""
     rows, d = max(steps, 1), problem.dim
-    size = 8 * (rows * len(_kept(problem)) + d)
+    size = 8 * (rows * len(_kept(problem)) + d + problem.n_samples)
     if history:
-        index_bytes = np.min_scalar_type(problem.n_samples - 1).itemsize
-        size += 8 * (steps + 1) * d + rows * batch_size * (16 + index_bytes)
+        size += 8 * (steps + 1) * d + 16 * rows * batch_size
     return size
 
 
@@ -261,7 +260,8 @@ class _Group:
                     _w_max_error(config.cap, batch_size) if theory else None)
         self.active = np.array([i for i in range(G) if self.errors[i] is None], dtype=int)
         self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
-        self.orders = self._shuffle()
+        self.orders = np.empty((len(self.active), self.n), dtype=int)
+        self._shuffle()
         theta0 = problem.theta_init()
         self.eta = theory_stepsize(stepsize)
         self.theta = np.repeat(theta0[None], len(self.active), 0)
@@ -278,14 +278,16 @@ class _Group:
         if history:
             self.thetas = np.empty((G, steps + 1, theta0.size))
             self.thetas[:, 0] = theta0
-            self.indices = np.empty((G, rows, batch_size), np.min_scalar_type(self.n - 1))
-            self.losses = np.empty((G, rows, batch_size))
+            self.indices = np.empty((G, rows, batch_size), dtype=int)
             self.batch_weights = np.empty((G, rows, batch_size))
 
     def _shuffle(self):
-        """A new epoch's sample order for every active row."""
-        orders = [rng.permutation(self.n) for rng in self.rngs]
-        return np.array(orders).reshape(-1, self.n)
+        """Refill every active row's epoch order, in place, with a new epoch's
+        sample order: rng.permutation(n), without a second copy of the
+        orders. A batch's indices are a view of them, valid for one step."""
+        self.orders[:] = np.arange(self.n)
+        for rng, row in zip(self.rngs, self.orders):
+            rng.shuffle(row)
 
     def _spans(self):
         """(config, lo, hi) for each run of active rows with one config."""
@@ -337,7 +339,7 @@ class _Group:
         pos = t = 0
         while t < max(self.steps, 1) and len(self.active):
             if pos + b > n:
-                self.orders = self._shuffle()
+                self._shuffle()
                 pos = 0
             idx = self.orders[:, pos:pos + b]
             theta = self.theta
@@ -371,7 +373,6 @@ class _Group:
                 cols["theta_dist_sq"][rows, t] = ((theta - problem.theta_star) ** 2).sum(axis=-1)
             if self.history:
                 self.indices[rows, t] = idx
-                self.losses[rows, t] = f
                 self.batch_weights[rows, t] = w
             if not updating:
                 break
@@ -401,8 +402,8 @@ class _Group:
         columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]
-        batch = ([a[i, :T] for a in (self.indices, self.losses, self.batch_weights)]
-                 if self.history else [None] * 3)
+        batch = ([a[i, :T] for a in (self.indices, self.batch_weights)]
+                 if self.history else [None] * 2)
         return Trajectory(columns, thetas, *batch, diverged=diverged,
                           divergence_step=self.divergence_step[i])
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the batch-weighting pipeline."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -343,21 +344,6 @@ class TestScheduleR:
         with pytest.raises(ValidationError):
             schedule_r(-1, TemperatureSchedule())
 
-    @pytest.mark.parametrize("steps", [[0, 10], (0, 10), np.arange(0, 20, 10)],
-                             ids=["list", "tuple", "array"])
-    def test_any_non_scalar_step_is_an_array(self, steps):
-        # A list or tuple of steps is an array of steps, in schedule_r and in
-        # a stacked compute_batch_weights.
-        sched = TemperatureSchedule(kind="step_drop", r_initial=100.0, r_final=1.0,
-                                    warmup_steps=10)
-        np.testing.assert_array_equal(schedule_r(steps, sched), [100.0, 1.0])
-        config = ReweightConfig(schedule=sched)
-        losses = np.arange(8.0).reshape(2, 4)
-        assert compute_batch_weights(losses, config, steps).tobytes() \
-            == compute_batch_weights(losses, config, np.array([0, 10])).tobytes()
-        with pytest.raises(ValidationError):
-            schedule_r(list(steps) + [-1], sched)
-
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ConfigError):
             TemperatureSchedule(kind="cosine")
@@ -430,15 +416,17 @@ class TestComputeBatchWeights:
         assert w_late.max() > 0.4
 
     @pytest.mark.parametrize("mode", list(MODES))
-    @pytest.mark.parametrize("losses,steps,shapes", [
-        (np.arange(4.0), np.arange(2), r"\(2,\) does not fit losses of shape \(4,\)"),
-        (np.ones((3, 4)), np.arange(5), r"\(5,\) does not fit losses of shape \(3, 4\)"),
-    ], ids=["batch", "stack"])
-    def test_step_not_one_per_batch_rejected(self, mode, losses, steps, shapes):
-        # One step per batch or stack row: two steps for one batch used to
-        # give a (2, 4) array in some modes and a (4,) array in others.
-        with pytest.raises(ValidationError, match=f"^step of shape {shapes}"):
-            compute_batch_weights(losses, ReweightConfig(mode=mode), steps)
+    @pytest.mark.parametrize("losses", [np.arange(4.0), np.ones((3, 4))],
+                             ids=["batch", "stack"])
+    def test_step_not_one_per_batch_rejected(self, mode, losses):
+        # One scalar step for a batch or a whole stack: a list, a tuple or an
+        # array of steps is rejected with its shape, even one step per row.
+        shape = re.escape(str(losses.shape))
+        for steps in ([0, 10, 20], (0, 10, 20), np.arange(3), np.arange(6).reshape(3, 2)):
+            with pytest.raises(ValidationError, match=rf"^step of shape "
+                               rf"{re.escape(str(np.shape(steps)))} is not one step: give a "
+                               rf"scalar step for losses of shape {shape}$"):
+                compute_batch_weights(losses, ReweightConfig(mode=mode), steps)
 
     @given(
         losses=finite_losses,
@@ -580,19 +568,6 @@ class TestRowWiseWeights:
         for row, f in zip(w, losses):
             assert row.tobytes() == compute_batch_weights(f, cfg, step=3).tobytes()
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("b", [7, 32])
-    def test_per_row_steps_follow_the_schedule(self, mode, b):
-        # One step per row gives each row its own temperature, here across a
-        # drop from r = 50 to r = 1e-6.
-        schedule = TemperatureSchedule(kind="step_drop", r_initial=50.0, r_final=1e-6,
-                                       warmup_steps=4)
-        cfg = ReweightConfig(mode=mode, schedule=schedule)
-        losses = _stacked_losses(10, b, seed=b)
-        w = compute_batch_weights(losses, cfg, step=np.arange(10))
-        for t, (row, f) in enumerate(zip(w, losses)):
-            assert row.tobytes() == compute_batch_weights(f, cfg, step=t).tobytes()
-
     def test_public_helpers_take_stacks(self):
         losses = _stacked_losses(3, 7, seed=0)
         r = np.array([0.5, 1e-6, 3.0])
@@ -613,10 +588,6 @@ class TestRowWiseWeights:
         losses[2, 1] = np.inf
         with pytest.raises(ValidationError, match=r"index \(2, 1\)"):
             compute_batch_weights(losses, ReweightConfig())
-
-    def test_per_row_schedule_rejects_negative_steps(self):
-        with pytest.raises(ValidationError):
-            schedule_r(np.array([0, -1]), TemperatureSchedule())
 
 
 SCORED_MODES = ["linupper", "quadratic", "extremes"]

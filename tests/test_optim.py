@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -313,6 +314,19 @@ class TestRunTraining:
             )
 
 
+@dataclass
+class ReferenceRun(Trajectory):
+    """The reference loop's run, with the batch losses it weighted."""
+
+    losses: list = field(default_factory=list)
+
+
+def history_losses(problem, traj):
+    """Each recorded step's batch losses, recomputed from the trajectory's
+    iterates and batch indices: problem.losses(thetas[t], batch_indices[t])."""
+    return [problem.losses(theta, idx) for theta, idx in zip(traj.thetas, traj.batch_indices)]
+
+
 def _reference_run_training(problem, reweight_config, stepsize, batch_size, steps,
                             seed=0, momentum=False):
     """The training loop before the fused step: separate losses and gradient
@@ -320,7 +334,9 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
     histories turned into the trajectory's column arrays at the end; delta_t
     against the problem's optimal losses, where it has them. The update sums
     the weighted gradient through the problem's weighted_grad, as the loop
-    does. Kept as the reference that run_training must reproduce exactly."""
+    does. Kept as the reference that run_training must reproduce exactly; it
+    also returns the batch losses it weighted, which a Trajectory does not
+    keep."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     error = optim._w_max_error(cap_bound, batch_size)
     if stepsize.kind == "convex_theory" and error:
@@ -336,7 +352,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
               "theta_dist_sq": theta_star is None}
     columns = {name: [] for name in COLUMNS if not absent.get(name)}
     thetas = [theta0.copy()]
-    batch_indices, batch_losses, batch_weights = [], [], []
+    batch_indices, losses, batch_weights = [], [], []
     diverged, divergence_step = False, None
     order = rng.permutation(problem.n_samples)
     pos = 0
@@ -366,7 +382,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         for name, value in row.items():
             columns[name].append(value)
         batch_indices.append(idx.copy())
-        batch_losses.append(f.copy())
+        losses.append(f.copy())
         batch_weights.append(w.copy())
         return problem.weighted_grad(parts, w)
 
@@ -400,11 +416,11 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
 
     dtypes = {"step": int, "r": object}
-    return Trajectory(columns={name: np.array(values, dtype=dtypes.get(name, float))
-                               for name, values in columns.items()},
-                      thetas=np.array(thetas), batch_indices=batch_indices,
-                      batch_losses=batch_losses, batch_weights=batch_weights,
-                      diverged=diverged, divergence_step=divergence_step)
+    return ReferenceRun(columns={name: np.array(values, dtype=dtypes.get(name, float))
+                                 for name, values in columns.items()},
+                        thetas=np.array(thetas), batch_indices=batch_indices,
+                        batch_weights=batch_weights, diverged=diverged,
+                        divergence_step=divergence_step, losses=losses)
 
 
 def column_text(traj):
@@ -414,18 +430,24 @@ def column_text(traj):
             for name, col in traj.columns.items()}
 
 
-def assert_same_run(got, want):
+def assert_same_run(got, want, problem=None):
     """Every column, iterate and batch history equal; columns are compared
     by column_text, so an int in place of a float or a numpy scalar in an
-    object column also fails."""
+    object column also fails. Given the problem, want is a ReferenceRun, and
+    the losses recomputed from got's history are its losses, bit for bit."""
     assert (got.diverged, got.divergence_step) == (want.diverged, want.divergence_step)
     assert column_text(got) == column_text(want)
     np.testing.assert_array_equal(got.thetas, want.thetas)
-    for name in ("batch_indices", "batch_losses", "batch_weights"):
+    for name in ("batch_indices", "batch_weights"):
         rows, ref_rows = getattr(got, name), getattr(want, name)
         assert len(rows) == len(ref_rows) == len(got.columns["step"])
         for row, ref in zip(rows, ref_rows):
             np.testing.assert_array_equal(row, ref)
+    if problem is not None:
+        losses = history_losses(problem, got)
+        assert len(losses) == len(want.losses)
+        for row, ref in zip(losses, want.losses):
+            assert row.tobytes() == ref.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +491,7 @@ class TestFusedRunMatchesReference:
     def check(self, problem, rw, rule, batch_size, steps, **kwargs):
         args = (problem, rw, rule, batch_size, steps)
         got = run_training(*args, **kwargs)
-        assert_same_run(got, _reference_run_training(*args, **kwargs))
+        assert_same_run(got, _reference_run_training(*args, **kwargs), problem)
         return got
 
     def test_regression_linupper_step_drop(self, small_regression):
@@ -523,16 +545,16 @@ class TestFusedRunMatchesReference:
         assert len(traj.columns["step"]) == 4 and len(traj.thetas) == 4
 
 
-def assert_same_cell(got, want):
+def assert_same_cell(got, want, problem=None):
     """assert_same_run for a cell run without history: only its final
-    iterate is kept, and no batch indices, losses or weights."""
-    assert (got.batch_indices, got.batch_losses, got.batch_weights) == (None, None, None)
+    iterate is kept, and no batch indices or weights."""
+    assert (got.batch_indices, got.batch_weights) == (None, None)
     assert got.thetas.shape == (1, want.thetas.shape[1])
     np.testing.assert_array_equal(got.final_theta, want.final_theta)
     full = Trajectory(columns=got.columns, thetas=want.thetas, batch_indices=want.batch_indices,
-                      batch_losses=want.batch_losses, batch_weights=want.batch_weights,
-                      diverged=got.diverged, divergence_step=got.divergence_step)
-    assert_same_run(full, want)
+                      batch_weights=want.batch_weights, diverged=got.diverged,
+                      divergence_step=got.divergence_step)
+    assert_same_run(full, want, problem)
 
 
 class TestLockstepMatchesReference:
@@ -555,7 +577,7 @@ class TestLockstepMatchesReference:
                     with pytest.raises(ConfigError, match=re.escape(str(got))):
                         run_training(problem, rw, *args, seed=seed, momentum=momentum)
                     continue
-                same(got, want)
+                same(got, want, problem)
                 same(got, run_training(problem, rw, *args, seed=seed, momentum=momentum))
         return outcomes
 
@@ -716,7 +738,8 @@ def test_loop_forms_no_gradient_stack(name, monkeypatch):
     returned, loss_grad = [], problem.loss_grad
 
     def spy(theta, idx, prev=None):
-        returned.append((idx, loss_grad(theta, idx, prev)))
+        # idx is a view of the epoch orders, which the next reshuffle refills
+        returned.append((idx.copy(), loss_grad(theta, idx, prev)))
         return returned[-1][1]
 
     monkeypatch.setattr(problem, "loss_grad", spy)
@@ -762,7 +785,7 @@ class TestSummedGradientDrift:
                                            atol=0)
             # mu_t at step t >= 1 weighs the losses at theta_t against those
             # at theta_{t-1} on the step's rows.
-            f, u = got.batch_losses[1:], 1.0 / b - got.batch_weights[1:]
+            f, u = np.array(history_losses(problem, got)[1:]), 1.0 / b - got.batch_weights[1:]
             f_prev = problem.losses(got.thetas[:-2], got.batch_indices[1:])
             scale = np.add.reduce(np.abs(u) * np.abs(f - f_prev), axis=-1)
             assert np.all(np.abs(got.columns["mu_t"] - want.columns["mu_t"]) <= 1e-11 * scale)
@@ -779,38 +802,42 @@ class TestSummedGradientDrift:
 
 
 def test_sweep_toy_runs_as_one_group():
-    # A cell keeps only its seven regression columns and its final iterate,
-    # so the budget holds all 20 sweep_toy cells (gen_regression defaults,
-    # b = 32, 2000 steps; four strategies of five seeds) in one group.
+    # A cell keeps only its seven regression columns, its final iterate and
+    # its epoch order, so the budget holds all 20 sweep_toy cells
+    # (gen_regression defaults, b = 32, 2000 steps; four strategies of five
+    # seeds) in one group.
     problem = RegressionProblem(gen_regression())
-    assert cell_bytes(problem, 32, 2000) == 8 * (7 * 2000 + problem.dim)
+    assert cell_bytes(problem, 32, 2000) == 8 * (7 * 2000 + problem.dim + problem.n_samples)
     assert optim.LOCKSTEP_BYTES // cell_bytes(problem, 32, 2000) >= 20
 
 
 def test_lockstep_memory_stays_within_budget(monkeypatch):
-    # A group allocates its column arrays and final iterates, LOCKSTEP_BYTES
-    # here. Beside them a step holds its gathered rows, one (S, b, d) array,
-    # and less than that again for everything else: iterates, batch orders
-    # and generators, (S, b) temporaries, test residuals and the handed-out
-    # cell's step and r columns. So a second (S, b, d) array, such as a
-    # per-sample gradient stack or the last step's rows kept alive, fails, as
-    # does any (G, T, b) history kept without `history`, or a finished group
-    # kept alive beside the next.
-    problem = RegressionProblem(gen_regression(p=64, n=48, m=16, seed=0, n_test=64))
+    # A group allocates its column arrays, final iterates and epoch orders,
+    # LOCKSTEP_BYTES here. Beside them a step holds its gathered rows, one
+    # (S, b, d) array, and less than that again for everything else:
+    # iterates, generators, (S, b) temporaries, test residuals and the
+    # handed-out cell's step and r columns. So a second (S, b, d) array, such
+    # as a per-sample gradient stack or the last step's rows kept alive,
+    # fails, as does any (G, T, b) history kept without `history`, or a
+    # finished group kept alive beside the next. With 4000 samples the epoch
+    # orders outweigh the columns, so a reshuffle that builds a second copy
+    # of them fails too.
     b, steps, group = 32, 200, 5
-    monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
     cells = [(ReweightConfig(mode=s, schedule=constant_schedule()), seed)
              for s in SCORED_AND_UNIFORM for seed in range(5)]
-    rows = 8 * group * b * problem.dim
-    tracemalloc.start()
-    try:
-        for outcome in run_cells(problem, cells, StepSizeRule(eta=1e-3), b, steps):
-            assert len(outcome.columns["step"]) == steps
-            del outcome
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < optim.LOCKSTEP_BYTES + 2 * rows
+    for n, m in ((48, 16), (3200, 800)):
+        problem = RegressionProblem(gen_regression(p=64, n=n, m=m, seed=0, n_test=64))
+        monkeypatch.setattr(optim, "LOCKSTEP_BYTES", group * cell_bytes(problem, b, steps))
+        rows = 8 * group * b * problem.dim
+        tracemalloc.start()
+        try:
+            for outcome in run_cells(problem, cells, StepSizeRule(eta=1e-3), b, steps):
+                assert len(outcome.columns["step"]) == steps
+                del outcome
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < optim.LOCKSTEP_BYTES + 2 * rows, (n + m, peak)
 
 
 class TestExactRegressionDelta:
@@ -853,9 +880,10 @@ class TestExactRegressionDelta:
         b = 8
         traj = run_training(small_regression, ReweightConfig(mode="extremes"),
                             StepSizeRule(eta=1e-2), batch_size=b, steps=300, seed=1)
+        losses = np.array(history_losses(small_regression, traj))
         f_opt = small_regression.losses_at_opt(traj.batch_indices)
         want = np.array([delta_t(f, f_star, w) for f, f_star, w
-                         in zip(traj.batch_losses, f_opt, traj.batch_weights)])
+                         in zip(losses, f_opt, traj.batch_weights)])
         u = 1.0 / b - traj.batch_weights
-        scale = np.add.reduce(np.abs(u) * np.abs(traj.batch_losses - f_opt), axis=1)
+        scale = np.add.reduce(np.abs(u) * np.abs(losses - f_opt), axis=1)
         assert np.all(np.abs(traj.columns["delta_t"] - want) <= 1e-12 * scale)
