@@ -1,18 +1,16 @@
 """Turn a batch of raw losses into a weight vector over the batch.
 
-A weighting mode is a name in MODES, the one table of weighting rules. Each
-entry maps the losses, the temperature r for the current step and the
-ReweightConfig to weights:
+A weighting mode is a name in MODES, the one table of weighting modes. Each
+entry is the mode's score of the raw losses f and of h, f mapped affinely
+into [-alpha, alpha]; the weights are the score's tempered softmax:
 
-  uniform    exactly 1/b per sample;
+  uniform    a constant score: exactly 1/b per sample;
   linupper, quadratic, extremes
-             map the losses affinely into [-alpha, alpha], score them, and
-             push the scores through a tempered softmax;
-  capped     the entropy-regularized optimum with a hard per-sample cap
-             (2/b unless set), solved in closed form by sorting and
-             thresholding;
-  dro_kl     the DRO-KL baseline: softmax of the raw losses at temperature
-             dro_tau (the schedule's r_final unless set), no cap.
+             a score of h;
+  capped     h, solved on the capped simplex (cap 2/b unless set) in closed
+             form by sorting and thresholding;
+  dro_kl     the DRO-KL baseline: the raw losses, tempered at dro_tau (the
+             schedule's r_final unless set), no cap.
 
 All functions are pure. They take one batch as a 1-D array or a stack of
 batches as an (S, b) array and work row by row: each row of a stacked call
@@ -20,8 +18,9 @@ is bit for bit the 1-D call on that row.
 
 A stack whose rows follow different configs is weighted in one pass by
 _span_weights, which the training loop calls: it normalizes the stack once
-per distinct alpha, scores each scored span and tempers every scored row in
-one call. compute_batch_weights is its checked, one-config case.
+per alpha that a span reads, scores every span into one buffer, tempers all
+rows in one call and solves each capped span on its own.
+compute_batch_weights is its checked, one-config case.
 """
 
 from __future__ import annotations
@@ -92,7 +91,9 @@ class TemperatureSchedule:
 
 
 def schedule_r(step, schedule: TemperatureSchedule):
-    """Temperature at a given step."""
+    """Temperature at one scalar step; a step of another shape is a ValidationError."""
+    if type(step) is not int and np.shape(step) != ():  # a plain int is the loop's fast path
+        raise ValidationError(f"step of shape {np.shape(step)} is not one step")
     if step < 0:
         raise ValidationError("step must be nonnegative")
     if schedule.kind == "step_drop" and step >= schedule.warmup_steps:
@@ -142,6 +143,15 @@ def _row_r(r):
     return r[:, None] if isinstance(r, np.ndarray) else r
 
 
+def _temperature(config: ReweightConfig, step) -> float:
+    """The temperature config's weights use at step: dro_kl's tau, every
+    other mode's schedule_r. The step is checked for every mode."""
+    r = schedule_r(step, config.schedule)
+    if config.mode == "dro_kl":
+        return config.dro_tau or config.schedule.r_final
+    return r
+
+
 def _check_r(r) -> None:
     if (r <= 0).any() if isinstance(r, np.ndarray) else r <= 0:
         raise ConfigError("temperature r must be positive")
@@ -181,8 +191,12 @@ def temper_weights(scores, r: float) -> np.ndarray:
     temperature per row.
     """
     _check_r(r)
-    s = np.asarray(scores, dtype=float)
-    e = np.exp((s - np.maximum.reduce(s, axis=-1, keepdims=True)) / _row_r(r))
+    return _softmax(np.asarray(scores, dtype=float), _row_r(r))
+
+
+def _softmax(s: np.ndarray, r) -> np.ndarray:
+    """temper_weights unchecked, for an r > 0 that broadcasts over s."""
+    e = np.exp((s - np.maximum.reduce(s, axis=-1, keepdims=True)) / r)
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
@@ -243,41 +257,33 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     return w
 
 
-def _scored(score):
-    """A mode that scores the normalized losses h in [-alpha, alpha] and
-    tempers the scores; the entry keeps the score as its `score`, which
-    _span_weights applies span by span."""
-    def weights(f, r, config):
-        return temper_weights(score(_normalize(f, config.alpha), config.alpha), r)
-    weights.score = score
-    return weights
-
-
-def _capped(f, r, config):
-    cap = config.cap if config.cap is not None else 2.0 / f.shape[-1]
-    return capped_optimal_weights(_normalize(f, config.alpha), r, cap)
-
-
-def _dro_kl(f, r, config):
+# Mode name -> scores(f, h, alpha) of validated losses f, (b,) or (S, b), and
+# their normalization h into [-alpha, alpha], None unless the mode reads h.
+MODES = {
+    "uniform": lambda f, h, alpha: np.zeros(f.shape),
+    # proportional to loss, capped
+    "linupper": lambda f, h, alpha: np.minimum(h + alpha, alpha),
+    # favors moderate losses
+    "quadratic": lambda f, h, alpha: alpha * (1.0 - h**2 / alpha**2),
+    # favors both tails
+    "extremes": lambda f, h, alpha: np.abs(h),
+    # solved on the capped simplex, not tempered: see _weigh
+    "capped": lambda f, h, alpha: h,
     # Raw losses, no normalization and no cap, so high-loss samples can
     # dominate: the comparison baseline, not a recommended mode.
-    tau = config.dro_tau if config.dro_tau is not None else config.schedule.r_final
-    return temper_weights(f, tau)
-
-
-# Mode name -> weights(f, r, config) for validated losses f, (b,) or (S, b),
-# and the step's temperature r.
-MODES = {
-    "uniform": lambda f, r, config: np.full(f.shape, 1.0 / f.shape[-1]),
-    # proportional to loss, capped
-    "linupper": _scored(lambda h, alpha: np.minimum(h + alpha, alpha)),
-    # favors moderate losses
-    "quadratic": _scored(lambda h, alpha: alpha * (1.0 - h**2 / alpha**2)),
-    # favors both tails
-    "extremes": _scored(lambda h, alpha: np.abs(h)),
-    "capped": _capped,
-    "dro_kl": _dro_kl,
+    "dro_kl": lambda f, h, alpha: f,
 }
+_READS_H = frozenset({"linupper", "quadratic", "extremes", "capped"})
+
+
+def _weigh(f, config, r):
+    """Weights of the validated losses f, (b,) or (S, b), under config at
+    temperature r: its score tempered, or for capped solved under the cap."""
+    h = _normalize(f, config.alpha) if config.mode in _READS_H else None
+    scores = MODES[config.mode](f, h, config.alpha)
+    if config.mode == "capped":
+        return capped_optimal_weights(scores, r, config.cap or 2.0 / f.shape[-1])
+    return _softmax(scores, r)
 
 
 def _span_weights(f, spans, step):
@@ -285,45 +291,37 @@ def _span_weights(f, spans, step):
     each (config, lo, hi) in spans, at one training step. Unchecked: f must
     be finite, and the spans must cover its rows in order.
 
-    A lone span is its MODES entry on the whole of f. Otherwise f is
-    normalized once per distinct alpha, each scored span is scored on its
-    rows, and every scored row is tempered in one call, with one r, or one
-    per row when the spans' r differ; the other spans keep their own rule.
-    Every step works row by row, so each span's rows are bit for bit its own
-    MODES call.
+    A lone span is _weigh on the whole of f. Otherwise f is normalized once
+    per alpha that a span reads, every span's scores go into one buffer,
+    all rows are tempered in one call, with one r or, when the spans' r
+    differ, one per row, and each capped span's rows are overwritten with
+    its _weigh. Every step works row by row, so each span's rows are bit
+    for bit its own compute_batch_weights call.
     """
     if len(spans) == 1:
         config = spans[0][0]
-        return MODES[config.mode](f, schedule_r(step, config.schedule), config)
-    w = np.empty(f.shape)
-    normalized, scored = {}, []
+        return _weigh(f, config, _temperature(config, step))
+    w, normalized, rs = np.empty(f.shape), {}, []
     for config, lo, hi in spans:
-        rule, r = MODES[config.mode], schedule_r(step, config.schedule)
-        score, alpha = getattr(rule, "score", None), config.alpha
-        if score is None:
-            w[lo:hi] = rule(f[lo:hi], r, config)
-            continue
-        if alpha not in normalized:
-            normalized[alpha] = _normalize(f, alpha)
-        w[lo:hi] = score(normalized[alpha][lo:hi], alpha)
-        scored.append((lo, hi, r))
-    if scored:
-        r = scored[0][2]
-        if any(span_r != r for *_, span_r in scored):
-            r = np.concatenate([np.full(hi - lo, span_r, dtype=float)
-                                for lo, hi, span_r in scored])
-        first, last = scored[0][0], scored[-1][1]
-        rows = slice(first, last)
-        if last - first > sum(hi - lo for lo, hi, _ in scored):  # a rule's span in between
-            rows = np.concatenate([np.arange(lo, hi) for lo, hi, _ in scored])
-        w[rows] = temper_weights(w[rows], r)
+        h = None
+        if config.mode in _READS_H:
+            if config.alpha not in normalized:
+                normalized[config.alpha] = _normalize(f, config.alpha)
+            h = normalized[config.alpha][lo:hi]
+        w[lo:hi] = MODES[config.mode](f[lo:hi], h, config.alpha)
+        rs.append(_temperature(config, step))
+    r = rs[0] if len(set(rs)) == 1 else np.repeat(rs, [hi - lo for _, lo, hi in spans])[:, None]
+    w = _softmax(w, r)
+    for (config, lo, hi), span_r in zip(spans, rs):
+        if config.mode == "capped":
+            w[lo:hi] = _weigh(f[lo:hi], config, span_r)
     return w
 
 
 def compute_batch_weights(losses, config: ReweightConfig, step=0) -> np.ndarray:
     """Weights for one batch, or a stack of batches, at a given training
-    step: the config's MODES entry applied to the validated losses at the
-    schedule's temperature, the one-span case of the stacked weighting.
+    step: the config's MODES score of the validated losses, tempered at the
+    mode's temperature, the one-span case of the stacked weighting.
 
     Deterministic function of (losses, config, step). losses is (b,) or
     (S, b), and step is one scalar step for all of it; a step of any other

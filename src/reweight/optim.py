@@ -14,7 +14,7 @@ differ in reweighting config and seed, as the rows of one iterate stack:
 each step gathers every row's batch, evaluates the problem once through its
 fused loss_grad, weights the whole stack in one pass over the configs'
 contiguous row spans (core._span_weights: one normalization per alpha and
-one tempered softmax for all scored rows), has the problem sum each row's
+one tempered softmax for all rows), has the problem sum each row's
 weighted gradient (weighted_grad: no per-sample gradient is stored) and
 applies one update. Each row samples its batches with its own generator,
 and every row's arithmetic is bit for bit that of a run on its own. A cell
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error, _check_fields,
-                   _span_weights, schedule_r)
+                   _span_weights, _temperature)
 from .core import compute_batch_weights  # noqa: F401  (bench/selftest.py reads it here)
 from .diagnostics import gap_sum
 
@@ -398,7 +398,7 @@ class _Group:
         diverged = self.divergence_step[i] is not None
         columns = {name: col[i, :T] for name, col in self.cols.items()}
         columns["step"] = np.arange(T)
-        columns["r"] = np.array([schedule_r(t, config.schedule) for t in range(T)], dtype=object)
+        columns["r"] = np.array([_temperature(config, t) for t in range(T)], dtype=object)
         columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]

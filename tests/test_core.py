@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +80,9 @@ class TestNormalizeLosses:
 
 
 def _mode_weights(mode, losses, r=1.0, **params):
-    """The MODES entry for mode, called on losses at temperature r."""
-    f = np.asarray(losses, dtype=float)
-    return MODES[mode](f, r, ReweightConfig(mode=mode, **params))
+    """The weights of mode on losses at temperature r."""
+    schedule = TemperatureSchedule(r_initial=r, r_final=r)
+    return compute_batch_weights(losses, ReweightConfig(mode=mode, schedule=schedule, **params))
 
 
 class TestScoredModes:
@@ -107,7 +108,7 @@ class TestScoredModes:
             temper_weights([0.8, 0.0, 0.8], r=1.0),
         )
 
-    def test_uniform_has_no_score(self):
+    def test_uniform_is_a_constant_score(self):
         # Exactly 1/b, whatever the losses and the temperature.
         for r in (1e-6, 1.0):
             np.testing.assert_array_equal(_mode_weights("uniform", [-0.3, 0.1, 0.2], r),
@@ -344,6 +345,14 @@ class TestScheduleR:
         with pytest.raises(ValidationError):
             schedule_r(-1, TemperatureSchedule())
 
+    @pytest.mark.parametrize("step", [[0, 10], (0, 10), np.arange(2), np.array([3])],
+                             ids=["list", "tuple", "array", "one-element-array"])
+    def test_non_scalar_step_rejected(self, step):
+        shape = re.escape(str(np.shape(step)))
+        for kind in ("constant", "step_drop"):
+            with pytest.raises(ValidationError, match=rf"^step of shape {shape} is not one step$"):
+                schedule_r(step, TemperatureSchedule(kind=kind))
+
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ConfigError):
             TemperatureSchedule(kind="cosine")
@@ -427,6 +436,51 @@ class TestComputeBatchWeights:
                                rf"{re.escape(str(np.shape(steps)))} is not one step: give a "
                                rf"scalar step for losses of shape {shape}$"):
                 compute_batch_weights(losses, ReweightConfig(mode=mode), steps)
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("losses", [np.arange(4.0), np.ones((3, 4))],
+                             ids=["batch", "stack"])
+    def test_negative_step_rejected(self, mode, losses):
+        # dro_kl's temperature does not follow the schedule, but its step is
+        # checked all the same.
+        with pytest.raises(ValidationError, match="^step must be nonnegative$"):
+            compute_batch_weights(losses, ReweightConfig(mode=mode), -1)
+
+    def test_uniform_ignores_an_overflowing_range(self):
+        # uniform reads no normalization, so a finite loss range that
+        # overflows raises no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = compute_batch_weights([-1e308, 1e308], ReweightConfig(mode="uniform"))
+        assert w.tolist() == [0.5, 0.5]
+
+    SCORES = {
+        "linupper": lambda h, alpha: np.minimum(h + alpha, alpha),
+        "quadratic": lambda h, alpha: alpha * (1.0 - h**2 / alpha**2),
+        "extremes": lambda h, alpha: np.abs(h),
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("b", [3, 7, 32])
+    def test_equals_the_paper_formula(self, mode, b):
+        # Each mode's weights, bit for bit, from the public pieces, at a
+        # step before and after a temperature drop, for a batch and a stack.
+        alpha, cap, tau = 0.5, 0.4, 0.7
+        schedule = TemperatureSchedule(kind="step_drop", r_initial=3.0, r_final=0.2,
+                                       warmup_steps=5)
+        extra = {"capped": {"cap": cap}, "dro_kl": {"dro_tau": tau}}.get(mode, {})
+        config = ReweightConfig(mode=mode, alpha=alpha, schedule=schedule, **extra)
+        losses = np.random.default_rng(b).exponential(size=(3, b))
+        losses[1] = 2.0  # an all-equal row normalizes to zeros
+        for f in (losses[0], losses):
+            h = normalize_losses(f, alpha)
+            for step, r in ((4, 3.0), (5, 0.2)):
+                want = {
+                    "uniform": lambda: np.full(f.shape, 1 / b),
+                    "capped": lambda: capped_optimal_weights(h, r, cap),
+                    "dro_kl": lambda: temper_weights(f, tau),
+                }.get(mode, lambda: temper_weights(self.SCORES[mode](h, alpha), r))()
+                assert compute_batch_weights(f, config, step).tobytes() == want.tobytes()
 
     @given(
         losses=finite_losses,
@@ -622,7 +676,7 @@ def span_configs(draw, modes):
 def mixed_stacks(draw):
     """A loss stack and its (config, lo, hi) spans: any modes before and
     after a scored span, a capped or uniform span, and another scored span,
-    so that every draw tempers a gathered set of rows."""
+    so that every draw solves or tempers a span between tempered ones."""
     any_mode = span_configs(list(MODES))
     configs = (draw(st.lists(any_mode, max_size=2))
                + [draw(span_configs(SCORED_MODES)), draw(span_configs(["capped", "uniform"])),

@@ -386,13 +386,21 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         batch_weights.append(w.copy())
         return problem.weighted_grad(parts, w)
 
+    def temperature(t):
+        # The r column holds the temperature the weights used: dro_kl's tau.
+        schedule = reweight_config.schedule
+        if reweight_config.mode != "dro_kl":
+            return schedule_r(t, schedule)
+        tau = reweight_config.dro_tau
+        return schedule.r_final if tau is None else tau
+
     for t in range(steps):
         idx = next_batch()
         f = problem.losses(theta, idx)
         if not np.all(np.isfinite(f)) or f.max() > DIVERGENCE_LOSS:
             diverged, divergence_step = True, t
             break
-        r_value = schedule_r(t, reweight_config.schedule)
+        r_value = temperature(t)
         w = compute_batch_weights(f, reweight_config, t)
         if stepsize.kind == "convex_theory" and w.max() > 2.0 / batch_size + 1e-12:
             raise ConfigError(f"step {t}: observed w_max exceeds 2/b")
@@ -413,7 +421,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         idx = next_batch()
         f = problem.losses(theta, idx)
         w = compute_batch_weights(f, reweight_config, 0)
-        record_step(0, idx, f, w, schedule_r(0, reweight_config.schedule))
+        record_step(0, idx, f, w, temperature(0))
 
     dtypes = {"step": int, "r": object}
     return ReferenceRun(columns={name: np.array(values, dtype=dtypes.get(name, float))
