@@ -24,6 +24,15 @@ one-cell case of that path, without iterate or weight history, and writes
 its trajectory and sidecar with the same code, so each cell's CSV and
 sidecar equal the ones `run` writes for the same config, byte for byte.
 
+A sweep splits its runnable cells into W contiguous, near-equal shares, W
+the smaller of their count and the CPUs this process may run on (1 where
+os.fork or os.sched_getaffinity does not exist). The process trains and
+writes share 0 itself and forks one worker per other share; a worker writes
+its cells' CSVs and sidecars and sends back their summary rows. A row's
+arithmetic does not depend on its group, so every output is that of one
+process. The lockstep budget applies per worker: a sweep may hold
+W x LOCKSTEP_BYTES (8 MiB) of group arrays.
+
 Trajectory and dataset CSVs are written column by column by _write_csv:
 each value is written with repr, rows end in CRLF, and a column shorter
 than the others is empty in the first rows.
@@ -37,7 +46,9 @@ import json
 import math
 import operator
 import os
+import pickle
 import sys
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -324,6 +335,74 @@ def _summary_row(cell, out_dir, outcome):
     return row + [final, auc, "diverged" if outcome.diverged else "ok"]
 
 
+def _cpus():
+    """The number of CPUs this process may run on: 1 where it cannot fork or
+    the OS does not tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_share(cells, out_dir, share, trained):
+    """Write the cells of one share as they train, and return their (cell
+    index, summary row) pairs."""
+    # each trajectory is dropped once its CSV is written
+    return [(i, _summary_row(cells[i], out_dir, next(trained))) for i, _ in share]
+
+
+def _fork(job):
+    """Fork a worker that calls job and sends its pickled (value, None), or
+    (None, the exception it raised), through a pipe. The worker leaves by
+    os._exit, so no exit handler or stdio flush runs in it; it exits 0 once
+    the pipe holds its result. Return its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                result = (job(), None)
+            except Exception as exc:  # the parent raises it again
+                result = (None, exc)
+            with open(write, "wb") as fh:
+                pickle.dump(result, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)  # a later worker must not hold this pipe open
+    return pid, open(read, "rb")
+
+
+def _in_workers(jobs):
+    """Call every job and return their values in order: the first job in
+    this process, each other in a worker forked for it. Every worker is
+    reaped before this returns or raises, also when this process's own job
+    raises. A worker's exception is raised here again, and a worker that
+    died raises a RuntimeError naming its exit status."""
+    workers, statuses = [], []
+    try:
+        for job in jobs[1:]:
+            workers.append(_fork(job))
+        values = [job() for job in jobs[:1]]
+        payloads = [fh.read() for _, fh in workers]  # read every pipe before waiting
+    finally:
+        # Close every read end before waiting: a worker still writing gets
+        # EPIPE once neither this process nor a later worker holds its pipe.
+        for _, fh in workers:
+            fh.close()
+        for pid, _ in workers:
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), status, payload in zip(workers, statuses, payloads):
+        if status != 0:
+            raise RuntimeError(f"sweep worker {pid} died with exit status {status}")
+        value, exc = pickle.loads(payload)
+        if exc is not None:
+            raise exc
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_DEFAULTS)
     try:  # an existing directory is reused
@@ -344,14 +423,21 @@ def cmd_sweep(args) -> int:
             runnable.append((i, _make_reweight_config(cell)))
         except ConfigError as exc:
             outcomes[i] = exc
+    # W contiguous shares, one per worker. run_cells checks eagerly and
+    # trains lazily, so every share is checked here, before any fork.
+    W = max(1, min(len(runnable), _cpus()))
+    shares = [runnable[k * len(runnable) // W:(k + 1) * len(runnable) // W] for k in range(W)]
     try:
         problem = _make_problem(cfg)
-        trained = _run_cells(cfg, problem, [(rw, cells[i]["seed"]) for i, rw in runnable])
+        trained = [_run_cells(cfg, problem, [(rw, cells[i]["seed"]) for i, rw in share])
+                   for share in shares]
     except ConfigError as exc:  # record the shared failure for every cell
-        outcomes, runnable, trained = dict.fromkeys(range(len(cells)), exc), [], []
+        outcomes, shares, trained = dict.fromkeys(range(len(cells)), exc), [], []
     rows = [None] * len(cells)
-    for i, _ in runnable:  # each trajectory is dropped once its CSV is written
-        rows[i] = _summary_row(cells[i], args.out, next(trained))
+    jobs = [partial(_write_share, cells, args.out, share, share_outcomes)
+            for share, share_outcomes in zip(shares, trained)]
+    for i, row in chain.from_iterable(_in_workers(jobs)):
+        rows[i] = row
     for i, exc in outcomes.items():
         rows[i] = _summary_row(cells[i], args.out, exc)
     summary_path = os.path.join(args.out, "summary.csv")

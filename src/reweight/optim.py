@@ -398,7 +398,10 @@ class _Group:
         diverged = self.divergence_step[i] is not None
         columns = {name: col[i, :T] for name, col in self.cols.items()}
         columns["step"] = np.arange(T)
-        columns["r"] = np.array([_temperature(config, t) for t in range(T)], dtype=object)
+        # r changes at most once, at warmup_steps; the values keep their type
+        drop = config.schedule.warmup_steps
+        columns["r"] = r = np.empty(T, dtype=object)
+        r[:drop], r[drop:] = _temperature(config, 0), _temperature(config, drop)
         columns["mu_t"] = columns["mu_t"][1:]  # no previous iterate at step 0
         n_thetas = self.divergence_step[i] + 1 if diverged else self.steps + 1
         thetas = self.thetas[i, :n_thetas] if self.history else self.final[i][None]

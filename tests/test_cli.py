@@ -6,9 +6,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -481,13 +483,20 @@ class TestSweep:
                           r_values=[2, 0.5, 1.0], seeds=[0, 2]),
     }
 
-    @pytest.mark.parametrize("budget", [None, 1, "3cells"])
-    @pytest.mark.parametrize("problem", sorted(MIXED_SWEEPS))
-    def test_every_cell_matches_run(self, tmp_path, monkeypatch, problem, budget):
-        # Cells train in lockstep groups, and a group's rows must not affect
-        # one another: every cell CSV and sidecar equals its own `run` output.
-        # A budget of 1 byte runs each cell in a group of its own; one of
-        # three cells splits some strategy's cells across two groups.
+    # (problem, budget, workers): workers None leaves the CPU count as it is.
+    MIXED_CASES = [pytest.param(problem, budget, workers, id=f"{problem}-{budget}"
+                                + (f"-{workers}" if workers else ""))
+                   for problem in sorted(MIXED_SWEEPS) for budget in (None, 1, "3cells")
+                   for workers in (None, 1, 2, 3, 99)]
+
+    @pytest.mark.parametrize("problem, budget, workers", MIXED_CASES)
+    def test_every_cell_matches_run(self, tmp_path, monkeypatch, problem, budget, workers):
+        # Cells train in lockstep groups, in shares of one worker each, and
+        # neither a group's rows nor a share's cells may affect one another:
+        # every cell CSV and sidecar equals its own `run` output. A budget of
+        # 1 byte runs each cell in a group of its own; one of three cells
+        # splits some strategy's cells across two groups. 99 workers are more
+        # than any sweep's cells, so each cell trains in a share of its own.
         strategies = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
         payload = dict(SMALL_RUN, steps=60, strategies=strategies, **self.MIXED_SWEEPS[problem])
         sweep_cfg = write_config(tmp_path / "sweep.json", payload)
@@ -496,6 +505,8 @@ class TestSweep:
             budget = 3 * cell_bytes(built, payload["batch_size"], payload["steps"])
         if budget is not None:
             monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
+        if workers is not None:
+            monkeypatch.setattr(cli, "_cpus", lambda: workers)
         sweep_dir = tmp_path / "sweep"
         code = main(["sweep", "--config", sweep_cfg, "--out", str(sweep_dir)])
         summary = list(csv.DictReader((sweep_dir / "summary.csv").read_text().splitlines()))
@@ -690,6 +701,109 @@ class TestSweep:
         cfg = write_config(tmp_path / "sweep.json", dict(SMALL_RUN, seeds=[0], steps=2))
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "summary.csv").exists()
+
+
+def assert_no_child_left():
+    """Every child process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepWorkers:
+    """A sweep trains its shares in forked workers: the outputs are those of
+    one process, every worker is reaped, and a worker's failure is raised."""
+
+    def test_pinned_and_default_runs_write_the_same_bytes(self, tmp_path):
+        # The entry point as users run it: on every CPU this process may use,
+        # and pinned to one, which trains every cell in one process.
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, strategies=["uniform", "linupper", "capped"],
+                                seeds=[0, 1], cap=0.001))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def sweep(out, preexec_fn=None):
+            proc = subprocess.run([sys.executable, "-m", "reweight.cli", "sweep", "--config", cfg,
+                                   "--out", str(tmp_path / out)], env=env, capture_output=True,
+                                  text=True, preexec_fn=preexec_fn, timeout=120)
+            assert proc.returncode == EXIT_CONFIG  # the capped cells' cap is infeasible
+            assert proc.stderr.count("failed cell capped") == 2
+            return {path.name: path.read_bytes() for path in (tmp_path / out).iterdir()}
+
+        default = sweep("default")
+        assert len(default) == 2 * 5  # four trained cells and the summary, with sidecars
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        if len(cpus) < 2:
+            pytest.skip("a pinned run would train as the default one does on one CPU")
+        assert sweep("pinned", lambda: os.sched_setaffinity(0, {min(cpus)})) == default
+
+    def run_two_shares(self, tmp_path, monkeypatch, summary_row):
+        """Sweep four cells in two shares, uniform's two seeds in this process
+        and linupper's in a worker, with cli._summary_row replaced."""
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_summary_row", summary_row)
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, strategies=["uniform", "linupper"], seeds=[0, 1]))
+        return main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+
+    def test_worker_exception_is_raised_again(self, tmp_path, monkeypatch):
+        summary_row = cli._summary_row
+
+        def failing(cell, out_dir, outcome):
+            if (cell["strategy"], cell["seed"]) == ("linupper", 1):
+                raise ValueError("cannot write linupper seed 1")
+            return summary_row(cell, out_dir, outcome)
+
+        with pytest.raises(ValueError, match="^cannot write linupper seed 1$"):
+            self.run_two_shares(tmp_path, monkeypatch, failing)
+        assert_no_child_left()
+
+    def test_dead_worker_raises_its_exit_status(self, tmp_path, monkeypatch):
+        parent, summary_row = os.getpid(), cli._summary_row
+
+        def dying(cell, out_dir, outcome):
+            if os.getpid() != parent:
+                os._exit(7)
+            return summary_row(cell, out_dir, outcome)
+
+        with pytest.raises(RuntimeError, match="died with exit status 7$"):
+            self.run_two_shares(tmp_path, monkeypatch, dying)
+        assert_no_child_left()
+
+    def test_workers_are_reaped_when_this_share_raises(self, tmp_path, monkeypatch):
+        parent, summary_row = os.getpid(), cli._summary_row
+
+        def failing_here(cell, out_dir, outcome):
+            if os.getpid() == parent:
+                raise OSError("disk full")
+            return summary_row(cell, out_dir, outcome)
+
+        with pytest.raises(OSError, match="^disk full$"):
+            self.run_two_shares(tmp_path, monkeypatch, failing_here)
+        assert_no_child_left()
+
+    def test_reaping_never_waits_on_a_full_pipe(self):
+        # This process's job raises while two workers each send more than a
+        # pipe holds, and the second worker holds a copy of the first one's
+        # read end. Every read end is closed before any wait, so each worker
+        # gets EPIPE and exits instead of blocking; the alarm turns a hang
+        # into a failure.
+        def fail():
+            raise OSError("disk full")
+
+        def timeout(signum, frame):
+            raise TimeoutError("a worker blocked on its pipe")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            with pytest.raises(OSError, match="^disk full$"):
+                cli._in_workers([fail, partial(bytes, 1 << 20), partial(bytes, 1 << 20)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
 
 
 # Small problems whose sample counts are not a multiple of most batch sizes,

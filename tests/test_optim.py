@@ -14,6 +14,7 @@ from reweight.core import (
     ReweightConfig,
     TemperatureSchedule,
     ValidationError,
+    _temperature,
     capped_optimal_weights,
     compute_batch_weights,
     schedule_r,
@@ -563,6 +564,39 @@ def assert_same_cell(got, want, problem=None):
                       batch_weights=want.batch_weights, diverged=got.diverged,
                       divergence_step=got.divergence_step)
     assert_same_run(full, want, problem)
+
+
+def step_drop(r_initial, r_final, warmup_steps):
+    return TemperatureSchedule(kind="step_drop", r_initial=r_initial, r_final=r_final,
+                               warmup_steps=warmup_steps)
+
+
+class TestTemperatureColumn:
+    """The r column, built from its values before and after warmup_steps,
+    equals the per-step _temperature of every recorded step, type and all."""
+
+    STEPS = 12
+
+    @pytest.mark.parametrize("config", [
+        ReweightConfig(schedule=TemperatureSchedule(kind="constant", r_initial=0.5,
+                                                    r_final=3.0, warmup_steps=5)),
+        ReweightConfig(schedule=step_drop(100.0, 1.0, 0)),
+        ReweightConfig(schedule=step_drop(100.0, 1.0, 5)),
+        ReweightConfig(schedule=step_drop(100.0, 1.0, STEPS)),
+        ReweightConfig(schedule=step_drop(100.0, 1.0, STEPS + 30)),
+        ReweightConfig(mode="dro_kl", dro_tau=2.0, schedule=step_drop(100.0, 1.0, 5)),
+        ReweightConfig(mode="dro_kl", schedule=step_drop(100.0, 0.5, 5)),
+        ReweightConfig(mode="uniform", schedule=step_drop(100, 2, 5)),
+        ReweightConfig(schedule=constant_schedule(2)),
+    ], ids=["constant", "step_drop-0", "step_drop-mid", "step_drop-T", "step_drop-after-T",
+            "dro_kl-tau", "dro_kl-no-tau", "int-step_drop", "int-constant"])
+    @pytest.mark.parametrize("steps", [0, STEPS])
+    def test_matches_per_step_temperature(self, quadratic_problem, config, steps):
+        (traj,) = run_cells(quadratic_problem, [(config, 0)], StepSizeRule(eta=0.01), 8, steps)
+        want = [_temperature(config, t) for t in range(max(steps, 1))]
+        r = traj.columns["r"]
+        assert r.dtype == object
+        assert [repr(x) for x in r.tolist()] == [repr(x) for x in want]
 
 
 class TestLockstepMatchesReference:
