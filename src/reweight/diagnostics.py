@@ -21,9 +21,9 @@ __all__ = [
 
 def gap_sum(u: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_i u_i * values_i for u = 1/b - w along the last axis, unchecked:
-    a scalar for one batch, one sum per row for a stack. The arithmetic of
-    delta_t, mu_t and grad_gap_term; training calls it directly with u
-    computed once per step."""
+    a scalar for one batch, one sum per batch for a stack of them. The
+    arithmetic of delta_t, mu_t and grad_gap_term; training calls it
+    directly, on a block of steps with u computed once per block."""
     return np.add.reduce(u * values, axis=-1)
 
 

@@ -25,16 +25,25 @@ not finite leaves the stack; the others go on. A diverging run's overflows
 raise no numpy warnings. The loop has one shape: a single run,
 run_training or the CLI's `run`, is a one-row stack.
 
-The same loss_grad call also returns the per-sample squared gradient norms,
-for grad_gap, and the previous iterates' losses on the step's rows, for
-mu_t; delta_t takes the problem's losses at its optimum, where it has one.
-The diagnostics are computed from those arrays as one value per row and go
-into preallocated per-cell column arrays, one per CSV column in COLUMNS; a
-cell's Trajectory takes its columns as views of them. A problem without
-optimal losses has no delta_t column.
+A step computes only what the update and the guards read: loss_grad, the
+blow-up guard, the weights, w_max under convex_theory, the weighted
+gradient, the update and its finiteness check. It copies what the
+diagnostic columns read into per-group block buffers of BLOCK steps: the
+losses, weights and squared gradient norms (loss_grad returns the
+per-sample ||g_i||^2, for grad_gap), the previous iterates' losses on the
+step's rows (for mu_t), the batch indices where delta_t reads the
+problem's losses at its optimum, and the iterates where test_loss or
+theta_dist_sq reads them. A block flush computes every column of its steps
+for all rows at once, one vectorized pass per column with the per-step
+arithmetic, so each value is bit for bit what a per-step computation
+writes. A group flushes when its block fills, before a diverging row
+leaves the stack, and when the loop ends. The columns go into
+preallocated per-cell arrays, one per CSV column in COLUMNS; a cell's
+Trajectory takes its columns as views of them. A problem without optimal
+losses has no delta_t column.
 
-Cells run in groups sized so that their columns, epoch orders and
-histories fit in LOCKSTEP_BYTES.
+Cells run in groups sized so that their columns, block buffers, epoch
+orders and histories fit in LOCKSTEP_BYTES.
 """
 
 from __future__ import annotations
@@ -66,6 +75,9 @@ DIVERGENCE_LOSS = 1e12
 # (2000 steps, b = 32, n = 4000) a cell holds about 0.14 MB, so the sweep's
 # 20 cells run as one group.
 LOCKSTEP_BYTES = 8 << 20
+
+# Steps whose diagnostic columns a lockstep group computes in one flush.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -189,12 +201,30 @@ class Trajectory:
         return self.thetas[-1]
 
 
+def _block_widths(problem, batch_size: int) -> dict[str, int]:
+    """The per-step arrays a block buffer keeps for a flush, each with its
+    width per row: the losses, weights, squared gradient norms and previous
+    iterates' losses, the batch indices where delta_t is kept and the
+    iterate where test_loss or theta_dist_sq is."""
+    kept = _kept(problem)
+    widths = dict.fromkeys(("f", "w", "g_sq", "f_prev"), batch_size)
+    if "delta_t" in kept:
+        widths["idx"] = batch_size
+    if "test_loss" in kept or "theta_dist_sq" in kept:
+        widths["theta"] = problem.dim
+    return widths
+
+
 def cell_bytes(problem, batch_size: int, steps: int, history: bool = False) -> int:
     """Bytes of one lockstep cell: its column arrays (see _kept), final
-    iterate and epoch order, plus with history the iterates and the batch
-    indices and weights."""
+    iterate and epoch order; its block buffers of min(BLOCK, steps) steps
+    (see _block_widths) and a flush's largest temporary, a (b,) array per
+    step for a gap sum's products or a (d + 1,) one for the test residuals;
+    plus with history the iterates and the batch indices and weights."""
     rows, d = max(steps, 1), problem.dim
-    size = 8 * (rows * len(_kept(problem)) + d + problem.n_samples)
+    per_step = sum(_block_widths(problem, batch_size).values()) + max(batch_size, d + 1)
+    size = 8 * (rows * len(_kept(problem)) + d + problem.n_samples
+                + min(BLOCK, rows) * per_step)
     if history:
         size += 8 * (steps + 1) * d + 16 * rows * batch_size
     return size
@@ -238,14 +268,17 @@ def _run_groups(cells, size, *args):
 class _Group:
     """One lockstep group. Rows of the iterate stack are the active cells,
     in cell order; `active` maps them to cell numbers in the group. The
-    per-row state is theta, z (with momentum) and prev_theta, and each
-    row's generator and epoch order.
+    per-row state is theta, z (with momentum) and prev_theta, each row's
+    generator and epoch order, and its block buffers (see _block_widths):
+    what steps t0 .. t0 + BLOCK - 1 recorded for the diagnostic columns,
+    which _flush computes.
 
     A cell whose cap fails is never a row. A row leaves the stack one way,
     through _stop: on a loss blow-up or an observed w_max above 2/b before
     the update (then the other rows retake the same step), or on a
-    non-finite update. A group of one cell is a one-row stack, like any
-    other.
+    non-finite update. A row that diverges leaves after a flush, which
+    computes its last columns; _stop keeps the other rows' blocks. A group
+    of one cell is a one-row stack, like any other.
     """
 
     def __init__(self, cells, problem, stepsize, batch_size, steps, momentum, history):
@@ -272,6 +305,10 @@ class _Group:
         self.rows = slice(None) if len(self.active) == G else self.active
 
         self.cols = {name: np.empty((G, rows)) for name in _kept(problem)}
+        self.block_steps, self.t0 = min(BLOCK, rows), 0
+        self.block = {name: np.empty((len(self.active), self.block_steps, width),
+                                     dtype=int if name == "idx" else float)
+                      for name, width in _block_widths(problem, batch_size).items()}
         self.final = np.empty((G, theta0.size))
         self.recorded = np.zeros(G, dtype=int)
         self.divergence_step = [None] * G
@@ -304,7 +341,7 @@ class _Group:
         """The active rows in the mask `rows` leave the stack: record their
         last iterate (their rows of theta), recorded step count and
         divergence step (errors are recorded by the caller), then drop them
-        from every per-row attribute."""
+        from every per-row attribute. The caller has flushed the block."""
         cells = self.active[rows]
         self.final[cells] = theta[rows]
         self.recorded[cells] = recorded
@@ -316,6 +353,7 @@ class _Group:
         self.orders = self.orders[keep]
         self.theta, self.z, self.prev_theta = (
             None if a is None else a[keep] for a in (self.theta, self.z, self.prev_theta))
+        self.block = {name: a[keep] for name, a in self.block.items()}
         self.spans = self._spans()
         self.rows = self.active
 
@@ -330,7 +368,6 @@ class _Group:
     @np.errstate(over="ignore", invalid="ignore")
     def _train(self):
         problem, b, n = self.problem, self.b, self.n
-        cols, inv_b = self.cols, 1.0 / b
         updating = self.steps > 0
         w_limit = _w_max_limit(b) if updating and self.stepsize.kind == "convex_theory" else None
 
@@ -346,31 +383,25 @@ class _Group:
             f, parts, g_sq, f_prev = problem.loss_grad(theta, idx, self.prev_theta)
             if not (np.isfinite(f).all() and f.max() <= DIVERGENCE_LOSS):
                 bad = ~(np.isfinite(f).all(axis=-1) & (f.max(axis=-1) <= DIVERGENCE_LOSS))
+                self._flush(t)
                 self._stop(bad, theta, t, step=t)
                 continue
             w = _span_weights(f, self.spans, t)  # f is finite: the guard checked it
-            w_max = w.max(axis=-1)
-            if w_limit is not None and (over := w_max > w_limit).any():
-                for row in np.flatnonzero(over):
-                    self.errors[self.active[row]] = _w_max_error(w_max[row], b,
-                                                                 f"step {t}: observed ")
-                self._stop(over, theta, 0)
-                continue
+            if w_limit is not None:
+                w_max = w.max(axis=-1)
+                if (over := w_max > w_limit).any():
+                    for row in np.flatnonzero(over):
+                        self.errors[self.active[row]] = _w_max_error(w_max[row], b,
+                                                                     f"step {t}: observed ")
+                    self._stop(over, theta, 0)  # a failed cell has no columns to flush
+                    continue
             pos += b
             rows = self.rows
-            u = inv_b - w
-            cols["train_loss"][rows, t] = f.sum(axis=-1) / b
-            if "test_loss" in cols:
-                cols["test_loss"][rows, t] = problem.test_loss(theta)
-            cols["w_max"][rows, t] = w_max
-            cols["w_min"][rows, t] = w.min(axis=-1)
-            if "delta_t" in cols:
-                cols["delta_t"][rows, t] = gap_sum(u, f - problem.losses_at_opt(idx))
-            if f_prev is not None:
-                cols["mu_t"][rows, t] = gap_sum(u, f - f_prev)
-            cols["grad_gap"][rows, t] = gap_sum(u, g_sq)
-            if "theta_dist_sq" in cols:
-                cols["theta_dist_sq"][rows, t] = ((theta - problem.theta_star) ** 2).sum(axis=-1)
+            k, step = t - self.t0, {"f": f, "w": w, "g_sq": g_sq, "f_prev": f_prev,
+                                    "idx": idx, "theta": theta}
+            for name, buf in self.block.items():
+                if step[name] is not None:  # no previous iterate at step 0
+                    buf[:, k] = step[name]
             if self.history:
                 self.indices[rows, t] = idx
                 self.batch_weights[rows, t] = w
@@ -388,10 +419,45 @@ class _Group:
             # A non-finite z makes theta non-finite, so theta tells for both.
             finite = np.isfinite(self.theta)
             if not finite.all():
+                self._flush(t + 1)
                 self._stop(~finite.all(axis=-1), theta, t + 1, step=t)
             t += 1
+            if t - self.t0 == self.block_steps:
+                self._flush(t)
+        self._flush(max(self.steps, 1))
         self.final[self.active] = self.theta
         self.recorded[self.active] = max(self.steps, 1)
+
+    def _flush(self, t):
+        """Compute the columns of steps t0 .. t - 1, which the block holds,
+        for every active row, one vectorized pass per column with the
+        per-step arithmetic, and start the next block at step t. u = 1/b - w
+        and the loss gaps overwrite the buffers they are formed from, so a
+        gap sum's product is the only (b,) temporary. mu_t has no value at
+        step 0."""
+        t0, self.t0 = self.t0, t
+        if t == t0 or not len(self.active):
+            return
+        problem, cols, rows, b = self.problem, self.cols, self.rows, self.b
+        block = {name: buf[:, :t - t0] for name, buf in self.block.items()}
+        f, w, f_prev = block["f"], block["w"], block["f_prev"]
+        steps = slice(t0, t)
+        cols["train_loss"][rows, steps] = f.sum(axis=-1) / b
+        cols["w_max"][rows, steps] = w.max(axis=-1)
+        cols["w_min"][rows, steps] = w.min(axis=-1)
+        if "test_loss" in cols:
+            cols["test_loss"][rows, steps] = problem.test_loss(block["theta"])
+        if "theta_dist_sq" in cols:
+            dev = np.subtract(block["theta"], problem.theta_star, out=block["theta"])
+            cols["theta_dist_sq"][rows, steps] = (dev ** 2).sum(axis=-1)
+        u = np.subtract(1.0 / b, w, out=w)
+        lo = int(t0 == 0)
+        gaps = np.subtract(f[:, lo:], f_prev[:, lo:], out=f_prev[:, lo:])
+        cols["mu_t"][rows, t0 + lo:t] = gap_sum(u[:, lo:], gaps)
+        cols["grad_gap"][rows, steps] = gap_sum(u, block["g_sq"])
+        if "delta_t" in cols:
+            f -= problem.losses_at_opt(block["idx"])
+            cols["delta_t"][rows, steps] = gap_sum(u, f)
 
     def _trajectory(self, i) -> Trajectory:
         config, T = self.cells[i][0], self.recorded[i]

@@ -237,9 +237,12 @@ class RegressionProblem(_LinearProblem):
     def test_loss(self, theta):
         """Mean test loss 0.5 mean((X1_test theta - y_test)^2) through the test
         split's R factor: equal to the direct mean up to rounding, never
-        negative. A float for one iterate, an (S,) array for a stack."""
-        r = _matvec(self._R_test, theta) - self._r_test
-        loss = 0.5 * ((r * r).sum(axis=-1) / self._n_test)
+        negative. A float for one iterate, and one value per iterate for a
+        stack, (S,) or a block's (S, k)."""
+        r = _matvec(self._R_test, theta)
+        r -= self._r_test
+        r *= r  # in place: a block of iterates holds one residual array
+        loss = 0.5 * (r.sum(axis=-1) / self._n_test)
         return float(loss) if loss.ndim == 0 else loss
 
 

@@ -483,22 +483,62 @@ class TestSweep:
                           r_values=[2, 0.5, 1.0], seeds=[0, 2]),
     }
 
-    # (problem, budget, workers): workers None leaves the CPU count as it is.
-    MIXED_CASES = [pytest.param(problem, budget, workers, id=f"{problem}-{budget}"
+    # (problem, budget, workers, block): workers None leaves the CPU count as
+    # it is, and block None leaves optim.BLOCK as it is.
+    MIXED_CASES = [pytest.param(problem, budget, workers, None, id=f"{problem}-{budget}"
                                 + (f"-{workers}" if workers else ""))
                    for problem in sorted(MIXED_SWEEPS) for budget in (None, 1, "3cells")
                    for workers in (None, 1, 2, 3, 99)]
+    MIXED_CASES += [pytest.param("regression", None, None, block,
+                                 id=f"regression-None-block{block}") for block in (1, 3)]
 
-    @pytest.mark.parametrize("problem, budget, workers", MIXED_CASES)
-    def test_every_cell_matches_run(self, tmp_path, monkeypatch, problem, budget, workers):
+    @staticmethod
+    def cell_payload(payload, strategy, r, seed):
+        """The `run` config of one sweep cell."""
+        run_payload = {k: v for k, v in payload.items()
+                       if k not in ("strategies", "r_values", "seeds")}
+        run_payload.update(strategy=strategy, schedule="constant", r_initial=r, r_final=r,
+                           seed=seed)
+        return run_payload
+
+    @pytest.fixture(scope="class")
+    def run_outputs(self, tmp_path_factory):
+        """`run`'s exit code, CSV bytes and sidecar bytes for a run config,
+        run once per config for the whole class: they depend only on the
+        problem and the cell, which the cases share."""
+        cache = {}
+
+        def outputs(run_payload):
+            key = json.dumps(run_payload, sort_keys=True)
+            if key not in cache:
+                tmp = tmp_path_factory.mktemp("run")
+                out = tmp / "run.csv"
+                code = main(["run", "--config", write_config(tmp / "run.json", run_payload),
+                             "--out", str(out)])
+                cache[key] = (code, *(path.read_bytes() if path.exists() else None
+                                      for path in (out, tmp / "run.csv.meta.json")))
+            return cache[key]
+
+        return outputs
+
+    @pytest.mark.parametrize("problem, budget, workers, block", MIXED_CASES)
+    def test_every_cell_matches_run(self, tmp_path, monkeypatch, run_outputs, problem, budget,
+                                    workers, block):
         # Cells train in lockstep groups, in shares of one worker each, and
         # neither a group's rows nor a share's cells may affect one another:
         # every cell CSV and sidecar equals its own `run` output. A budget of
         # 1 byte runs each cell in a group of its own; one of three cells
         # splits some strategy's cells across two groups. 99 workers are more
         # than any sweep's cells, so each cell trains in a share of its own.
+        # A block of 1 or 3 steps flushes the diagnostic columns around the
+        # dro_kl cells' divergence. The `run` outputs are made before any
+        # setting is patched.
         strategies = ["uniform", "linupper", "quadratic", "extremes", "capped", "dro_kl"]
         payload = dict(SMALL_RUN, steps=60, strategies=strategies, **self.MIXED_SWEEPS[problem])
+        for strategy in strategies:
+            for r in payload["r_values"]:
+                for seed in payload["seeds"]:
+                    run_outputs(self.cell_payload(payload, strategy, r, seed))
         sweep_cfg = write_config(tmp_path / "sweep.json", payload)
         if budget == "3cells":
             built = _make_problem(_load_config(sweep_cfg, SWEEP_DEFAULTS))
@@ -507,29 +547,24 @@ class TestSweep:
             monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
         if workers is not None:
             monkeypatch.setattr(cli, "_cpus", lambda: workers)
+        if block is not None:
+            monkeypatch.setattr(optim, "BLOCK", block)
         sweep_dir = tmp_path / "sweep"
         code = main(["sweep", "--config", sweep_cfg, "--out", str(sweep_dir)])
         summary = list(csv.DictReader((sweep_dir / "summary.csv").read_text().splitlines()))
         assert len(summary) == len(strategies) * len(payload["r_values"]) * len(payload["seeds"])
         statuses = set()
         for row in summary:
-            run_payload = {k: v for k, v in payload.items()
-                           if k not in ("strategies", "r_values", "seeds")}
-            run_payload.update(strategy=row["strategy"], schedule="constant",
-                               r_initial=json.loads(row["r"]), r_final=json.loads(row["r"]),
-                               seed=int(row["seed"]))
-            out = tmp_path / "run.csv"
-            run_code = main(["run", "--config", write_config(tmp_path / "run.json", run_payload),
-                             "--out", str(out)])
+            run_code, run_csv, run_meta = run_outputs(self.cell_payload(
+                payload, row["strategy"], json.loads(row["r"]), int(row["seed"])))
             name = f"{row['strategy']}_r{row['r']}_seed{row['seed']}.csv"
             statuses.add(row["status"].split(":")[0])
             if row["status"].startswith("error"):
                 assert run_code == EXIT_CONFIG and not (sweep_dir / name).exists()
                 continue
             assert run_code == (EXIT_DIVERGED if row["status"] == "diverged" else EXIT_OK)
-            assert (sweep_dir / name).read_bytes() == out.read_bytes()
-            assert (sweep_dir / (name + ".meta.json")).read_bytes() \
-                == (tmp_path / "run.csv.meta.json").read_bytes()
+            assert (sweep_dir / name).read_bytes() == run_csv
+            assert (sweep_dir / (name + ".meta.json")).read_bytes() == run_meta
         if problem == "regression":
             assert statuses == {"ok", "diverged", "error"} and code == EXIT_CONFIG
             assert {r["status"] for r in summary if r["strategy"] == "dro_kl"} == {"diverged"}

@@ -604,7 +604,8 @@ class TestLockstepMatchesReference:
     including cells beside rows that diverge or fail: bit for bit the
     one-cell run_training and the reference loop."""
 
-    def check(self, problem, cells, rule, batch_size, steps, momentum=False):
+    @staticmethod
+    def check(problem, cells, rule, batch_size, steps, momentum=False):
         args = (rule, batch_size, steps)
         for history in (True, False):
             same = assert_same_run if history else assert_same_cell
@@ -707,6 +708,61 @@ class TestLockstepMatchesReference:
         monkeypatch.setattr(optim, "LOCKSTEP_BYTES", 1)
         for a, b in zip(together, run_cells(*args)):
             assert column_text(a) == column_text(b)
+
+
+class TestLockstepMatchesReferenceAtBlockEdges(TestLockstepMatchesReference):
+    """The same cells with the diagnostic columns flushed every step and
+    every third step: block edges fall on every step, and around each stop,
+    at steps = 0 and in runs longer than a block. The default BLOCK runs
+    the base class, where steps < BLOCK."""
+
+    @pytest.fixture(autouse=True, params=[1, 3], ids=["block1", "block3"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(optim, "BLOCK", request.param)
+
+
+def _blow_up_cells():
+    # dro_kl's losses blow up at step 36 at this lr; the loss guard stops
+    # the row before its update, so steps 0 .. 35 are flushed.
+    problem = RegressionProblem(gen_regression(p=64, n=200, m=50, seed=0, n_test=16))
+    cells = [(ReweightConfig(mode="dro_kl", dro_tau=1.0), 0), (ReweightConfig(), 1)]
+    return (problem, cells, StepSizeRule(eta=1e-2), 8, 60, False), 36
+
+
+def _w_max_cells():
+    # linupper at r = 0.5 weighs a sample above 2/b at step 6, before the
+    # update: steps 0 .. 5 are flushed.
+    problem = QuadraticProblem(gen_quadratic_suite(M=32, d=8, seed=0))
+    cells = [(ReweightConfig(schedule=constant_schedule(0.5)), 0),
+             (ReweightConfig(mode="uniform"), 1)]
+    return (problem, cells, StepSizeRule(kind="convex_theory", L=problem.L), 8, 30, True), 6
+
+
+def _overflow_cells():
+    # The update of step 3 overflows; the step is recorded, so steps
+    # 0 .. 3 are flushed.
+    cells = [(ReweightConfig(), 9), (ReweightConfig(mode="uniform"), 1)]
+    return (_BlowUpProblem(), cells, StepSizeRule(eta=1.0), 4, 50, False), 4
+
+
+@pytest.mark.parametrize("where", [-1, 0, 1], ids=["edge-before", "edge-on", "edge-after"])
+@pytest.mark.parametrize("make", [_blow_up_cells, _w_max_cells, _overflow_cells],
+                         ids=["loss-blow-up", "observed-w_max", "non-finite-update"])
+def test_block_edge_beside_each_stop(monkeypatch, make, where):
+    # A stop flushes the steps before it, `flushed` of them. BLOCK =
+    # flushed - 1 puts a block edge one step before it, so the flush holds
+    # one step; BLOCK = flushed puts an edge on it, so a full block was
+    # flushed and the stop's flush is empty; BLOCK = flushed + 1 puts the
+    # edge one step after it, so the flush holds a block short of one step.
+    (problem, cells, rule, b, steps, momentum), flushed = make()
+    monkeypatch.setattr(optim, "BLOCK", flushed + where)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stopped = TestLockstepMatchesReference.check(problem, cells, rule, b, steps,
+                                                     momentum)[0]
+    if isinstance(stopped, ConfigError):
+        assert str(stopped).startswith(f"step {flushed}: observed w_max")
+    else:
+        assert len(stopped.columns["step"]) == flushed and stopped.diverged
 
 
 def test_infeasible_cap_has_one_message(small_regression):
@@ -844,12 +900,16 @@ class TestSummedGradientDrift:
 
 
 def test_sweep_toy_runs_as_one_group():
-    # A cell keeps only its seven regression columns, its final iterate and
-    # its epoch order, so the budget holds all 20 sweep_toy cells
-    # (gen_regression defaults, b = 32, 2000 steps; four strategies of five
-    # seeds) in one group.
+    # A cell keeps only its seven regression columns, its final iterate, its
+    # epoch order and a block of BLOCK steps: five (b,) buffers (losses,
+    # weights, squared gradient norms, previous losses, indices), its
+    # iterate and a flush's test residual, (d + 1,) > (b,). So the budget
+    # holds all 20 sweep_toy cells (gen_regression defaults, b = 32, 2000
+    # steps; four strategies of five seeds) in one group.
     problem = RegressionProblem(gen_regression())
-    assert cell_bytes(problem, 32, 2000) == 8 * (7 * 2000 + problem.dim + problem.n_samples)
+    d = problem.dim
+    assert cell_bytes(problem, 32, 2000) == 8 * (7 * 2000 + d + problem.n_samples
+                                                 + optim.BLOCK * (5 * 32 + d + d + 1))
     assert optim.LOCKSTEP_BYTES // cell_bytes(problem, 32, 2000) >= 20
 
 

@@ -381,6 +381,26 @@ def test_loss_grad_equals_separate_methods(make_problem):
                 np.testing.assert_array_equal(prev_losses, problem.losses(prev, idx))
 
 
+@pytest.mark.parametrize("d", [5, 16, 17])
+@pytest.mark.parametrize("b", [1, 64, 256])
+def test_quadratic_products_are_the_per_sample_products(d, b):
+    # Each A_i (theta - theta*) is the product of A_i alone, bit for bit,
+    # for one iterate and for a stack. Stacking a batch's matrices as one
+    # (b*d, d) product is not: with OpenBLAS it differs in the last bits
+    # wherever d > 8 is not a multiple of 4, here at d = 17.
+    problem = QuadraticProblem(gen_quadratic_suite(M=256, d=d, seed=d))
+    A, rng = problem.suite.A, np.random.default_rng(b)
+    for S in (None, 4):
+        shape = (d,) if S is None else (S, d)
+        theta = rng.standard_normal(shape)
+        idx = np.array([rng.choice(256, size=b, replace=False)
+                        for _ in range(S or 1)]).reshape(shape[:-1] + (b,))
+        dev = (theta - problem.theta_star).reshape(-1, d)
+        want = np.array([[A[i] @ row for i in ids]
+                         for row, ids in zip(dev, idx.reshape(-1, b))]).reshape(idx.shape + (d,))
+        assert problem.loss_grad(theta, idx)[1].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("make_problem", [
     lambda: RegressionProblem(gen_regression(p=64, n=400, m=100, seed=8, n_test=4)),
     lambda: NonconvexProblem(n_samples=500, dim=65, seed=8),
