@@ -72,8 +72,8 @@ __all__ = [
 DIVERGENCE_LOSS = 1e12
 
 # Bytes one lockstep group may hold (see cell_bytes). At the sweep_toy size
-# (2000 steps, b = 32, n = 4000) a cell holds about 0.14 MB, so the sweep's
-# 20 cells run as one group.
+# (2000 steps, b = 32, n = 4000) a cell holds about 0.22 MB, so 38 cells fit
+# and the sweep's 20 cells run as one group.
 LOCKSTEP_BYTES = 8 << 20
 
 # Steps whose diagnostic columns a lockstep group computes in one flush.

@@ -58,6 +58,13 @@ def write_config(path, payload):
     return str(path)
 
 
+def read_lines(path):
+    """A CSV the CLI wrote: its line count as `wc -l` reads it, and the
+    comma-separated fields of each line."""
+    raw = path.read_bytes()
+    return raw.count(b"\n"), [line.split(",") for line in raw.decode().splitlines()]
+
+
 SMALL_RUN = {
     "p": 4,
     "n": 64,
@@ -348,14 +355,14 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, steps=0, noise_c=1e300))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
-        assert "diverged at step 0; wrote 0 steps" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("diverged at step 0; wrote 0 steps")
         assert out.read_text().splitlines() == [",".join(COLUMNS)]
 
     def test_huge_final_iterate_warns_nothing(self, tmp_path):
         # The iterate grows huge, yet its losses stay bounded and its update
         # finite, so the run converges; the overflows on the way warn
-        # nothing. Run as the CI smoke step runs it, with numpy warnings made
-        # errors.
+        # nothing. Run through the `python -m reweight.cli` entry point, with
+        # numpy warnings made errors.
         cfg = write_config(tmp_path / "cfg.json", dict(problem="nonconvex", M=16, d=3,
                                                        lr=1e308, batch_size=8, steps=20,
                                                        strategy="dro_kl"))
@@ -367,6 +374,9 @@ class TestRun:
                               env=env, capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         assert proc.stdout.startswith("converged; wrote 20 steps")
+        # The non-convex problem has no optimal losses, so no delta_t.
+        _, rows = read_lines(tmp_path / "x.csv")
+        assert rows[0][6] == "delta_t" and not any(row[6] for row in rows[1:])
 
     def test_infeasible_cap_precedes_step_zero_divergence(self, tmp_path, capsys):
         # The cap fails before step 0, so the overflowing losses are never
@@ -417,22 +427,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert re.search(r"step \d+: observed w_max = [0-9.e-]+ exceeds 2/b = 0\.25", err)
 
-    def test_quadratic_theory_config_passes_w_max_check(self, tmp_path):
-        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "quadratic_theory.json")
-        out = tmp_path / "quad.csv"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert len(rows) == 500
-        assert max(float(r["w_max"]) for r in rows) <= 2.0 / 64 + 1e-12
-
-    def test_dro_kl_diverges_at_shared_lr(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            {"strategy": "dro_kl", "dro_tau": 1.0, "lr": 0.01, "steps": 2000},
-        )
-        out = tmp_path / "dro.csv"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
-
     def test_high_temperature_matches_uniform_losses(self, tmp_path):
         def losses_for(payload, name):
             cfg = write_config(tmp_path / f"{name}.json", payload)
@@ -445,6 +439,73 @@ class TestRun:
         hot = losses_for(dict(base, strategy="linupper"), "hot")
         uni = losses_for(dict(base, strategy="uniform"), "uni")
         assert np.abs(hot - uni).max() <= 1e-6
+
+
+def check_toy_regression(out, stdout):
+    lines, rows = read_lines(out)
+    assert lines == 2001
+    # delta_t is exact on the regression problem, so every step has one.
+    assert rows[0][6] == "delta_t" and all(row[6] for row in rows[1:])
+
+
+def check_quadratic_theory(out, stdout):
+    lines, rows = read_lines(out)
+    assert lines == 501
+    # Under the 1/(8L) step size the observed w_max stays within 2/b.
+    w_max = rows[0].index("w_max")
+    assert max(float(row[w_max]) for row in rows[1:]) <= 2.0 / 64 + 1e-12
+
+
+def check_dro_kl(out, stdout):
+    # At the lr the other strategies share, dro_kl stops where it diverges,
+    # with delta_t on every step up to there.
+    lines, rows = read_lines(out)
+    assert lines == 41
+    assert stdout.startswith("diverged at step 40;")
+    assert rows[0][6] == "delta_t" and all(row[6] for row in rows[1:])
+    # The r column is the temperature the weights used: dro_kl's dro_tau,
+    # not the schedule it ignores.
+    assert rows[0][3] == "r" and all(row[3] == "1.0" for row in rows[1:])
+
+
+def check_sweep_toy(out, stdout):
+    # Exit 0 alone would pass a sweep whose every cell diverged.
+    lines, summary = read_lines(out / "summary.csv")
+    assert lines - 1 == 20
+    assert all(row[-1] == "ok" for row in summary[1:])
+    # A cell cut short inside its lockstep group would still read ok.
+    cells = sorted(out.glob("*_seed*.csv"))
+    assert len(cells) == 20
+    assert [read_lines(path)[0] for path in cells] == [2001] * 20
+    # uniform is the softmax of a constant score: exactly 1/b = 1/32 per
+    # sample, so its weights' spread and delta_t are exactly zero.
+    uniform = sorted(out.glob("uniform_*.csv"))
+    assert len(uniform) == 5
+    for path in uniform:
+        _, rows = read_lines(path)
+        assert rows[0][4:7] == ["w_max", "w_min", "delta_t"]
+        assert all(row[4:7] == ["0.03125", "0.03125", "0.0"] for row in rows[1:])
+
+
+# The command each shipped config runs as, the exit code it must give and
+# the checks of what it writes. A config not named here runs as `run` and
+# must exit 0.
+SHIPPED = {
+    "toy_regression": ("run", EXIT_OK, check_toy_regression),
+    "quadratic_theory": ("run", EXIT_OK, check_quadratic_theory),
+    "dro_kl": ("run", EXIT_DIVERGED, check_dro_kl),  # diverges by design
+    "sweep_toy": ("sweep", EXIT_OK, check_sweep_toy),
+}
+
+
+@pytest.mark.parametrize("config", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                          .glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config(tmp_path, capsys, config):
+    command, code, check = SHIPPED.get(config.stem, ("run", EXIT_OK, None))
+    out = tmp_path / config.stem
+    assert main([command, "--config", str(config), "--out", str(out)]) == code
+    if check is not None:
+        check(out, capsys.readouterr().out)
 
 
 class TestSweep:
