@@ -6,12 +6,21 @@ printed in its line, and `tests/verify_stdout.txt` pins every line. The
 gradient check takes the problems it checks as an argument, so a problem
 with a deliberately broken `loss_grad` or `weighted_grad` can be used as a
 negative control; `run_all()` takes no arguments.
+
+`run_all()` runs the checks through the worker pool of `reweight.workers`,
+in W shares, W the smaller of the number of checks and the CPUs this process
+may run on: check i runs in share i mod W, share 0 in this process and each
+other share in a worker forked for it. The lines are printed in CHECKS
+order, so the output does not depend on W; at W = 1 nothing forks.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from . import workers
 from .core import capped_optimal_weights, normalize_losses
 from .diagnostics import delta_t
 from .oracle import brute_force_optimal_weights, finite_diff_grad, kkt_residual
@@ -204,11 +213,35 @@ CHECKS = [
 ]
 
 
+def _run_share(checks):
+    """The (passed, line) of each check in order, up to the first that
+    raises, whose exception ends the list."""
+    results = []
+    for check in checks:
+        try:
+            results.append(check())
+        except Exception as exc:  # run_all raises it in CHECKS order
+            results.append(exc)
+            break
+    return results
+
+
 def run_all() -> bool:
-    """Run every check and print its line; returns True only if all pass."""
+    """Run every check in W shares and print its line, in CHECKS order;
+    returns True only if all pass. A check that raises has its exception
+    raised here once the lines of the checks before it are printed, as if
+    the checks ran one after another."""
+    W = workers.pool_size(len(CHECKS))
+    jobs = [partial(_run_share, CHECKS[k::W]) for k in range(W)]
+    results = [None] * len(CHECKS)
+    for k, share in enumerate(workers.in_workers(jobs)):
+        for i, result in zip(range(k, len(CHECKS), W), share):
+            results[i] = result
     all_ok = True
-    for check in CHECKS:
-        ok, msg = check()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        ok, msg = result
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {msg}")
     return all_ok

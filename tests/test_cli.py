@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reweight import cli, optim, verify
+from reweight import cli, optim, verify, workers
 from reweight.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -544,12 +545,12 @@ class TestSweep:
                           r_values=[2, 0.5, 1.0], seeds=[0, 2]),
     }
 
-    # (problem, budget, workers, block): workers None leaves the CPU count as
-    # it is, and block None leaves optim.BLOCK as it is.
-    MIXED_CASES = [pytest.param(problem, budget, workers, None, id=f"{problem}-{budget}"
-                                + (f"-{workers}" if workers else ""))
+    # (problem, budget, n_workers, block): n_workers None leaves the CPU count
+    # as it is, and block None leaves optim.BLOCK as it is.
+    MIXED_CASES = [pytest.param(problem, budget, n_workers, None, id=f"{problem}-{budget}"
+                                + (f"-{n_workers}" if n_workers else ""))
                    for problem in sorted(MIXED_SWEEPS) for budget in (None, 1, "3cells")
-                   for workers in (None, 1, 2, 3, 99)]
+                   for n_workers in (None, 1, 2, 3, 99)]
     MIXED_CASES += [pytest.param("regression", None, None, block,
                                  id=f"regression-None-block{block}") for block in (1, 3)]
 
@@ -582,9 +583,9 @@ class TestSweep:
 
         return outputs
 
-    @pytest.mark.parametrize("problem, budget, workers, block", MIXED_CASES)
+    @pytest.mark.parametrize("problem, budget, n_workers, block", MIXED_CASES)
     def test_every_cell_matches_run(self, tmp_path, monkeypatch, run_outputs, problem, budget,
-                                    workers, block):
+                                    n_workers, block):
         # Cells train in lockstep groups, in shares of one worker each, and
         # neither a group's rows nor a share's cells may affect one another:
         # every cell CSV and sidecar equals its own `run` output. A budget of
@@ -606,8 +607,8 @@ class TestSweep:
             budget = 3 * cell_bytes(built, payload["batch_size"], payload["steps"])
         if budget is not None:
             monkeypatch.setattr(optim, "LOCKSTEP_BYTES", budget)
-        if workers is not None:
-            monkeypatch.setattr(cli, "_cpus", lambda: workers)
+        if n_workers is not None:
+            monkeypatch.setattr(workers, "cpus", lambda: n_workers)
         if block is not None:
             monkeypatch.setattr(optim, "BLOCK", block)
         sweep_dir = tmp_path / "sweep"
@@ -837,7 +838,7 @@ class TestSweepWorkers:
     def run_two_shares(self, tmp_path, monkeypatch, summary_row):
         """Sweep four cells in two shares, uniform's two seeds in this process
         and linupper's in a worker, with cli._summary_row replaced."""
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "cpus", lambda: 2)
         monkeypatch.setattr(cli, "_summary_row", summary_row)
         cfg = write_config(tmp_path / "sweep.json",
                            dict(SMALL_RUN, strategies=["uniform", "linupper"], seeds=[0, 1]))
@@ -895,10 +896,25 @@ class TestSweepWorkers:
         signal.alarm(30)
         try:
             with pytest.raises(OSError, match="^disk full$"):
-                cli._in_workers([fail, partial(bytes, 1 << 20), partial(bytes, 1 << 20)])
+                workers.in_workers([fail, partial(bytes, 1 << 20), partial(bytes, 1 << 20)])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        # A fork that fails (EAGAIN: too many processes) raises its error,
+        # and the pipe opened for the worker is closed again.
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("the open descriptors are counted in /proc/self/fd")
+        monkeypatch.setattr(os, "fork", failing_fork)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            workers.in_workers([int, int])
+        assert len(os.listdir("/proc/self/fd")) == before
         assert_no_child_left()
 
 
@@ -1100,6 +1116,59 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert lines[2] == "[FAIL] gradient check: failed on purpose"
         assert len(lines) == 6 and sum(line.startswith("[PASS]") for line in lines) == 5
+
+    def test_failing_check_in_a_worker_fails_run_all(self, monkeypatch, capsys):
+        # Three CPUs run check 2 in the second worker's share, and its
+        # verdict comes back through the pipe.
+        monkeypatch.setattr(workers, "cpus", lambda: 3)
+        self.test_failing_check_fails_run_all(monkeypatch, capsys)
+        assert_no_child_left()
+
+    PINNED = (Path(__file__).parent / "verify_stdout.txt").read_text()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 6, 99])
+    def test_stdout_is_pinned_at_every_worker_count(self, monkeypatch, capsys, cpus):
+        # W = min(6, cpus) shares, check i in share i mod W; the lines are
+        # printed in CHECKS order whichever share ran a check.
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == self.PINNED
+        assert_no_child_left()
+
+    def test_one_cpu_never_forks(self, monkeypatch, capsys):
+        def no_fork():
+            raise AssertionError("verify forked on one CPU")
+
+        monkeypatch.setattr(workers, "cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == self.PINNED
+
+    # (cpus, indices of the checks that raise): with 2 CPUs check 2 runs in
+    # this process and check 3 in the worker, with 3 CPUs check 1 runs in a
+    # worker and check 3 here. The first check that raises is the one raised.
+    RAISING = [pytest.param(cpus, raising, id=f"cpus{cpus}-raise{'+'.join(map(str, raising))}")
+               for cpus, raising in [(1, (2,)), (2, (2,)), (2, (3,)), (2, (1, 2)), (3, (1, 3)),
+                                     (3, (4, 5))]]
+
+    @pytest.mark.parametrize("cpus, raising", RAISING)
+    def test_raising_check_raises_after_the_lines_before_it(self, monkeypatch, capsys,
+                                                            cpus, raising):
+        # As the serial loop did, run_all prints the line of every check
+        # before the first that raises, and then raises its exception.
+        def fail(i):
+            raise ValueError(f"check {i} raised on purpose")
+
+        checks = list(verify.CHECKS)
+        for i in raising:
+            checks[i] = partial(fail, i)
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        monkeypatch.setattr(workers, "cpus", lambda: cpus)
+        with pytest.raises(ValueError, match=f"^check {raising[0]} raised on purpose$"):
+            verify.run_all()
+        out = capsys.readouterr().out
+        assert out.splitlines(keepends=True) == self.PINNED.splitlines(keepends=True)[:raising[0]]
+        assert_no_child_left()
 
     def test_scaled_quadratic_gradient_negative_control(self):
         problem = tampered(QuadraticProblem, grad=lambda g: (1.0 + 1e-4) * g)(
