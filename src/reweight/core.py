@@ -139,8 +139,9 @@ def _as_loss_array(losses) -> np.ndarray:
 
 
 def _row_r(r):
-    """A per-row temperature array as a column that broadcasts over (S, b)."""
-    return r[:, None] if isinstance(r, np.ndarray) else r
+    """A per-row temperature array as a column that broadcasts over (S, b);
+    a scalar r, a 0-d array included, as it is."""
+    return r[:, None] if isinstance(r, np.ndarray) and r.ndim else r
 
 
 def _temperature(config: ReweightConfig, step) -> float:
@@ -153,7 +154,8 @@ def _temperature(config: ReweightConfig, step) -> float:
 
 
 def _check_r(r) -> None:
-    if (r <= 0).any() if isinstance(r, np.ndarray) else r <= 0:
+    """Reject an r that is not > 0, NaN included; r = inf (uniform) passes."""
+    if not ((r > 0).all() if isinstance(r, np.ndarray) else r > 0):
         raise ConfigError("temperature r must be positive")
 
 
@@ -178,8 +180,8 @@ def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
     The epsilon guard makes an all-equal batch normalize to zeros.
     """
     f = _as_loss_array(losses)
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
     return _normalize(f, alpha)
 
 
@@ -263,8 +265,8 @@ MODES = {
     "uniform": lambda f, h, alpha: np.zeros(f.shape),
     # proportional to loss, capped
     "linupper": lambda f, h, alpha: np.minimum(h + alpha, alpha),
-    # favors moderate losses
-    "quadratic": lambda f, h, alpha: alpha * (1.0 - h**2 / alpha**2),
+    # favors moderate losses; h / alpha lies in [-1, 1], so no alpha overflows
+    "quadratic": lambda f, h, alpha: alpha * (1.0 - (h / alpha) ** 2),
     # favors both tails
     "extremes": lambda f, h, alpha: np.abs(h),
     # solved on the capped simplex, not tempered: see _weigh

@@ -178,8 +178,8 @@ class Trajectory:
     """Recorded run: the per-step diagnostics as columns, the iterate history
     (theta^0 .. theta^T), each recorded step's batch indices and weights,
     and the divergence flag. Step t's batch losses are
-    problem.losses(thetas[t], batch_indices[t]), bit for bit, so they are
-    not kept. A cell run without history keeps only its final iterate in
+    problem.loss_grad(thetas[t], batch_indices[t])[0], bit for bit, so they
+    are not kept. A cell run without history keeps only its final iterate in
     thetas, and its batch indices and weights are None.
 
     columns maps a name in COLUMNS to an array with one value per recorded
@@ -268,10 +268,10 @@ def _run_groups(cells, size, *args):
 class _Group:
     """One lockstep group. Rows of the iterate stack are the active cells,
     in cell order; `active` maps them to cell numbers in the group. The
-    per-row state is theta, z (with momentum) and prev_theta, each row's
-    generator and epoch order, and its block buffers (see _block_widths):
-    what steps t0 .. t0 + BLOCK - 1 recorded for the diagnostic columns,
-    which _flush computes.
+    per-row state is theta and z (with momentum), both starting at zero,
+    prev_theta, each row's generator and epoch order, and its block
+    buffers (see _block_widths): what steps t0 .. t0 + BLOCK - 1 recorded
+    for the diagnostic columns, which _flush computes.
 
     A cell whose cap fails is never a row. A row leaves the stack one way,
     through _stop: on a loss blow-up or an observed w_max above 2/b before
@@ -295,9 +295,8 @@ class _Group:
         self.rngs = [np.random.default_rng(cells[i][1]) for i in self.active]
         self.orders = np.empty((len(self.active), self.n), dtype=int)
         self._shuffle()
-        theta0 = problem.theta_init()
         self.eta = theory_stepsize(stepsize)
-        self.theta = np.repeat(theta0[None], len(self.active), 0)
+        self.theta = np.zeros((len(self.active), problem.dim))
         self.z = self.theta.copy() if momentum else None
         self.prev_theta = None
         self.spans = self._spans()
@@ -309,12 +308,12 @@ class _Group:
         self.block = {name: np.empty((len(self.active), self.block_steps, width),
                                      dtype=int if name == "idx" else float)
                       for name, width in _block_widths(problem, batch_size).items()}
-        self.final = np.empty((G, theta0.size))
+        self.final = np.empty((G, problem.dim))
         self.recorded = np.zeros(G, dtype=int)
         self.divergence_step = [None] * G
         if history:
-            self.thetas = np.empty((G, steps + 1, theta0.size))
-            self.thetas[:, 0] = theta0
+            self.thetas = np.empty((G, steps + 1, problem.dim))
+            self.thetas[:, 0] = 0.0
             self.indices = np.empty((G, rows, batch_size), dtype=int)
             self.batch_weights = np.empty((G, rows, batch_size))
 

@@ -12,14 +12,15 @@ Each problem exposes the vectorized `loss_grad(theta, idx, prev=None) ->
 gathers the rows once, computes the residual once, returns what
 `weighted_grad(parts, w)` needs to form sum_i w_i g_i without storing any
 g_i, the squared gradient norms ||g_i||^2, and, given the previous iterate
-prev, that iterate's losses on the same rows (None without prev).
-`losses(theta, idx)` gives the losses alone by the same arithmetic, and L is
-the exact smoothness constant. The regression and non-convex problems are
-linear models that differ only in their per-sample loss of the residual, so
-they share one implementation. Their gradient is phi'(r_i) x_i: parts are
-(phi'(r), rows), the sum is (w phi'(r))' rows, and ||g_i||^2 =
-phi'(r_i)^2 ||x_i||^2 (Goodfellow, arXiv:1510.01799), with ||x_i||^2 kept
-once per problem. The quadratic problem's parts are its gradients.
+prev, that iterate's losses on the same rows (None without prev). It is
+each problem's one loss path: the oracles and finite differences read
+`loss_grad(...)[0]`. L is the exact smoothness constant. The regression
+and non-convex problems are linear models that differ only in their
+per-sample loss of the residual, so they share one implementation. Their
+gradient is phi'(r_i) x_i: parts are (phi'(r), rows), the sum is
+(w phi'(r))' rows, and ||g_i||^2 = phi'(r_i)^2 ||x_i||^2 (Goodfellow,
+arXiv:1510.01799), with ||x_i||^2 kept once per problem. The quadratic
+problem's parts are its gradients.
 
 The regression and quadratic problems give `losses_at_opt(idx)`, the losses
 f_i(theta*) at the training objective's minimizer, from which training
@@ -176,12 +177,6 @@ class _LinearProblem:
         self._row_sq = (rows**2).sum(axis=1)
         self.n_samples, self.dim = rows.shape
 
-    def theta_init(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def losses(self, theta, idx) -> np.ndarray:
-        return self._phi(_matvec(self._rows[idx], theta) - self._targets[idx])[0]
-
     def loss_grad(self, theta, idx, prev=None):
         rows, y = self._rows[idx], self._targets[idx]
         f, df = self._phi(_matvec(rows, theta) - y)
@@ -224,7 +219,7 @@ class RegressionProblem(_LinearProblem):
         with np.errstate(over="ignore", invalid="ignore"):
             X1 = self._rows
             theta_opt = np.linalg.lstsq(X1.T @ X1, X1.T @ data.y, rcond=None)[0]
-            self._f_opt = self.losses(theta_opt, slice(None))
+            self._f_opt = self.loss_grad(theta_opt, slice(None))[0]
 
     @staticmethod
     def _phi(r):
@@ -255,12 +250,6 @@ class QuadraticProblem:
         self.n_samples = suite.M
         self.L = suite.L
         self.theta_star = suite.theta_star
-
-    def theta_init(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def losses(self, theta, idx) -> np.ndarray:
-        return self._loss_grad(self.suite.A[idx], theta)[0]
 
     def loss_grad(self, theta, idx, prev=None):
         A = self.suite.A[idx]

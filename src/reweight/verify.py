@@ -94,14 +94,15 @@ def check_kkt():
 def check_gradients(problems=None):
     """Each problem's gradient as the update forms it, weighted_grad of
     loss_grad's parts at weight 1 on one sample (exactly that sample's g), vs
-    central finite differences of its losses, relative error, at each of a
-    stack of random iterates. The losses loss_grad returns, at the iterate
-    and at prev, must also equal `losses` bit for bit, and its squared
-    gradient norms (g**2).sum(-1) to 1e-12 relative to the larger of the
-    two. By default the regression, quadratic and non-convex problems are
-    checked."""
+    central finite differences of loss_grad's losses, relative error, at
+    each of a stack of random iterates. With theta and prev swapped,
+    loss_grad must return as its losses exactly the previous losses it
+    returned before, and the reverse, which mu_t relies on; its squared
+    gradient norms must equal (g**2).sum(-1) to 1e-12 relative to the
+    larger of the two. By default the regression, quadratic and non-convex
+    problems are checked."""
     errors = []
-    exact = norms = True
+    swapped = norms = True
     # Below this gradient magnitude the comparison is effectively absolute:
     # central differences on near-flat regions are dominated by cancellation
     # noise ~1e-10, which is why gradient_points avoids them.
@@ -112,20 +113,20 @@ def check_gradients(problems=None):
     for problem, theta, prev, idx in gradient_points(problems):
         f, parts, g_sq, f_prev = problem.loss_grad(theta, idx, prev)
         g = problem.weighted_grad(parts, np.ones(idx.shape))
-        fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
+        fd = finite_diff_grad(lambda th: problem.loss_grad(th, idx)[0][:, 0], theta)
         err = np.abs(g - fd).max(axis=1)
         rel = err / np.maximum(np.abs(fd).max(axis=1), grad_floor)
         errors.append(rel.max())
-        exact &= (np.array_equal(f, problem.losses(theta, idx))
-                  and np.array_equal(f_prev, problem.losses(prev, idx)))
+        f_swap, _, _, f_prev_swap = problem.loss_grad(prev, idx, theta)
+        swapped &= np.array_equal(f, f_prev_swap) and np.array_equal(f_prev, f_swap)
         g_sq, direct = g_sq[:, 0], (g**2).sum(axis=-1)
         norms &= bool((np.abs(g_sq - direct) <= norm_tol * np.maximum(g_sq, direct)).all())
     ok, msg = _verdict("gradient check: max rel err", errors, 1e-5)
-    if not exact:
-        msg += "; loss_grad's losses differ from losses()"
+    if not swapped:
+        msg += "; loss_grad's losses differ from its previous losses with theta and prev swapped"
     if not norms:
         msg += "; loss_grad's squared gradient norms differ from its gradients'"
-    return ok and exact and norms, msg
+    return ok and swapped and norms, msg
 
 
 def gradient_points(problems=None):

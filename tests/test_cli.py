@@ -301,6 +301,17 @@ class TestRun:
         assert meta["seed"] == 42
         assert meta["strategy"] == "linupper"
 
+    def test_quadratic_strategy_runs_at_a_huge_alpha(self, tmp_path):
+        # alpha**2 overflows a float above about 1.34e154; the config takes
+        # any finite alpha > 0, so the run must go through.
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, strategy="quadratic",
+                                                       alpha=1e200))
+        out = tmp_path / "traj.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == SMALL_RUN["steps"]
+        assert np.isfinite([float(row["train_loss"]) for row in rows]).all()
+
     def test_unknown_config_key_exits_config(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"learning_rate": 0.1})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) \
@@ -1179,12 +1190,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("tamper", ["losses", "prev_losses"])
     def test_losses_one_ulp_off_negative_control(self, tamper):
-        # The gradient is right; only the losses are one ulp off `losses`.
+        # The gradient is right; only the losses, or only the previous
+        # losses, are one ulp off, so the two no longer swap with the iterates.
         problem = tampered(NonconvexProblem, **{tamper: lambda f: np.nextafter(f, np.inf)})(
             n_samples=32, dim=6)
         ok, msg = verify.check_gradients(problems=[problem])
         assert not ok
-        assert "differ from losses()" in msg
+        assert msg.endswith("loss_grad's losses differ from its previous losses with theta "
+                            "and prev swapped")
 
     GRAD_SQ_PROBLEMS = {
         "regression": (RegressionProblem, lambda: (gen_regression(p=6, n=24, m=8, n_test=1),)),
@@ -1217,7 +1230,7 @@ class TestVerify:
         points = list(verify.gradient_points())
         assert len(points) == 3
         for problem, theta, _, idx in points:
-            fd = finite_diff_grad(lambda th: problem.losses(th, idx)[:, 0], theta)
+            fd = finite_diff_grad(lambda th: problem.loss_grad(th, idx)[0][:, 0], theta)
             assert np.abs(fd).max(axis=1).min() >= 1e-3, type(problem).__name__
 
     def test_untampered_problems_pass(self):
@@ -1240,13 +1253,15 @@ class TestVerify:
 def tampered(base, grad=lambda g: g, losses=lambda f: f, prev_losses=lambda f: f,
              grad_sq=lambda s: s):
     """A subclass of the problem class base whose loss_grad passes its
-    losses, squared gradient norms and previous losses through the given
-    functions, and whose weighted_grad passes its sum through grad."""
+    losses, squared gradient norms and previous losses (None without prev)
+    through the given functions, and whose weighted_grad passes its sum
+    through grad."""
 
     class Tampered(base):
         def loss_grad(self, theta, idx, prev=None):
             f, parts, g_sq, f_prev = super().loss_grad(theta, idx, prev)
-            return losses(f), parts, grad_sq(g_sq), prev_losses(f_prev)
+            f_prev = None if f_prev is None else prev_losses(f_prev)
+            return losses(f), parts, grad_sq(g_sq), f_prev
 
         def weighted_grad(self, parts, w):
             return grad(super().weighted_grad(parts, w))

@@ -102,6 +102,14 @@ class TestScoredModes:
             temper_weights([0.0, 1.0, 0.75, 0.0], r=1.0),
         )
 
+    def test_quadratic_takes_an_alpha_whose_square_overflows(self):
+        # alpha**2 overflows a float above about 1.34e154, while the config
+        # takes any finite alpha > 0.
+        losses = np.random.default_rng(0).exponential(size=(3, 8))
+        w = _mode_weights("quadratic", losses, alpha=1e200)
+        assert np.isfinite(w).all()
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=1e-15)
+
     def test_extremes_example(self):
         np.testing.assert_allclose(
             _mode_weights("extremes", [-0.8, 0.0, 0.8], alpha=0.8),
@@ -145,6 +153,11 @@ class TestTemperWeights:
     def test_nonpositive_r_rejected(self):
         with pytest.raises(ConfigError):
             temper_weights([1.0, 2.0], r=0.0)
+
+    def test_infinite_r_is_uniform(self):
+        h = np.array([0.3, -1.0, 0.8, 0.1])
+        np.testing.assert_array_equal(temper_weights(h, np.inf), np.full(4, 0.25))
+        np.testing.assert_array_equal(capped_optimal_weights(h, np.inf, 0.5), np.full(4, 0.25))
 
     @given(losses=finite_losses, const=st.floats(min_value=-50, max_value=50))
     def test_score_shift_invariance(self, losses, const):
@@ -590,6 +603,33 @@ class TestConfigFields:
     def test_finite_numbers_and_integers_accepted(self, cls, base, name):
         for value in (np.int64(3), 3):
             assert getattr(cls(**base, **{name: value}), name) == 3
+
+
+_H = np.array([0.3, -1.0, 0.8, 0.1])
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: temper_weights(_H, np.nan), "temperature r must be positive"),
+    (lambda: temper_weights(_H, np.array(np.nan)), "temperature r must be positive"),
+    (lambda: temper_weights(np.stack([_H, _H]), np.array([1.0, np.nan])),
+     "temperature r must be positive"),
+    (lambda: capped_optimal_weights(_H, np.nan, 0.5), "temperature r must be positive"),
+    (lambda: brute_force_optimal_weights(_H, np.nan, 0.5), "temperature r must be positive"),
+    (lambda: normalize_losses(_H, np.nan), "alpha must be a finite number > 0, got nan"),
+    (lambda: normalize_losses(_H, np.inf), "alpha must be a finite number > 0, got inf"),
+    (lambda: temper_weights(_H, np.array(0.5)), lambda: temper_weights(_H, 0.5)),
+    (lambda: capped_optimal_weights(np.stack([_H, -_H]), np.array(0.5), 0.5),
+     lambda: capped_optimal_weights(np.stack([_H, -_H]), 0.5, 0.5)),
+], ids=["temper-nan", "temper-0d-nan", "temper-row-nan", "capped-nan", "oracle-nan",
+        "alpha-nan", "alpha-inf", "temper-0d", "capped-0d"])
+def test_non_finite_or_0d_temperature_and_alpha(call, want):
+    # A NaN r or a non-finite alpha is a ConfigError naming it, as the
+    # configs' own checks are; a 0-d r is one temperature for every row.
+    if isinstance(want, str):
+        with pytest.raises(ConfigError, match=f"^{want}$"):
+            call()
+    else:
+        assert call().tobytes() == want().tobytes()
 
 
 def _stacked_losses(S, b, seed):

@@ -184,7 +184,7 @@ class TestRunTraining:
         rng = np.random.default_rng(seed)
         order = rng.permutation(problem.n_samples)
         pos = 0
-        theta = problem.theta_init()
+        theta = np.zeros(problem.dim)
         uniform = np.full(batch, 1.0 / batch)
         for t in range(steps):
             if pos + batch > problem.n_samples:
@@ -324,27 +324,28 @@ class ReferenceRun(Trajectory):
 
 def history_losses(problem, traj):
     """Each recorded step's batch losses, recomputed from the trajectory's
-    iterates and batch indices: problem.losses(thetas[t], batch_indices[t])."""
-    return [problem.losses(theta, idx) for theta, idx in zip(traj.thetas, traj.batch_indices)]
+    iterates and batch indices: problem.loss_grad(thetas[t], batch_indices[t])[0]."""
+    return [problem.loss_grad(theta, idx)[0]
+            for theta, idx in zip(traj.thetas, traj.batch_indices)]
 
 
 def _reference_run_training(problem, reweight_config, stepsize, batch_size, steps,
                             seed=0, momentum=False):
-    """The training loop before the fused step: separate losses and gradient
-    calls, diagnostics through the public diagnostics functions, list
-    histories turned into the trajectory's column arrays at the end; delta_t
-    against the problem's optimal losses, where it has them. The update sums
-    the weighted gradient through the problem's weighted_grad, as the loop
-    does. Kept as the reference that run_training must reproduce exactly; it
-    also returns the batch losses it weighted, which a Trajectory does not
-    keep."""
+    """The training loop before the fused step: separate loss and gradient
+    calls to loss_grad, diagnostics through the public diagnostics
+    functions, list histories turned into the trajectory's column arrays at
+    the end; delta_t against the problem's optimal losses, where it has
+    them. The update sums the weighted gradient through the problem's
+    weighted_grad, as the loop does. Kept as the reference that
+    run_training must reproduce exactly; it also returns the batch losses it
+    weighted, which a Trajectory does not keep."""
     cap_bound = reweight_config.cap if reweight_config.cap is not None else 2.0 / batch_size
     error = optim._w_max_error(cap_bound, batch_size)
     if stepsize.kind == "convex_theory" and error:
         raise error
     eta = theory_stepsize(stepsize)
     rng = np.random.default_rng(seed)
-    theta = theta0 = problem.theta_init()
+    theta = theta0 = np.zeros(problem.dim)
     z = theta0.copy()
     has_opt_losses = hasattr(problem, "losses_at_opt")
     has_test = hasattr(problem, "test_loss")
@@ -377,7 +378,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
         if has_opt_losses:
             row["delta_t"] = delta_t(f, problem.losses_at_opt(idx), w)
         if prev_theta is not None:
-            row["mu_t"] = mu_t(f, problem.losses(prev_theta, idx), w)
+            row["mu_t"] = mu_t(f, problem.loss_grad(prev_theta, idx)[0], w)
         if theta_star is not None:
             row["theta_dist_sq"] = float(np.sum((theta - theta_star) ** 2))
         for name, value in row.items():
@@ -397,7 +398,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
 
     for t in range(steps):
         idx = next_batch()
-        f = problem.losses(theta, idx)
+        f = problem.loss_grad(theta, idx)[0]
         if not np.all(np.isfinite(f)) or f.max() > DIVERGENCE_LOSS:
             diverged, divergence_step = True, t
             break
@@ -420,7 +421,7 @@ def _reference_run_training(problem, reweight_config, stepsize, batch_size, step
 
     if steps == 0:
         idx = next_batch()
-        f = problem.losses(theta, idx)
+        f = problem.loss_grad(theta, idx)[0]
         w = compute_batch_weights(f, reweight_config, 0)
         record_step(0, idx, f, w, temperature(0))
 
@@ -465,28 +466,23 @@ def small_regression():
 
 
 class _BlowUpProblem:
-    """Bounded losses with gradients 1e100 times the iterate: the loss check
-    never fires, and the update overflows at the fourth step. Like the
-    shipped problems it takes one iterate or a stack of them."""
+    """Bounded losses with gradients 1e100 times u = theta + 1, which is 1
+    at the loop's zero start: the loss check never fires, and the update
+    overflows at the fourth step. Like the shipped problems it takes one
+    iterate or a stack of them."""
 
     n_samples, dim, L, theta_star = 16, 3, 1.0, None
 
     def __init__(self):
         self.X = np.random.default_rng(0).standard_normal((self.n_samples, self.dim))
 
-    def theta_init(self):
-        return np.ones(self.dim)
-
-    def losses(self, theta, idx):
-        return 1.0 + np.tanh(np.matmul(self.X[idx], theta[..., None])[..., 0])
-
-    def grads(self, theta, idx):
-        return np.repeat(-1e100 * theta[..., None, :], np.shape(idx)[-1], axis=-2)
+    def _losses(self, theta, idx):
+        return 1.0 + np.tanh(np.matmul(self.X[idx], (theta + 1.0)[..., None])[..., 0])
 
     def loss_grad(self, theta, idx, prev=None):
-        f_prev = None if prev is None else self.losses(prev, idx)
-        g = self.grads(theta, idx)
-        return self.losses(theta, idx), g, (g**2).sum(axis=-1), f_prev
+        f_prev = None if prev is None else self._losses(prev, idx)
+        g = np.repeat(-1e100 * (theta + 1.0)[..., None, :], np.shape(idx)[-1], axis=-2)
+        return self._losses(theta, idx), g, (g**2).sum(axis=-1), f_prev
 
     @staticmethod
     def weighted_grad(g, w):
@@ -884,7 +880,7 @@ class TestSummedGradientDrift:
             # mu_t at step t >= 1 weighs the losses at theta_t against those
             # at theta_{t-1} on the step's rows.
             f, u = np.array(history_losses(problem, got)[1:]), 1.0 / b - got.batch_weights[1:]
-            f_prev = problem.losses(got.thetas[:-2], got.batch_indices[1:])
+            f_prev = problem.loss_grad(got.thetas[:-2], got.batch_indices[1:])[0]
             scale = np.add.reduce(np.abs(u) * np.abs(f - f_prev), axis=-1)
             assert np.all(np.abs(got.columns["mu_t"] - want.columns["mu_t"]) <= 1e-11 * scale)
 

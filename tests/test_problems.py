@@ -213,7 +213,7 @@ def test_regression_problem_does_not_keep_its_dataset():
     def evaluations():
         f, (df, rows), g_sq, f_prev = problem.loss_grad(theta, idx, prev)
         return (f, df, rows, g_sq, f_prev, problem.weighted_grad((df, rows), w),
-                problem.losses(theta, idx), problem.test_loss(theta))
+                problem.loss_grad(theta, idx)[0], problem.test_loss(theta))
 
     before = evaluations()
     X, X_test = weakref.ref(data.X), weakref.ref(data.X_test)
@@ -231,7 +231,7 @@ class TestQuadraticSuite:
         )
         problem = QuadraticProblem(suite)
         theta = np.array([3.0])
-        np.testing.assert_allclose(problem.losses(theta, np.array([0])), [9.0])
+        np.testing.assert_allclose(problem.loss_grad(theta, np.array([0]))[0], [9.0])
         np.testing.assert_allclose(problem.loss_grad(theta, np.array([0]))[1], [[6.0]])
 
     def test_interpolation_zero_minimum(self):
@@ -239,7 +239,7 @@ class TestQuadraticSuite:
         problem = QuadraticProblem(suite)
         idx = np.arange(16)
         np.testing.assert_allclose(
-            problem.losses(suite.theta_star, idx), np.zeros(16), atol=1e-30
+            problem.loss_grad(suite.theta_star, idx)[0], np.zeros(16), atol=1e-30
         )
         grads = problem.loss_grad(suite.theta_star, idx)[1]
         assert np.abs(grads).max() <= 1e-10
@@ -329,8 +329,8 @@ def test_losses_over_all_samples_by_slice(make_problem):
     # samples; that must equal gathering every row by index.
     problem = make_problem()
     theta = np.random.default_rng(5).standard_normal(problem.dim)
-    np.testing.assert_array_equal(problem.losses(theta, slice(None)),
-                                  problem.losses(theta, np.arange(problem.n_samples)))
+    np.testing.assert_array_equal(problem.loss_grad(theta, slice(None))[0],
+                                  problem.loss_grad(theta, np.arange(problem.n_samples))[0])
 
 
 @MAKE_PROBLEMS
@@ -358,11 +358,12 @@ def test_grad_sq_is_the_squared_gradient_norm(make_problem):
 
 @MAKE_PROBLEMS
 def test_loss_grad_equals_separate_methods(make_problem):
-    # Training takes its losses and mu_t's previous-iterate losses from the
-    # fused path, and the oracles and finite differences use `losses`; they
-    # must agree bitwise, for every batch size (the BLAS kernels differ by row count),
-    # for large iterates and for stacks of iterates. The gradients are
-    # checked against finite differences by `verify.check_gradients`.
+    # Training takes its losses and mu_t's previous-iterate losses from one
+    # loss_grad call with prev, and the oracles and finite differences call
+    # loss_grad without prev, at either iterate; they must agree bitwise, for
+    # every batch size (the BLAS kernels differ by row count), for large
+    # iterates and for stacks of iterates. The gradients are checked against
+    # finite differences by `verify.check_gradients`.
     problem = make_problem()
     rng = np.random.default_rng(7)
     for b in (1, 3, 4, 7, 8, 13, 24):
@@ -375,10 +376,9 @@ def test_loss_grad_equals_separate_methods(make_problem):
                                 for _ in range(S or 1)]).reshape(shape[:-1] + (b,))
                 losses, _, _, none = problem.loss_grad(theta, idx)
                 assert none is None
-                np.testing.assert_array_equal(losses, problem.losses(theta, idx))
                 losses_again, _, _, prev_losses = problem.loss_grad(theta, idx, prev)
                 np.testing.assert_array_equal(losses_again, losses)
-                np.testing.assert_array_equal(prev_losses, problem.losses(prev, idx))
+                np.testing.assert_array_equal(prev_losses, problem.loss_grad(prev, idx)[0])
 
 
 @pytest.mark.parametrize("d", [5, 16, 17])
