@@ -44,7 +44,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import operator
 import os
 import sys
@@ -53,7 +52,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import ConfigError, ReweightConfig, TemperatureSchedule
+from .core import FLOAT_MAX, ConfigError, ReweightConfig, TemperatureSchedule
 from .optim import COLUMNS, StepSizeRule, run_cells
 from .problems import (
     NonconvexProblem,
@@ -150,8 +149,9 @@ def _check_value(key, value):
                           f"{name}, got {value!r}")
     if value == []:
         raise ConfigError(f"config key {key!r} must not be empty")
-    # json.load accepts the non-standard constants NaN, Infinity and -Infinity.
-    if not all(math.isfinite(x) for x in items if isinstance(x, float)):
+    # json.load accepts the non-standard constants NaN, Infinity and -Infinity,
+    # and integers of any size; a number must fit a finite float.
+    if "number" in kind and not all(x is None or abs(x) <= FLOAT_MAX for x in items):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     # A repeated item would train the same sweep cells twice; 1 and 1.0 repeat.
     repeated = [x for i, x in enumerate(items) if x in items[:i]]
@@ -190,8 +190,10 @@ def _load_config(path, defaults, seed=None):
 
 
 def _check_out_file(path):
-    """Raise ConfigError unless path can be written as a file: its directory
-    exists and it is not a directory itself."""
+    """Raise ConfigError unless path can be written as a file: it is not
+    empty, its directory exists and it is not a directory itself."""
+    if not path:
+        raise ConfigError("--out must not be empty")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"cannot write --out {path!r}: no directory {folder!r}")

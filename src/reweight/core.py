@@ -16,18 +16,19 @@ All functions are pure. They take one batch as a 1-D array or a stack of
 batches as an (S, b) array and work row by row: each row of a stacked call
 is bit for bit the 1-D call on that row.
 
-A stack whose rows follow different configs is weighted in one pass by
-_span_weights, which the training loop calls: it normalizes the stack once
-per alpha that a span reads, scores every span into one buffer, tempers all
-rows in one call and solves each capped span on its own.
-compute_batch_weights is its checked, one-config case.
+_span_weights, which the training loop calls, weights a stack whose rows
+follow different configs in one loop over its spans: it normalizes the stack
+once per alpha that a span reads and scores every span into one buffer,
+tempers all rows in one call unless every span is capped, and solves each
+capped span from its scores. compute_batch_weights is its checked, one-span
+case.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,9 @@ __all__ = [
 
 # Guard for the loss range denominator; an all-equal batch normalizes to 0.
 RANGE_EPS = 1e-6
+# The largest finite float. Python compares an int with it exactly, so an
+# integer too large for a float fails a check against it, as NaN and inf do.
+FLOAT_MAX = sys.float_info.max
 
 
 class ValidationError(ValueError):
@@ -63,7 +67,7 @@ def _check_fields(config, positive=(), counts=()) -> None:
     (name, low) in counts an integer >= low."""
     for name in positive:
         value = getattr(config, name)
-        if value is not None and not 0 < value < math.inf:
+        if value is not None and not 0 < value <= FLOAT_MAX:
             raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
     for name, low in counts:
         value = getattr(config, name)
@@ -170,7 +174,8 @@ def _normalize(f: np.ndarray, alpha: float) -> np.ndarray:
     f_min = np.minimum.reduce(f, axis=-1, keepdims=True)
     f_max = np.maximum.reduce(f, axis=-1, keepdims=True)
     denom = np.maximum(f_max - f_min, RANGE_EPS)
-    return alpha * (2.0 * f - f_max - f_min) / denom
+    # Divided before it is scaled, so a huge alpha times the range cannot overflow.
+    return alpha * ((2.0 * f - f_max - f_min) / denom)
 
 
 def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
@@ -180,7 +185,7 @@ def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
     The epsilon guard makes an all-equal batch normalize to zeros.
     """
     f = _as_loss_array(losses)
-    if not 0 < alpha < math.inf:
+    if not 0 < alpha <= FLOAT_MAX:
         raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
     return _normalize(f, alpha)
 
@@ -269,7 +274,7 @@ MODES = {
     "quadratic": lambda f, h, alpha: alpha * (1.0 - (h / alpha) ** 2),
     # favors both tails
     "extremes": lambda f, h, alpha: np.abs(h),
-    # solved on the capped simplex, not tempered: see _weigh
+    # solved on the capped simplex, not tempered: see _span_weights
     "capped": lambda f, h, alpha: h,
     # Raw losses, no normalization and no cap, so high-loss samples can
     # dominate: the comparison baseline, not a recommended mode.
@@ -278,45 +283,35 @@ MODES = {
 _READS_H = frozenset({"linupper", "quadratic", "extremes", "capped"})
 
 
-def _weigh(f, config, r):
-    """Weights of the validated losses f, (b,) or (S, b), under config at
-    temperature r: its score tempered, or for capped solved under the cap."""
-    h = _normalize(f, config.alpha) if config.mode in _READS_H else None
-    scores = MODES[config.mode](f, h, config.alpha)
-    if config.mode == "capped":
-        return capped_optimal_weights(scores, r, config.cap or 2.0 / f.shape[-1])
-    return _softmax(scores, r)
-
-
 def _span_weights(f, spans, step):
-    """Weights of the loss stack f, (S, b), whose rows lo:hi follow config for
-    each (config, lo, hi) in spans, at one training step. Unchecked: f must
-    be finite, and the spans must cover its rows in order.
+    """Weights of the loss stack f, (S, b), or (b,) for one span, whose rows
+    lo:hi follow config for each (config, lo, hi) in spans, at one training
+    step. Unchecked: f must be finite, and the spans must cover its rows in
+    order.
 
-    A lone span is _weigh on the whole of f. Otherwise f is normalized once
-    per alpha that a span reads, every span's scores go into one buffer,
-    all rows are tempered in one call, with one r or, when the spans' r
-    differ, one per row, and each capped span's rows are overwritten with
-    its _weigh. Every step works row by row, so each span's rows are bit
-    for bit its own compute_batch_weights call.
+    f is normalized once per alpha that a span reads and every span's scores
+    go into one buffer. All rows are tempered in one call, with one r or,
+    when the spans' r differ, one per row; the call is skipped when every
+    span is capped. Each capped span is then solved from its scores. Every
+    step works row by row, so each span's rows are bit for bit its own
+    compute_batch_weights call, which is the one-span case.
     """
-    if len(spans) == 1:
-        config = spans[0][0]
-        return _weigh(f, config, _temperature(config, step))
-    w, normalized, rs = np.empty(f.shape), {}, []
+    s, normalized, rs = np.empty(f.shape), {}, []
     for config, lo, hi in spans:
         h = None
         if config.mode in _READS_H:
             if config.alpha not in normalized:
                 normalized[config.alpha] = _normalize(f, config.alpha)
             h = normalized[config.alpha][lo:hi]
-        w[lo:hi] = MODES[config.mode](f[lo:hi], h, config.alpha)
+        s[lo:hi] = MODES[config.mode](f[lo:hi], h, config.alpha)
         rs.append(_temperature(config, step))
-    r = rs[0] if len(set(rs)) == 1 else np.repeat(rs, [hi - lo for _, lo, hi in spans])[:, None]
-    w = _softmax(w, r)
-    for (config, lo, hi), span_r in zip(spans, rs):
-        if config.mode == "capped":
-            w[lo:hi] = _weigh(f[lo:hi], config, span_r)
+    capped = [(c, lo, hi, r) for (c, lo, hi), r in zip(spans, rs) if c.mode == "capped"]
+    w = s
+    if len(capped) < len(spans):
+        w = _softmax(s, rs[0] if len(set(rs)) == 1
+                     else np.repeat(rs, [hi - lo for _, lo, hi in spans])[:, None])
+    for config, lo, hi, r in capped:
+        w[lo:hi] = capped_optimal_weights(s[lo:hi], r, config.cap or 2.0 / f.shape[-1])
     return w
 
 

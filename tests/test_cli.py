@@ -24,6 +24,7 @@ from reweight.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
+    CONFIG_KEYS,
     GEN_DEFAULTS,
     RUN_DEFAULTS,
     SWEEP_DEFAULTS,
@@ -157,6 +158,18 @@ class TestConfigErrors:
         assert f"config key {key!r} must be finite, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", [key for key, kind in CONFIG_KEYS.items() if "number" in kind])
+    def test_number_too_large_for_a_float_exits_config(self, tmp_path, capsys, key):
+        # json.load reads an integer of any size; a number key's value must
+        # fit a finite float, or the run fails on converting it.
+        value = [10**400] if key == "r_values" else 10**400
+        cfg = write_config(tmp_path / "cfg.json", dict(SMALL_RUN, **{key: value}))
+        out = tmp_path / "out"
+        command = "sweep" if key == "r_values" else "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config key {key!r} must be finite, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     def test_missing_out_directory_exits_config(self, tmp_path, capsys, monkeypatch, command):
         # The path is checked before any problem or dataset is built.
@@ -187,6 +200,18 @@ class TestConfigErrors:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_empty_out_exits_config(self, capsys, monkeypatch, command):
+        # An empty path names no file: it is rejected before any problem or
+        # dataset is built, not by the write after a whole run.
+        def unreachable(*args):
+            raise AssertionError("built a problem before checking --out")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        monkeypatch.setattr(cli, "_dataset", unreachable)
+        assert main([command, "--out", ""]) == EXIT_CONFIG
+        assert "config error: --out must not be empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
     def test_every_default_has_a_valid_table_entry(self, defaults):
@@ -1058,13 +1083,6 @@ class TestLockstepProperty:
 
 
 class TestVerify:
-    def test_verify_passes_on_fresh_checkout(self, capsys):
-        assert main(["verify"]) == EXIT_OK
-        report = capsys.readouterr().out
-        assert "[PASS]" in report
-        assert "[FAIL]" not in report
-        assert "tol" in report  # per-check tolerances are listed
-
     def test_stdout_is_pinned(self, capsys):
         # Every check's worst value, digit for digit: a change to how the
         # checks or the oracle compute must not move a printed number unless

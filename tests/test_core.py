@@ -63,6 +63,17 @@ class TestNormalizeLosses:
         with pytest.raises(ConfigError):
             normalize_losses([1.0, 2.0], alpha=0.0)
 
+    def test_alpha_times_the_range_may_pass_the_largest_float(self):
+        # alpha * (f_max - f_min) is 1e309 here: the range is divided out
+        # before alpha scales it, so nothing overflows.
+        losses = [0.0, 1e109, 5e108]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = normalize_losses(losses, alpha=1e200)
+            w = compute_batch_weights(losses, ReweightConfig(mode="quadratic", alpha=1e200))
+        assert h.tolist() == [-1e200, 1e200, 0.0]
+        assert w.tolist() == [0.0, 0.0, 1.0]
+
     @given(losses=finite_losses, alpha=st.floats(min_value=0.1, max_value=10.0))
     def test_output_bounded_by_alpha(self, losses, alpha):
         h = normalize_losses(losses, alpha)
@@ -585,7 +596,9 @@ class TestConfigFields:
         (StepSizeRule, {"kind": "sqrt_horizon"}, "horizon_T"),
     ]
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    # 10**400 is an integer that converts to no finite float.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
     @pytest.mark.parametrize("cls,base,name", REALS)
     def test_non_finite_rejected(self, cls, base, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number > 0, "
@@ -617,11 +630,12 @@ _H = np.array([0.3, -1.0, 0.8, 0.1])
     (lambda: brute_force_optimal_weights(_H, np.nan, 0.5), "temperature r must be positive"),
     (lambda: normalize_losses(_H, np.nan), "alpha must be a finite number > 0, got nan"),
     (lambda: normalize_losses(_H, np.inf), "alpha must be a finite number > 0, got inf"),
+    (lambda: normalize_losses(_H, 10**400), f"alpha must be a finite number > 0, got {10**400}"),
     (lambda: temper_weights(_H, np.array(0.5)), lambda: temper_weights(_H, 0.5)),
     (lambda: capped_optimal_weights(np.stack([_H, -_H]), np.array(0.5), 0.5),
      lambda: capped_optimal_weights(np.stack([_H, -_H]), 0.5, 0.5)),
 ], ids=["temper-nan", "temper-0d-nan", "temper-row-nan", "capped-nan", "oracle-nan",
-        "alpha-nan", "alpha-inf", "temper-0d", "capped-0d"])
+        "alpha-nan", "alpha-inf", "alpha-huge-int", "temper-0d", "capped-0d"])
 def test_non_finite_or_0d_temperature_and_alpha(call, want):
     # A NaN r or a non-finite alpha is a ConfigError naming it, as the
     # configs' own checks are; a 0-d r is one temperature for every row.
@@ -732,17 +746,43 @@ def mixed_stacks(draw):
     return losses * draw(st.sampled_from([1e-3, 1.0, 1e4])), spans
 
 
+def _own_weights(losses, config, step):
+    """One span's weights built from the public primitives: its temperature,
+    its normalized losses and MODES score, then the tempered softmax or the
+    capped solve."""
+    r = schedule_r(step, config.schedule)
+    if config.mode == "dro_kl":
+        r = config.dro_tau or config.schedule.r_final
+    scores = MODES[config.mode](losses, normalize_losses(losses, config.alpha), config.alpha)
+    if config.mode == "capped":
+        return capped_optimal_weights(scores, r, config.cap or 2 / losses.shape[-1])
+    return temper_weights(scores, r)
+
+
 class TestStackedWeights:
     """The training loop weights a stack of mixed configs in one pass; each
-    span's rows must equal that span's own compute_batch_weights call bit
-    for bit."""
+    span's rows must equal, bit for bit, that span's own weights built from
+    the public primitives."""
 
+    # A lone capped span, as one row and as a 1-D batch, and a stack of
+    # capped spans only, which no row is tempered in: two caps, alphas and
+    # temperatures, one of them dropping at STEP.
+    @example((_stacked_losses(1, 64, seed=1), [(ReweightConfig(mode="capped"), 0, 1)]))
+    @example((_stacked_losses(1, 9, seed=3)[0],
+              [(ReweightConfig(mode="capped", schedule=TemperatureSchedule(r_initial=1e-3)),
+                0, 9)]))
+    @example((_stacked_losses(5, 16, seed=2) * 1e4, [
+        (ReweightConfig(mode="capped", alpha=0.5, cap=0.25,
+                        schedule=TemperatureSchedule(r_initial=0.5, r_final=0.5)), 0, 2),
+        (ReweightConfig(mode="capped", schedule=TemperatureSchedule(
+            kind="step_drop", r_initial=100.0, r_final=1e-3, warmup_steps=STEP)), 2, 5),
+    ]))
     @given(mixed_stacks())
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_spans_equal_their_own_calls(self, stack):
         losses, spans = stack
         w = _span_weights(losses, spans, STEP)
-        want = np.concatenate([compute_batch_weights(losses[lo:hi], config, STEP)
+        want = np.concatenate([_own_weights(losses[lo:hi], config, STEP)
                                for config, lo, hi in spans])
         assert w.tobytes() == want.tobytes()
 
