@@ -9,10 +9,11 @@ Subcommands:
                a sweep's cells are; nonzero exit on any failure
 
 Configs are flat key-value JSON files, checked at load time against
-CONFIG_KEYS (type and range per key); an unreadable file, bad JSON, an
-unknown key or a bad value exits with code 2 and a message naming the path
-or key. A --seed override and --out are checked the same way, before any
-problem is built. Every output gets a sidecar <out>.meta.json with the
+CONFIG_KEYS by core.check_value, as the library's config objects are, and
+against physical memory; an unreadable file, bad JSON, an unknown key, a bad
+value or arrays beyond memory exit with code 2 and a message naming the
+path or keys. A --seed override and --out are checked the same way, before
+any problem is built. Every output gets a sidecar <out>.meta.json with the
 fully resolved config so results are reproducible from their artifacts alone.
 
 A sweep config holds the run keys except strategy, seed, schedule, r_initial
@@ -44,7 +45,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import os
 import sys
 from functools import partial
@@ -52,7 +52,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import FLOAT_MAX, ConfigError, ReweightConfig, TemperatureSchedule
+from .core import FLOAT_MAX, ConfigError, ReweightConfig, TemperatureSchedule, check_value
 from .optim import COLUMNS, StepSizeRule, run_cells
 from .problems import (
     NonconvexProblem,
@@ -111,20 +111,7 @@ GEN_DEFAULTS = {key: RUN_DEFAULTS[key] for key in ("p", "n", "m", "noise_c", "n_
 GEN_DEFAULTS["seed"] = RUN_DEFAULTS["data_seed"]
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-_TYPES = {
-    "bool": ("a boolean", lambda x: isinstance(x, bool)),
-    "int": ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
-    "number": ("a number", _is_number),
-    "number?": ("a number or null", lambda x: x is None or _is_number(x)),
-    "string": ("a string", lambda x: isinstance(x, str)),
-}
-
-# Type and range of every config key: "[type]" is a nonempty list, and a
-# range applies to the value, or to each item of a list, unless it is null.
+# Type and range of every config key, as a core.check_value spec.
 CONFIG_KEYS = {
     "problem": "string", "strategy": "string", "schedule": "string",
     "stepsize_rule": "string", "momentum": "bool", "noise_c": "number",
@@ -140,31 +127,12 @@ CONFIG_KEYS = {
 
 def _check_value(key, value):
     """Raise ConfigError unless value has the type and range of key."""
-    kind, *bound = CONFIG_KEYS[key].split()
-    is_list = kind.startswith("[")
-    name, check = _TYPES[kind.strip("[]")]
-    items = value if is_list and isinstance(value, list) else [value]
-    if isinstance(value, list) != is_list or not all(map(check, items)):
-        raise ConfigError(f"config key {key!r} must be {'a list, each item ' * is_list}"
-                          f"{name}, got {value!r}")
-    if value == []:
-        raise ConfigError(f"config key {key!r} must not be empty")
-    # json.load accepts the non-standard constants NaN, Infinity and -Infinity,
-    # and integers of any size; a number must fit a finite float.
-    if "number" in kind and not all(x is None or abs(x) <= FLOAT_MAX for x in items):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    # A repeated item would train the same sweep cells twice; 1 and 1.0 repeat.
-    repeated = [x for i, x in enumerate(items) if x in items[:i]]
-    if repeated:
-        raise ConfigError(f"config key {key!r} repeats {repeated[0]!r}, got {value!r}")
-    op = {">": operator.gt, ">=": operator.ge}[bound[0]] if bound else None
-    if op and not all(x is None or op(x, int(bound[1])) for x in items):
-        raise ConfigError(f"config key {key!r} must be {' '.join(bound)}, got {value!r}")
+    check_value(f"config key {key!r}", CONFIG_KEYS[key], value)
 
 
 def _load_config(path, defaults, seed=None):
     """The defaults updated by the checked config file, then by a checked
-    --seed override."""
+    --seed override, and checked against physical memory."""
     cfg = dict(defaults)
     if path:
         try:
@@ -186,7 +154,33 @@ def _load_config(path, defaults, seed=None):
     if seed is not None:
         _check_value("seed", seed)
         cfg["seed"] = seed
+    _check_memory(cfg)
     return cfg
+
+
+# Floats each problem's arrays hold, estimated from its config keys.
+_PROBLEM_FLOATS = {
+    "regression": (("n", "m", "p", "n_test"),
+                   lambda c: (c["n"] + c["m"]) * (c["p"] + 1) + c["n_test"] * (c["p"] + 2)),
+    "quadratic": (("M", "d"), lambda c: c["M"] * c["d"] ** 2),
+    "nonconvex": (("M", "d"), lambda c: c["M"] * c["d"]),
+}
+
+
+def _check_memory(cfg):
+    """Raise ConfigError, naming the keys, when cfg asks for more float arrays
+    than the machine's physical memory holds: its problem's, or gen-data's
+    dataset (a config without a problem key), plus one cell's columns where
+    it sets steps. An unknown problem is left to _make_problem."""
+    keys, floats = _PROBLEM_FLOATS.get(cfg.get("problem", "regression"), ((), lambda c: 0))
+    floats = floats(cfg)
+    if "steps" in cfg:
+        keys, floats = keys + ("steps",), floats + max(cfg["steps"], 1) * len(COLUMNS)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * floats > memory:
+        gib = 8 * floats / 2**30 if floats < FLOAT_MAX else float("inf")
+        raise ConfigError(f"config keys {', '.join(keys)} ask for {gib:.3g} GiB, more than "
+                          f"the {memory / 2**30:.3g} GiB of physical memory")
 
 
 def _check_out_file(path):

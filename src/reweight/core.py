@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ __all__ = [
     "ReweightConfig",
     "ValidationError",
     "ConfigError",
+    "check_value",
     "normalize_losses",
     "temper_weights",
     "capped_optimal_weights",
@@ -61,18 +63,42 @@ class ConfigError(ValueError):
     """Raised when a configuration value is inconsistent or out of range."""
 
 
-def _check_fields(config, positive=(), counts=()) -> None:
-    """Raise ConfigError naming the first field of config out of range: each
-    name in positive must be a finite number > 0 (or None), and each
-    (name, low) in counts an integer >= low."""
-    for name in positive:
-        value = getattr(config, name)
-        if value is not None and not 0 < value <= FLOAT_MAX:
-            raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-    for name, low in counts:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+# What a check_value message calls each type of a spec, and its class.
+_TYPES = {"bool": ("a boolean", bool), "int": ("an integer", numbers.Integral),
+          "number": ("a number", numbers.Real), "string": ("a string", str)}
+
+
+def check_value(name, spec, value) -> None:
+    """Raise ConfigError, its message led by name, unless value meets spec, as
+    "int >= 0", "number? > 0" or "[number] > 0": a type of _TYPES ("type?"
+    admits None; a bool is of type bool alone; a number must fit a finite
+    float) or a nonempty list of it with no item repeated (1 and 1.0 repeat),
+    then an optional bound on the value, or each item, unless it is None."""
+    kind, *bound = spec.split()
+    is_list, nullable = kind.startswith("["), kind.endswith("?")
+    noun, cls = _TYPES[kind.strip("[]?")]
+    items = value if is_list and isinstance(value, list) else [value]
+    if isinstance(value, list) != is_list or not all(
+            x is None and nullable or isinstance(x, cls) and isinstance(x, bool) == (cls is bool)
+            for x in items):
+        raise ConfigError(f"{name} must be {'a list, each item ' * is_list}{noun}"
+                          f"{' or null' * nullable}, got {value!r}")
+    if is_list and not value:
+        raise ConfigError(f"{name} must not be empty")
+    if "number" in kind and not all(x is None or abs(x) <= FLOAT_MAX for x in items):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    repeated = [x for i, x in enumerate(items) if x in items[:i]]
+    if repeated:
+        raise ConfigError(f"{name} repeats {repeated[0]!r}, got {value!r}")
+    op = {">": operator.gt, ">=": operator.ge}[bound[0]] if bound else None
+    if op and not all(x is None or op(x, int(bound[1])) for x in items):
+        raise ConfigError(f"{name} must be {' '.join(bound)}, got {value!r}")
+
+
+def _check_fields(config, **specs) -> None:
+    """check_value on each named field of config, with its spec."""
+    for name, spec in specs.items():
+        check_value(name, spec, getattr(config, name))
 
 
 @dataclass(frozen=True)
@@ -91,7 +117,8 @@ class TemperatureSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "step_drop"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        _check_fields(self, ("r_initial", "r_final"), [("warmup_steps", 0)])
+        _check_fields(self, r_initial="number > 0", r_final="number > 0",
+                      warmup_steps="int >= 0")
 
 
 def schedule_r(step, schedule: TemperatureSchedule):
@@ -128,7 +155,16 @@ class ReweightConfig:
         for name, reader in (("cap", "capped"), ("dro_tau", "dro_kl")):
             if getattr(self, name) is not None and self.mode != reader:
                 raise ConfigError(f"{name} is read only by mode {reader!r}, not {self.mode!r}")
-        _check_fields(self, ("alpha", "cap", "dro_tau"))
+        _check_fields(self, alpha="number > 0", cap="number? > 0", dro_tau="number? > 0")
+        # h lies in [-alpha, alpha], so the capped solve's logits h/r, and the
+        # differences of two that its log-sum-exp forms, stay finite while
+        # alpha/r <= FLOAT_MAX/2 at every r the schedule reads.
+        if self.mode == "capped":
+            for key in ("r_initial", "r_final")[:1 + (self.schedule.kind == "step_drop")]:
+                r = getattr(self.schedule, key)
+                if float(self.alpha) / float(r) > FLOAT_MAX / 2:  # Python floats: no warning
+                    raise ConfigError(f"mode 'capped' needs alpha / {key} <= {FLOAT_MAX / 2:.6g}, "
+                                      f"got alpha = {self.alpha!r} and {key} = {r!r}")
 
 
 def _as_loss_array(losses) -> np.ndarray:
@@ -185,8 +221,7 @@ def normalize_losses(losses, alpha: float = 1.0) -> np.ndarray:
     The epsilon guard makes an all-equal batch normalize to zeros.
     """
     f = _as_loss_array(losses)
-    if not 0 < alpha <= FLOAT_MAX:
-        raise ConfigError(f"alpha must be a finite number > 0, got {alpha!r}")
+    check_value("alpha", "number > 0", alpha)
     return _normalize(f, alpha)
 
 
@@ -232,7 +267,8 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     gives every candidate k's softmax denominator in one pass, so one sort
     and one scan solve it. All arithmetic is done in log space so tiny r
     (logit spreads of ~1e6) stays exact. Stacked rows are solved together,
-    with r a scalar or one temperature per row.
+    with r a scalar or one temperature per row. A row whose logits h/r are
+    not finite (NaN in h, or an overflow at tiny r) is a ValidationError.
     """
     _check_r(r)
     h = np.asarray(h, dtype=float)
@@ -255,6 +291,11 @@ def capped_optimal_weights(h, r: float, cap: float) -> np.ndarray:
     # Rows that pin k entries share a free block z[..., k:]; each row's
     # softmax over it is summed on its own, as the 1-D call sums it.
     pins = set(np.atleast_1d(n_pin).tolist())
+    # With finite logits some prefix fits whenever cap*b > 1, so a row that
+    # pins all b entries then has a non-finite h/r: its weights would sum to cap*b.
+    if b in pins and cap * b > 1.0:
+        raise ValidationError(f"capped weights pin all {b} entries of a row at cap {cap:.6g}, "
+                              f"which sum to {cap * b:.6g} > 1: h/r is not finite")
     for k in pins - {b}:
         same = Ellipsis if len(pins) == 1 else n_pin == k
         e = np.exp(z[same, k:] - z[same, k:k + 1])

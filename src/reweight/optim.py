@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, ReweightConfig, ValidationError, _cap_error, _check_fields,
-                   _span_weights, _temperature)
+                   _span_weights, _temperature, check_value)
 from .core import compute_batch_weights  # noqa: F401  (bench/selftest.py reads it here)
 from .diagnostics import gap_sum
 
@@ -97,7 +97,7 @@ class StepSizeRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "convex_theory", "sqrt_horizon"):
             raise ConfigError(f"unknown step-size rule {self.kind!r}")
-        _check_fields(self, ("eta", "L"), [("horizon_T", 1)])
+        _check_fields(self, eta="number > 0", L="number > 0", horizon_T="int >= 1")
 
 
 def theory_stepsize(rule: StepSizeRule) -> float:
@@ -251,8 +251,7 @@ def run_cells(problem, cells, stepsize: StepSizeRule, batch_size: int, steps: in
     if batch_size < 1 or batch_size > problem.n_samples:
         raise ConfigError(f"batch_size {batch_size} is not in [1, {problem.n_samples}] "
                           "(the problem's n_samples)")
-    if steps < 0:
-        raise ConfigError(f"steps {steps} is negative")
+    check_value("steps", "int >= 0", steps)
     size = max(1, LOCKSTEP_BYTES // cell_bytes(problem, batch_size, steps, history))
     return _run_groups(list(cells), size, problem, stepsize, batch_size, steps, momentum,
                        history)

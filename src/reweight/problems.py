@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_value
+
 __all__ = [
     "RegressionDataset",
     "QuadraticSuite",
@@ -92,8 +94,9 @@ def gen_regression(
     X = 0.1 * N(0,1) + 2.0 with y ~ N(0,1). The test split is drawn from
     the clean process only. Deterministic given the seed.
     """
-    if p < 1 or n < 1 or n_test < 1 or m < 0:
-        raise ValueError("p, n, n_test must be >= 1; m must be >= 0")
+    for name, spec, value in (("p", "int >= 1", p), ("n", "int >= 1", n), ("m", "int >= 0", m),
+                              ("n_test", "int >= 1", n_test)):
+        check_value(name, spec, value)
     rng = np.random.default_rng(seed)
     W_star = rng.standard_normal(p)
     b_star = float(rng.standard_normal())
@@ -143,8 +146,9 @@ def gen_quadratic_suite(
 ) -> QuadraticSuite:
     """Random PSD quadratics A_i = Q_i D_i Q_i' with orthogonal Q_i and
     eigenvalues log-uniform in [1, cond_max]; shared minimizer ~ N(0, I)."""
-    if M < 1 or d < 1 or cond_max < 1:
-        raise ValueError("M, d must be >= 1 and cond_max >= 1")
+    for name, spec, value in (("M", "int >= 1", M), ("d", "int >= 1", d),
+                              ("cond_max", "number >= 1", cond_max)):
+        check_value(name, spec, value)
     rng = np.random.default_rng(seed)
     A = np.empty((M, d, d))
     L_values = np.empty(M)
@@ -278,6 +282,8 @@ class NonconvexProblem(_LinearProblem):
     X theta_true plus 0.1-scale noise."""
 
     def __init__(self, n_samples: int = 256, dim: int = 8, seed: int = 0):
+        check_value("n_samples", "int >= 1", n_samples)
+        check_value("dim", "int >= 1", dim)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((n_samples, dim))
         self.theta_true = rng.standard_normal(dim)

@@ -213,6 +213,37 @@ class TestConfigErrors:
         assert main([command, "--out", ""]) == EXIT_CONFIG
         assert "config error: --out must not be empty" in capsys.readouterr().err
 
+    _REGRESSION_KEYS = "n, m, p, n_test"
+
+    @pytest.mark.parametrize("command, payload, keys", [
+        ("run", {"steps": 10**30}, f"{_REGRESSION_KEYS}, steps"),
+        ("run", {"n": 10**30}, f"{_REGRESSION_KEYS}, steps"),
+        ("run", {"m": 10**30}, f"{_REGRESSION_KEYS}, steps"),
+        ("run", {"n_test": 10**30}, f"{_REGRESSION_KEYS}, steps"),
+        ("run", {"problem": "quadratic", "M": 10**30}, "M, d, steps"),
+        ("run", {"p": 100_000_000}, f"{_REGRESSION_KEYS}, steps"),
+        ("run", {"problem": "quadratic", "d": 100_000}, "M, d, steps"),
+        ("run", {"problem": "nonconvex", "M": 10**30}, "M, d, steps"),
+        ("gen-data", {"p": 100_000_000}, _REGRESSION_KEYS),
+        ("sweep", {"steps": 10**30}, f"{_REGRESSION_KEYS}, steps"),
+    ])
+    def test_size_beyond_physical_memory_exits_config(self, tmp_path, capsys, monkeypatch,
+                                                      command, payload, keys):
+        # numpy would fail on a dimension this large, or on allocating
+        # terabytes, after the run had started: the estimate stops it before
+        # any problem, dataset or output directory exists.
+        def unreachable(*args):
+            raise AssertionError("built a problem before checking its size")
+
+        monkeypatch.setattr(cli, "_make_problem", unreachable)
+        monkeypatch.setattr(cli, "_dataset", unreachable)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path / "cfg.json", payload),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert re.fullmatch(rf"config error: config keys {keys} ask for \S+ GiB, more than the "
+                            r"\S+ GiB of physical memory\n", capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("defaults", [GEN_DEFAULTS, RUN_DEFAULTS, SWEEP_DEFAULTS])
     def test_every_default_has_a_valid_table_entry(self, defaults):
         for key, value in defaults.items():
@@ -423,6 +454,19 @@ class TestRun:
         out = tmp_path / "x.csv"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: infeasible cap: cap*b = 0.08 < 1\n"
+        assert not out.exists()
+
+    def test_capped_logit_overflow_exits_config(self, tmp_path, capsys):
+        # alpha / r = 1e310 would overflow the capped solve's logits, and its
+        # all-cap weights would sum to b * (2/b) = 2.
+        cfg = write_config(tmp_path / "cfg.json",
+                           dict(SMALL_RUN, strategy="capped", alpha=1e300, r_initial=1e-10,
+                                r_final=1e-10, steps=3))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: mode 'capped' needs alpha / r_initial "
+                                           "<= 8.98847e+307, got alpha = 1e+300 and "
+                                           "r_initial = 1e-10\n")
         assert not out.exists()
 
     def test_batch_size_above_n_samples_names_both(self, tmp_path, capsys):
@@ -699,6 +743,18 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "failed cell capped r=1.0 seed=0: error: infeasible cap" in err
         assert "uniform" not in err
+
+    def test_capped_logit_overflow_fails_only_its_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sweep.json",
+                           dict(SMALL_RUN, strategies=["capped", "uniform"], alpha=1e300,
+                                r_values=[1e-10], seeds=[0], steps=3))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == EXIT_CONFIG
+        rows = list(csv.DictReader((out_dir / "summary.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == [
+            "error: mode 'capped' needs alpha / r_initial <= 8.98847e+307, got alpha = 1e+300 "
+            "and r_initial = 1e-10", "ok"]
+        assert "failed cell capped r=1e-10 seed=0" in capsys.readouterr().err
 
     def test_shared_cap_reaches_only_the_capped_cells(self, tmp_path):
         # cap and dro_tau are set for the whole sweep; the capped cell reads

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from reweight.core import (
+    FLOAT_MAX,
     MODES,
     ConfigError,
     ReweightConfig,
@@ -24,8 +25,14 @@ from reweight.core import (
     temper_weights,
     _span_weights,
 )
-from reweight.optim import StepSizeRule
+from reweight.optim import StepSizeRule, run_cells
 from reweight.oracle import brute_force_optimal_weights
+from reweight.problems import (
+    NonconvexProblem,
+    QuadraticProblem,
+    gen_quadratic_suite,
+    gen_regression,
+)
 
 
 finite_losses = st.lists(
@@ -192,6 +199,32 @@ class TestCappedOptimalWeights:
     def test_binding_cap_splits_remaining_mass(self):
         w = capped_optimal_weights([10.0, 0.0, 0.0, 0.0], r=1.0, cap=0.5)
         np.testing.assert_allclose(w, [0.5, 1 / 6, 1 / 6, 1 / 6])
+
+    @pytest.mark.parametrize("h, r", [([-1.0, -0.3, 0.3, 1.0], 1e-310),
+                                      ([-1.0, np.nan, 0.3, 1.0], 1.0)], ids=["overflow", "nan"])
+    def test_non_finite_logits_rejected(self, h, r):
+        # h/r overflows at a subnormal r, and a NaN fits no prefix: the solve
+        # would pin all four entries at the cap, weights that sum to 1.2. A
+        # stack fails for such a row too.
+        want = ("^capped weights pin all 4 entries of a row at cap 0.3, which sum to 1.2 > 1: "
+                "h/r is not finite$")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=want):
+                capped_optimal_weights(h, r, 0.3)
+            with pytest.raises(ValidationError, match=want):
+                capped_optimal_weights(np.stack([_H, h]), np.array([1.0, r]), 0.3)
+
+    def test_tiny_finite_r_still_solves(self):
+        w = capped_optimal_weights([-1.0, -0.3, 0.3, 1.0], 1e-307, 0.3)
+        np.testing.assert_allclose(w, [0.1, 0.3, 0.3, 0.3])
+
+    def test_cap_of_one_over_b_pins_every_entry(self):
+        # cap*b is 1 up to rounding: every entry at the cap is the solution,
+        # not a row of non-finite logits.
+        for b in range(2, 40):
+            h = np.random.default_rng(b).standard_normal(b)
+            np.testing.assert_allclose(capped_optimal_weights(h, 0.1, 1.0 / b),
+                                       np.full(b, 1.0 / b))
 
     def test_infeasible_cap_rejected(self):
         with pytest.raises(ConfigError):
@@ -576,6 +609,37 @@ class TestReweightConfigValidation:
         with pytest.raises(ConfigError):
             ReweightConfig(mode="dro_kl", dro_tau=-2.0)
 
+    @pytest.mark.parametrize("kind, key", [("constant", "r_initial"), ("step_drop", "r_initial"),
+                                           ("step_drop", "r_final")])
+    def test_capped_logit_overflow_rejected(self, kind, key):
+        # alpha / r above FLOAT_MAX / 2 at an r the schedule reads would
+        # overflow the capped solve's logits h/r.
+        schedule = TemperatureSchedule(kind=kind, warmup_steps=5, **{key: 1e-10})
+        with pytest.raises(ConfigError, match=rf"^mode 'capped' needs alpha / {key} <= "
+                                              rf"8\.98847e\+307, got alpha = 1e\+300 and "
+                                              rf"{key} = 1e-10$"):
+            ReweightConfig(mode="capped", alpha=1e300, schedule=schedule)
+
+    def test_capped_logit_bound_reads_only_the_r_used(self):
+        # A constant schedule never reads r_final, and only mode capped
+        # solves on the capped simplex.
+        ReweightConfig(mode="capped", alpha=1e300, schedule=TemperatureSchedule(r_final=1e-10))
+        for mode in ("linupper", "extremes"):
+            ReweightConfig(mode=mode, alpha=1e300, schedule=TemperatureSchedule(r_initial=1e-10))
+
+    def test_capped_weights_at_the_logit_bound_are_finite(self):
+        # r is a power of two, so alpha = FLOAT_MAX / 2 * r is exact and
+        # alpha / r is exactly the bound; the next alpha up is rejected.
+        r = 0.25
+        config = ReweightConfig(mode="capped", alpha=FLOAT_MAX / 2 * r,
+                                schedule=TemperatureSchedule(r_initial=r))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            w = compute_batch_weights([0.0, 1.0, 2.0, 3.0], config)
+        np.testing.assert_array_equal(w, [0.0, 0.0, 0.5, 0.5])
+        with pytest.raises(ConfigError, match="^mode 'capped' needs alpha / r_initial"):
+            ReweightConfig(mode="capped", alpha=np.nextafter(config.alpha, np.inf),
+                           schedule=config.schedule)
+
 
 class TestConfigFields:
     """Every float field of the config objects must be a finite number > 0
@@ -601,15 +665,13 @@ class TestConfigFields:
                              ids=["nan", "inf", "-inf", "huge-int"])
     @pytest.mark.parametrize("cls,base,name", REALS)
     def test_non_finite_rejected(self, cls, base, name, value):
-        with pytest.raises(ConfigError, match=f"^{name} must be a finite number > 0, "
-                                              f"got {value!r}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value!r}$"):
             cls(**base, **{name: value})
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, float("nan")])
     @pytest.mark.parametrize("cls,base,name", COUNTS)
     def test_non_integer_count_rejected(self, cls, base, name, value):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= [01], "
-                                              f"got {value!r}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value!r}$"):
             cls(**base, **{name: value})
 
     @pytest.mark.parametrize("cls,base,name", REALS + COUNTS)
@@ -620,6 +682,48 @@ class TestConfigFields:
 
 _H = np.array([0.3, -1.0, 0.8, 0.1])
 
+# Every checked field of the config objects and every checked argument of
+# the library's entry points: (name, what a wrong value's message calls its
+# type, a call that passes it the value).
+_CHECKED = [
+    ("alpha", "a number", lambda v: ReweightConfig(alpha=v)),
+    ("cap", "a number or null", lambda v: ReweightConfig(mode="capped", cap=v)),
+    ("dro_tau", "a number or null", lambda v: ReweightConfig(mode="dro_kl", dro_tau=v)),
+    ("r_initial", "a number", lambda v: TemperatureSchedule(r_initial=v)),
+    ("r_final", "a number", lambda v: TemperatureSchedule(r_final=v)),
+    ("warmup_steps", "an integer", lambda v: TemperatureSchedule(warmup_steps=v)),
+    ("eta", "a number", lambda v: StepSizeRule(eta=v)),
+    ("L", "a number", lambda v: StepSizeRule(kind="convex_theory", L=v)),
+    ("horizon_T", "an integer", lambda v: StepSizeRule(kind="sqrt_horizon", horizon_T=v)),
+    ("alpha", "a number", lambda v: normalize_losses(_H, v)),
+    ("p", "an integer", lambda v: gen_regression(p=v)),
+    ("n", "an integer", lambda v: gen_regression(n=v)),
+    ("m", "an integer", lambda v: gen_regression(m=v)),
+    ("n_test", "an integer", lambda v: gen_regression(n_test=v)),
+    ("M", "an integer", lambda v: gen_quadratic_suite(M=v, d=2)),
+    ("d", "an integer", lambda v: gen_quadratic_suite(M=2, d=v)),
+    ("n_samples", "an integer", lambda v: NonconvexProblem(n_samples=v)),
+    ("dim", "an integer", lambda v: NonconvexProblem(dim=v)),
+    ("steps", "an integer",
+     lambda v: run_cells(QuadraticProblem(gen_quadratic_suite(M=4, d=2)), [], StepSizeRule(),
+                         2, v)),
+]
+
+
+# A string, a list and a bool for every field, and a non-integer float for
+# an integer one.
+@pytest.mark.parametrize("name, noun, call, value", [
+    pytest.param(name, noun, call, value, id=f"{call.__code__.co_names[0]}-{name}-{value!r}")
+    for name, noun, call in _CHECKED for value in ["1", [1], True] + [1.5] * (noun == "an integer")
+])
+def test_wrong_type_is_a_config_error_naming_the_field(name, noun, call, value):
+    # One checker, core.check_value, types every field and argument as the
+    # CLI types its config keys: a bool is no number, and 1.5 no integer.
+    want = f"{name} must be {noun}, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        call(value)
+
+
 
 @pytest.mark.parametrize("call, want", [
     (lambda: temper_weights(_H, np.nan), "temperature r must be positive"),
@@ -628,9 +732,9 @@ _H = np.array([0.3, -1.0, 0.8, 0.1])
      "temperature r must be positive"),
     (lambda: capped_optimal_weights(_H, np.nan, 0.5), "temperature r must be positive"),
     (lambda: brute_force_optimal_weights(_H, np.nan, 0.5), "temperature r must be positive"),
-    (lambda: normalize_losses(_H, np.nan), "alpha must be a finite number > 0, got nan"),
-    (lambda: normalize_losses(_H, np.inf), "alpha must be a finite number > 0, got inf"),
-    (lambda: normalize_losses(_H, 10**400), f"alpha must be a finite number > 0, got {10**400}"),
+    (lambda: normalize_losses(_H, np.nan), "alpha must be finite, got nan"),
+    (lambda: normalize_losses(_H, np.inf), "alpha must be finite, got inf"),
+    (lambda: normalize_losses(_H, 10**400), f"alpha must be finite, got {10**400}"),
     (lambda: temper_weights(_H, np.array(0.5)), lambda: temper_weights(_H, 0.5)),
     (lambda: capped_optimal_weights(np.stack([_H, -_H]), np.array(0.5), 0.5),
      lambda: capped_optimal_weights(np.stack([_H, -_H]), 0.5, 0.5)),

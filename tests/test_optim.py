@@ -281,7 +281,7 @@ class TestRunTraining:
                 )
 
     def test_negative_steps_rejected(self, quadratic_problem):
-        with pytest.raises(ConfigError, match="steps -1 is negative"):
+        with pytest.raises(ConfigError, match="^steps must be >= 0, got -1$"):
             run_training(quadratic_problem, ReweightConfig(mode="uniform"),
                          StepSizeRule(kind="fixed", eta=0.01), batch_size=8, steps=-1)
 
